@@ -142,29 +142,4 @@ BENCHMARK(BM_Inclusion_DenseFrontier)
     ->ArgNames({"states", "subset"})
     ->Unit(benchmark::kMillisecond);
 
-// Experiment E23: the sharded work-stealing parallel inclusion search on
-// the exponential family — wall-clock scaling over the thread count against
-// the sequential baseline (threads = 1). The verdict is identical at every
-// thread count; only the wall time may change.
-void BM_InclusionParallel(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const std::size_t threads = static_cast<std::size_t>(state.range(1));
-  auto sigma = random_alphabet(2);
-  const Nfa a = nth_from_end(n, sigma);
-  const Nfa b = nth_from_end(n, sigma);
-
-  bool included = false;
-  for (auto _ : state) {
-    included = is_included(a, b, InclusionAlgorithm::kAntichain, nullptr,
-                           threads);
-    benchmark::DoNotOptimize(included);
-  }
-  state.counters["included"] = included ? 1 : 0;
-}
-BENCHMARK(BM_InclusionParallel)
-    ->ArgsProduct({{18, 20}, {1, 2, 4, 8}})
-    ->ArgNames({"n", "threads"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 }  // namespace

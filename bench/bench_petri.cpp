@@ -51,7 +51,7 @@ BENCHMARK(BM_Petri_ProducerConsumer)
 
 void BM_Petri_DiningPhilosophers(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const PetriNet net = dining_philosophers_net(n);
+  const PetriNet net = petri::philosophers_net(n).net;
   std::size_t states = 0;
   std::size_t deadlocks = 0;
   for (auto _ : state) {

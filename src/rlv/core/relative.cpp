@@ -14,13 +14,12 @@ namespace {
 RelativeLivenessResult liveness_via_intersection(const Buchi& system,
                                                  const Buchi& intersection,
                                                  InclusionAlgorithm algorithm,
-                                                 Budget* budget,
-                                                 std::size_t threads) {
+                                                 Budget* budget) {
   // Lemma 4.3: pre(L_ω) ⊆ pre(L_ω ∩ P); the reverse inclusion is automatic.
   const Nfa pre_system = prefix_nfa(system);
   const Nfa pre_both = prefix_nfa(intersection);
   const InclusionResult inc =
-      check_inclusion(pre_system, pre_both, algorithm, budget, threads);
+      check_inclusion(pre_system, pre_both, algorithm, budget);
   RelativeLivenessResult result;
   result.holds = inc.included;
   result.violating_prefix = inc.counterexample;
@@ -49,12 +48,10 @@ RelativeSafetyResult safety_via_negation(const Buchi& system,
 RelativeLivenessResult relative_liveness(const Buchi& system,
                                          const Buchi& property,
                                          InclusionAlgorithm algorithm,
-                                         Budget* budget,
-                                         std::size_t inclusion_threads) {
+                                         Budget* budget) {
   try {
     return liveness_via_intersection(
-        system, intersect_buchi(system, property, budget), algorithm, budget,
-        inclusion_threads);
+        system, intersect_buchi(system, property, budget), algorithm, budget);
   } catch (const ResourceExhausted& e) {
     RelativeLivenessResult result;
     result.exhausted = e.stage();
@@ -65,13 +62,11 @@ RelativeLivenessResult relative_liveness(const Buchi& system,
 RelativeLivenessResult relative_liveness(const Buchi& system, Formula f,
                                          const Labeling& lambda,
                                          InclusionAlgorithm algorithm,
-                                         Budget* budget,
-                                         std::size_t inclusion_threads) {
+                                         Budget* budget) {
   try {
     const Buchi property = translate_ltl(f, lambda, budget);
     return liveness_via_intersection(
-        system, intersect_buchi(system, property, budget), algorithm, budget,
-        inclusion_threads);
+        system, intersect_buchi(system, property, budget), algorithm, budget);
   } catch (const ResourceExhausted& e) {
     RelativeLivenessResult result;
     result.exhausted = e.stage();

@@ -23,11 +23,7 @@
 //
 // The safety and satisfaction checks explore their Büchi products on the
 // fly (find_accepting_lasso_product / product_empty), so they only pay for
-// the product states the nested DFS actually visits. The liveness check
-// accepts an `inclusion_threads` knob that runs the underlying NFA
-// inclusion with the sharded parallel search (see lang/inclusion.hpp for
-// the determinism contract: identical verdicts, revalidate-don't-compare
-// counterexamples).
+// the product states the nested DFS actually visits.
 
 #include <optional>
 
@@ -57,17 +53,16 @@ struct RelativeSafetyResult {
 };
 
 /// Is L_ω(property) a relative liveness property of L_ω(system)? (Def 4.1)
-/// `inclusion_threads > 1` parallelizes the inclusion search.
 [[nodiscard]] RelativeLivenessResult relative_liveness(
     const Buchi& system, const Buchi& property,
     InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain,
-    Budget* budget = nullptr, std::size_t inclusion_threads = 1);
+    Budget* budget = nullptr);
 
 /// Formula flavor: the property is { x | x,λ ⊨ f }.
 [[nodiscard]] RelativeLivenessResult relative_liveness(
     const Buchi& system, Formula f, const Labeling& lambda,
     InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain,
-    Budget* budget = nullptr, std::size_t inclusion_threads = 1);
+    Budget* budget = nullptr);
 
 /// Is L_ω(property) a relative safety property of L_ω(system)? (Def 4.2)
 /// The automaton flavor complements `property` with the rank-based

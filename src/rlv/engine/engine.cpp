@@ -99,6 +99,24 @@ struct TranslationKeyHash {
   }
 };
 
+/// pre(L_ω) is keyed by structure *and* alphabet identity: the behaviors
+/// and prefixes caches evict independently, so a structure-only key could
+/// pair a fresh behaviors automaton with a cached prefix NFA built over
+/// another (structurally equal) text's alphabet object.
+struct PrefixKey {
+  std::uint64_t system;   // structural fingerprint
+  const void* alphabet;   // alphabet identity of the behaviors automaton
+
+  friend bool operator==(const PrefixKey&, const PrefixKey&) = default;
+};
+
+struct PrefixKeyHash {
+  std::size_t operator()(const PrefixKey& k) const {
+    return hash_combine(std::hash<std::uint64_t>{}(k.system),
+                        std::hash<const void*>{}(k.alphabet));
+  }
+};
+
 struct PropertyKey {
   std::uint64_t text;     // fingerprint of the raw automaton text
   const void* alphabet;   // target alphabet identity
@@ -233,7 +251,7 @@ struct Engine::Impl {
   EngineOptions options;
   MemoCache<std::uint64_t, ParsedSystem> systems;
   MemoCache<std::uint64_t, Buchi> behaviors;
-  MemoCache<std::uint64_t, Nfa> prefixes;
+  MemoCache<PrefixKey, Nfa, PrefixKeyHash> prefixes;
   MemoCache<TranslationKey, Buchi, TranslationKeyHash> translations;
   MemoCache<PropertyKey, ParsedProperty, PropertyKeyHash> properties;
   MemoCache<VerdictKey, Verdict, VerdictKeyHash> verdicts;
@@ -282,6 +300,16 @@ struct Engine::Impl {
     });
   }
 
+  /// `prop` on the alphabet object `sigma`, re-resolved when it was remapped
+  /// onto another one: the structure-keyed behaviors cache may hold an
+  /// entry parsed from a different, structurally equal system text.
+  std::shared_ptr<const ParsedProperty> property_on(
+      const std::shared_ptr<const ParsedProperty>& prop,
+      const std::string& text, const AlphabetRef& sigma, Budget* budget) {
+    if (!prop || prop->automaton.alphabet() == sigma) return prop;
+    return property(text, sigma, budget);
+  }
+
   std::shared_ptr<const Buchi> negated_property(
       const std::shared_ptr<const ParsedProperty>& prop, Budget* budget) {
     // Not memoized on its own: the verdict cache already absorbs repeats,
@@ -292,19 +320,23 @@ struct Engine::Impl {
 
   /// The decision procedures of rlv/core/relative.hpp and
   /// rlv/fair/fair_check.hpp, restated over the cached intermediates. Every
-  /// derived object is built from the *cached* behaviors automaton so that
-  /// alphabet identity (which intersect_buchi and check_inclusion require)
-  /// is preserved even when two different texts parse to one structure.
+  /// derived object lives on the alphabet object of the *cached* behaviors
+  /// automaton, so alphabet identity (which intersect_buchi and
+  /// check_inclusion require) holds even when two different texts parse to
+  /// one structure.
   Verdict decide(const std::shared_ptr<const ParsedSystem>& sys,
                  const std::optional<Formula>& f,
-                 const std::shared_ptr<const ParsedProperty>& prop,
+                 const std::shared_ptr<const ParsedProperty>& sys_prop,
                  const Query& query, Budget* budget) {
     const auto behaviors_aut =
         behaviors.get_or_compute(sys->fingerprint, [&] {
           StageScope scope(budget, Stage::kPreTrim);
           return limit_of_prefix_closed(sys->nfa);
         });
-    const Labeling lambda = Labeling::canonical(behaviors_aut->alphabet());
+    const AlphabetRef& sigma = behaviors_aut->alphabet();
+    const Labeling lambda = Labeling::canonical(sigma);
+    const auto prop =
+        property_on(sys_prop, query.property_automaton, sigma, budget);
 
     // The positive property automaton, whichever flavor the query used.
     auto positive = [&]() -> std::shared_ptr<const Buchi> {
@@ -320,11 +352,6 @@ struct Engine::Impl {
       return translation(*f, lambda, /*negated=*/true, budget);
     };
 
-    // Per-query override of the engine-wide intra-query thread count.
-    const std::size_t threads =
-        query.threads > 0 ? query.threads
-                          : std::max<std::size_t>(1, options.intra_query_threads);
-
     Verdict verdict;
     switch (query.kind) {
       case CheckKind::kRelativeLiveness: {
@@ -337,12 +364,12 @@ struct Engine::Impl {
           return prefix_nfa(intersection);
         }();
         const auto pre_system =
-            prefixes.get_or_compute(sys->fingerprint, [&] {
+            prefixes.get_or_compute({sys->fingerprint, sigma.get()}, [&] {
               StageScope scope(budget, Stage::kPreTrim);
               return prefix_nfa(*behaviors_aut);
             });
-        const InclusionResult inc = check_inclusion(
-            *pre_system, pre_both, query.algorithm, budget, threads);
+        const InclusionResult inc =
+            check_inclusion(*pre_system, pre_both, query.algorithm, budget);
         verdict.holds = inc.included;
         verdict.violating_prefix = inc.counterexample;
         break;
@@ -556,10 +583,14 @@ struct Engine::Impl {
               StageScope scope(&budget, Stage::kPreTrim);
               return limit_of_prefix_closed(sys->nfa);
             });
-        const Labeling lambda = Labeling::canonical(behaviors_aut->alphabet());
+        const AlphabetRef& sigma = behaviors_aut->alphabet();
+        const Labeling lambda = Labeling::canonical(sigma);
+        const auto prop_on_sigma =
+            property_on(prop, spec.property_automaton, sigma, &budget);
         const std::shared_ptr<const Buchi> positive =
-            prop ? std::shared_ptr<const Buchi>(prop, &prop->automaton)
-                 : translation(*f, lambda, /*negated=*/false, &budget);
+            prop_on_sigma ? std::shared_ptr<const Buchi>(
+                                prop_on_sigma, &prop_on_sigma->automaton)
+                          : translation(*f, lambda, /*negated=*/false, &budget);
         return monitor::MonitorAutomaton(*behaviors_aut, *positive,
                                          spec.certify, &budget);
       });

@@ -8,7 +8,7 @@
 //
 //   systems       raw text        → parsed Nfa (+ structural fingerprint)
 //   behaviors     system          → lim(L) Büchi automaton (Definition 6.2)
-//   prefixes      system          → trimmed pre(L_ω) NFA (Lemma 4.3's LHS)
+//   prefixes      system×Σ        → trimmed pre(L_ω) NFA (Lemma 4.3's LHS)
 //   translations  formula×Σ×sign  → GPVW Büchi automaton
 //   properties    aut text×Σ      → parsed + remapped property Büchi
 //   verdicts      system×P×kind×algorithm → final Verdict
@@ -23,16 +23,6 @@
 // Every check is a pure function of its query, so Engine::run returns
 // verdicts bit-identical to sequential execution regardless of the worker
 // count or the interleaving — the property test_engine.cpp pins down.
-//
-// Intra-query parallelism (intra_query_threads / Query::threads) runs the
-// Lemma 4.3 inclusion search itself on multiple threads. The boolean
-// verdict is unaffected, but a violating prefix found by the parallel
-// search depends on the interleaving (still a genuine counterexample —
-// revalidate, don't byte-compare), so the bit-identical guarantee above
-// holds only at the default of one intra-query thread. The knob is
-// deliberately NOT part of the verdict cache key: all thread counts
-// compute the same verdict, and whichever counterexample was cached first
-// is as valid as any other.
 //
 // Real verification workloads are many properties against few systems;
 // the caches turn that shape into one parse, one limit construction, one
@@ -64,12 +54,6 @@ struct EngineOptions {
   /// Per-query cap on constructed states/configurations across all stages;
   /// 0 = unlimited.
   std::uint64_t max_states = 0;
-  /// Default worker-thread count for the parallel inclusion search *inside*
-  /// a single query; 0 or 1 = sequential. Overridable per query via
-  /// Query::threads. Independent of `jobs`: the kernels spawn their own
-  /// short-lived threads rather than borrowing the engine pool, so nested
-  /// waiting cannot deadlock the batch.
-  std::size_t intra_query_threads = 1;
   /// Re-check every negative verdict's witness with the independent
   /// certificate checker (rlv/cert/certificate.hpp) BEFORE the verdict
   /// enters the cache. A rejected witness is reported through

@@ -59,16 +59,11 @@ struct Query {
   /// Algorithm for the Lemma 4.3 prefix-inclusion check. Part of the
   /// verdict cache key: queries differing only here never alias.
   InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain;
-  /// Worker threads for the parallel inclusion search inside this query;
-  /// 0 = use EngineOptions::intra_query_threads. NOT part of the verdict
-  /// cache key — every thread count computes the same verdict (see
-  /// engine.hpp on counterexample canonicality).
-  std::size_t threads = 0;
   /// Per-query budget overrides for the serving path: nonzero replaces the
   /// engine-wide EngineOptions default for this query only. The rlv::net
   /// server clamps client-supplied values to its caps before submission.
-  /// Like `threads`, NOT part of the verdict cache key — exhausted verdicts
-  /// are never cached, so budgets cannot alias outcomes.
+  /// NOT part of the verdict cache key — exhausted verdicts are never
+  /// cached, so budgets cannot alias outcomes.
   std::uint64_t timeout_ms = 0;
   std::uint64_t max_states = 0;
   /// Request-level certification opt-in, ORed with

@@ -190,10 +190,6 @@ Homomorphism resource_server_abstraction(AlphabetRef source) {
                                   {"request_0", "result_0", "reject_0"});
 }
 
-PetriNet dining_philosophers_net(std::size_t num_philosophers) {
-  return petri::philosophers_net(num_philosophers).net;
-}
-
 Nfa peterson_system() {
   GuardedSystem gs;
   // Program counters: idle=0, set=1, give_turn=2, wait=3, critical=4.

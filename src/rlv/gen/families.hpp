@@ -73,13 +73,6 @@ namespace rlv {
 /// given capacity, plus an `idle` self-loop (Petri net).
 [[nodiscard]] PetriNet producer_consumer_net(std::size_t capacity);
 
-/// Dining philosophers (the deadlocking left-then-right protocol):
-/// hungry_i, left_i, right_i, eat_i, done_i per philosopher. The all-left
-/// deadlock is reachable for n >= 2, so the behavior language has maximal
-/// words — the situation the paper's #-extension ([20], after Corollary
-/// 8.4) exists for; see extend_maximal_words().
-[[nodiscard]] PetriNet dining_philosophers_net(std::size_t num_philosophers);
-
 /// Alternating-bit protocol over lossy capacity-1 channels, as four
 /// synchronized components (sender, message channel, receiver, ack
 /// channel). Actions: send0/1, recv0/1, deliver, ack0/1, getack0/1,

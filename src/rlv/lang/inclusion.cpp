@@ -1,19 +1,11 @@
 #include "rlv/lang/inclusion.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <deque>
-#include <exception>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
-#include <thread>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "rlv/util/arena.hpp"
@@ -47,12 +39,6 @@ Word backtrace(const PathNode* tip) {
   }
   std::reverse(w.begin(), w.end());
   return w;
-}
-
-DynBitset initial_set(const Nfa& b) {
-  DynBitset init(b.num_states());
-  for (const State s : b.initial()) init.set(s);
-  return init;
 }
 
 /// Packs a (left NFA state, interned right-set id) configuration into the
@@ -140,8 +126,6 @@ class SeqContext {
 };
 
 InclusionResult subset_inclusion(const Nfa& a, const Nfa& b, Budget* budget) {
-  a.finalize();
-  b.finalize();
   SeqContext ctx(b, budget);
   U64KeySet seen;
   std::uint64_t seen_total = 0;
@@ -187,19 +171,31 @@ InclusionResult subset_inclusion(const Nfa& a, const Nfa& b, Budget* budget) {
 /// (p, S') (a smaller right-hand set rejects more words).
 InclusionResult antichain_inclusion(const Nfa& a, const Nfa& b,
                                     Budget* budget) {
-  a.finalize();
-  b.finalize();
   SeqContext ctx(b, budget);
   BitsetInterner& interner = ctx.interner();
   const std::size_t words_per = interner.words_per();
 
-  // Antichain of ⊆-minimal right-hand sets, per left-hand state: a dense
-  // vector of interned ids per left state. Subsumption probes compare the
-  // candidate's scratch words against interned blocks; the candidate is
-  // interned only when it actually enters the antichain.
-  std::vector<std::vector<std::uint32_t>> antichain(a.num_states());
+  // Antichain of ⊆-minimal right-hand sets, per left-hand state. Subsumption
+  // probes compare the candidate's scratch words against interned blocks;
+  // the candidate is interned only when it actually enters the antichain.
+  //
+  // Every insertion queues exactly one configuration and the queue is FIFO,
+  // so the configuration of the k-th insertion sits at queue[k - popped]
+  // until it is popped. When a later, smaller set erases an element whose
+  // configuration is still queued, that configuration is marked stale and
+  // skipped when popped: the subsuming configuration reaches every
+  // counterexample it would.
+  struct Element {
+    std::uint32_t right;  // interned right-hand set
+    std::uint64_t seq;    // insertion number of its queued configuration
+  };
+  std::vector<std::vector<Element>> antichain(a.num_states());
+  std::deque<SeqConfig> queue;
+  std::uint64_t inserted = 0;
+  std::uint64_t popped = 0;
   std::size_t antichain_total = 0;
   std::size_t chain_bytes = 0;
+  constexpr State kStale = ~State{0};
 
 #ifndef NDEBUG
   // Frontier-accounting audit: the running counter must equal the true
@@ -213,26 +209,27 @@ InclusionResult antichain_inclusion(const Nfa& a, const Nfa& b,
 #endif
 
   // Returns kNoId when the candidate in ctx's next buffer is subsumed by an
-  // existing element; otherwise inserts it (dropping elements it subsumes)
-  // and returns its interned id.
+  // existing element; otherwise inserts it (dropping, and marking stale, the
+  // elements it subsumes) and returns its interned id.
   auto insert = [&](State left) -> std::uint32_t {
-    std::vector<std::uint32_t>& chain = antichain[left];
+    std::vector<Element>& chain = antichain[left];
     const std::uint64_t* w = ctx.next_words();
-    auto subset_of_w = [&](std::uint32_t e) {
-      const std::uint64_t* ew = interner.words(e);
+    auto subset_of_w = [&](const Element& e) {
+      const std::uint64_t* ew = interner.words(e.right);
       for (std::size_t i = 0; i < words_per; ++i) {
         if ((ew[i] & ~w[i]) != 0) return false;
       }
       return true;
     };
-    auto superset_of_w = [&](std::uint32_t e) {
-      const std::uint64_t* ew = interner.words(e);
+    auto superset_of_w = [&](const Element& e) {
+      const std::uint64_t* ew = interner.words(e.right);
       for (std::size_t i = 0; i < words_per; ++i) {
         if ((w[i] & ~ew[i]) != 0) return false;
       }
+      if (e.seq >= popped) queue[e.seq - popped].left = kStale;
       return true;
     };
-    for (const std::uint32_t e : chain) {
+    for (const Element& e : chain) {
       if (subset_of_w(e)) return IdTable::kNoId;
     }
     const std::size_t before = chain.size();
@@ -241,8 +238,8 @@ InclusionResult antichain_inclusion(const Nfa& a, const Nfa& b,
     assert(erased <= antichain_total);
     antichain_total -= erased;
     const std::uint32_t id = interner.intern(w).first;
-    chain.push_back(id);
-    chain_bytes += sizeof(std::uint32_t);
+    chain.push_back({id, inserted++});
+    chain_bytes += sizeof(Element);
     ctx.charge(chain_bytes);
     budget_note_frontier(budget, ++antichain_total);
     assert(antichain_total == debug_recount());
@@ -251,7 +248,6 @@ InclusionResult antichain_inclusion(const Nfa& a, const Nfa& b,
 
   // intern_initial leaves the initial subset staged in the probe buffer, and
   // insert() only reads it, so the initial states all probe the same words.
-  std::deque<SeqConfig> queue;
   const std::uint32_t init_id = ctx.intern_initial();
   for (const State s : a.initial()) {
     if (insert(s) != IdTable::kNoId) queue.push_back({s, init_id, nullptr});
@@ -259,6 +255,8 @@ InclusionResult antichain_inclusion(const Nfa& a, const Nfa& b,
   while (!queue.empty()) {
     const SeqConfig cfg = queue.front();
     queue.pop_front();
+    ++popped;
+    if (cfg.left == kStale) continue;  // subsumed after it was queued
     ctx.load(cfg.right);
     if (a.is_accepting(cfg.left) && !ctx.cur_accepts()) {
       return {false, backtrace(cfg.path)};
@@ -280,242 +278,16 @@ InclusionResult antichain_inclusion(const Nfa& a, const Nfa& b,
   return {true, std::nullopt};
 }
 
-// ---------------------------------------------------------------------------
-// Parallel search.
-//
-// Sharded work-stealing frontier exploration. Every worker owns a deque of
-// configurations; it pops from the front of its own deque and steals from
-// the back of a sibling's when drained. The visited/antichain store is a
-// dense per-left-state vector of right-hand sets guarded by striped
-// reader-writer locks: a subsumption probe first scans under the shared
-// side (the common case — most successors are subsumed), and only an
-// insertion re-checks and mutates under the exclusive side.
-//
-// Witness path nodes live in per-worker arenas (index = creating worker), so
-// allocation is uncontended; parent pointers may cross arenas, which is safe
-// because every arena outlives the search and nodes are immutable once
-// published through a queue mutex.
-//
-// The boolean verdict is order-independent: the search is exhaustive up to
-// subsumption, and subsumption never removes the last witness of a
-// counterexample (the subsuming element reaches every counterexample the
-// subsumed one did). Counterexample *words* depend on the interleaving and
-// are validated, not compared, by the differential tests.
-
-constexpr std::size_t kLockStripes = 64;
-
-class ParallelInclusion {
- public:
-  ParallelInclusion(const Nfa& a, const Nfa& b, bool use_antichain,
-                    std::size_t threads, Budget* budget)
-      : a_(a),
-        b_(b),
-        b_acc_(b.accepting_set()),
-        use_antichain_(use_antichain),
-        budget_(budget),
-        store_(a.num_states()),
-        queues_(threads),
-        arenas_(threads) {}
-
-  InclusionResult run() {
-    const DynBitset b_init = initial_set(b_);
-    std::size_t next_queue = 0;
-    for (const State s : a_.initial()) {
-      if (!insert(s, b_init)) continue;
-      pending_.fetch_add(1, std::memory_order_relaxed);
-      push(next_queue++ % queues_.size(), Config{s, b_init, nullptr});
-    }
-
-    std::vector<std::thread> workers;
-    workers.reserve(queues_.size() - 1);
-    for (std::size_t id = 1; id < queues_.size(); ++id) {
-      workers.emplace_back([this, id] { worker(id); });
-    }
-    worker(0);
-    for (std::thread& t : workers) t.join();
-
-    std::size_t arena_bytes = 0;
-    for (const Arena& arena : arenas_) arena_bytes += arena.bytes_reserved();
-    budget_note_memory(budget_, arena_bytes);
-
-    if (failure_) std::rethrow_exception(failure_);
-    if (counterexample_) return {false, std::move(counterexample_)};
-    return {true, std::nullopt};
-  }
-
- private:
-  struct Config {
-    State left;
-    DynBitset right;
-    const PathNode* path;
-  };
-
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<Config> configs;
-  };
-
-  void push(std::size_t id, Config cfg) {
-    std::lock_guard lock(queues_[id].mutex);
-    queues_[id].configs.push_back(std::move(cfg));
-  }
-
-  std::optional<Config> pop(std::size_t id) {
-    {
-      std::lock_guard lock(queues_[id].mutex);
-      auto& q = queues_[id].configs;
-      if (!q.empty()) {
-        Config cfg = std::move(q.front());
-        q.pop_front();
-        return cfg;
-      }
-    }
-    // Steal from the back of a sibling, starting after our own slot so
-    // thieves spread out instead of hammering worker 0.
-    for (std::size_t i = 1; i < queues_.size(); ++i) {
-      WorkerQueue& victim = queues_[(id + i) % queues_.size()];
-      std::lock_guard lock(victim.mutex);
-      if (!victim.configs.empty()) {
-        Config cfg = std::move(victim.configs.back());
-        victim.configs.pop_back();
-        return cfg;
-      }
-    }
-    return std::nullopt;
-  }
-
-  /// Subsumption-or-visited filter and insertion; see class comment for the
-  /// locking protocol. Returns true when the configuration is new and must
-  /// be explored.
-  bool insert(State left, const DynBitset& right) {
-    std::shared_mutex& lock = locks_[left % kLockStripes];
-    {
-      std::shared_lock read(lock);
-      if (covered(store_[left], right)) return false;
-    }
-    std::unique_lock write(lock);
-    std::vector<DynBitset>& chain = store_[left];
-    if (covered(chain, right)) return false;  // raced with another insert
-    if (use_antichain_) {
-      const std::size_t before = chain.size();
-      std::erase_if(chain,
-                    [&](const DynBitset& e) { return right.is_subset_of(e); });
-      const std::size_t erased = before - chain.size();
-      if (erased > 0) total_.fetch_sub(erased, std::memory_order_relaxed);
-    }
-    chain.push_back(right);
-    budget_charge(budget_);  // may throw with `write` held; RAII unlocks
-    budget_note_frontier(budget_,
-                         total_.fetch_add(1, std::memory_order_relaxed) + 1);
-    return true;
-  }
-
-  bool covered(const std::vector<DynBitset>& chain,
-               const DynBitset& right) const {
-    if (use_antichain_) {
-      for (const DynBitset& e : chain) {
-        if (e.is_subset_of(right)) return true;
-      }
-      return false;
-    }
-    return std::find(chain.begin(), chain.end(), right) != chain.end();
-  }
-
-  void process(std::size_t id, Config cfg) {
-    if (a_.is_accepting(cfg.left) && !cfg.right.intersects(b_acc_)) {
-      std::lock_guard lock(result_mutex_);
-      if (!counterexample_) counterexample_ = backtrace(cfg.path);
-      done_.store(true, std::memory_order_release);
-      return;
-    }
-    for (const auto& t : a_.out(cfg.left)) {
-      if (done_.load(std::memory_order_relaxed)) return;
-      DynBitset next_right = b_.step(cfg.right, t.symbol);
-      if (!insert(t.target, next_right)) continue;
-      pending_.fetch_add(1, std::memory_order_relaxed);
-      push(id, Config{t.target, std::move(next_right),
-                      extend(arenas_[id], cfg.path, t.symbol)});
-    }
-  }
-
-  void worker(std::size_t id) {
-    try {
-      while (!done_.load(std::memory_order_acquire)) {
-        std::optional<Config> cfg = pop(id);
-        if (!cfg) {
-          // `pending_` counts configurations queued or in flight; children
-          // are pushed before the parent's decrement, so pending == 0 with
-          // empty queues means the frontier is exhausted.
-          if (pending_.load(std::memory_order_acquire) == 0) return;
-          std::this_thread::yield();
-          continue;
-        }
-        process(id, std::move(*cfg));
-        pending_.fetch_sub(1, std::memory_order_release);
-      }
-    } catch (...) {
-      {
-        std::lock_guard lock(result_mutex_);
-        if (!failure_) failure_ = std::current_exception();
-      }
-      done_.store(true, std::memory_order_release);
-      pending_.fetch_sub(1, std::memory_order_release);
-    }
-  }
-
-  const Nfa& a_;
-  const Nfa& b_;
-  const DynBitset b_acc_;
-  const bool use_antichain_;
-  Budget* budget_;
-
-  std::vector<std::vector<DynBitset>> store_;  // per left state
-  std::array<std::shared_mutex, kLockStripes> locks_;
-  std::atomic<std::uint64_t> total_{0};
-
-  std::vector<WorkerQueue> queues_;
-  std::vector<Arena> arenas_;  // one per worker: uncontended PathNode alloc
-  std::atomic<std::int64_t> pending_{0};
-  std::atomic<bool> done_{false};
-
-  std::mutex result_mutex_;
-  std::optional<Word> counterexample_;
-  std::exception_ptr failure_;
-};
-
 }  // namespace
 
 InclusionResult check_inclusion(const Nfa& a, const Nfa& b,
-                                InclusionAlgorithm algorithm, Budget* budget,
-                                std::size_t threads) {
+                                InclusionAlgorithm algorithm, Budget* budget) {
   require_same_alphabet(a.alphabet(), b.alphabet(), "check_inclusion");
   StageScope scope(budget, Stage::kInclusion);
-  // Build both CSR transition indexes on this thread before any search (in
-  // particular before worker fan-out), so the lazy build never runs inside
-  // a hot loop or races a first concurrent read.
+  // Build both CSR transition indexes before the search, so the lazy build
+  // never runs inside the hot loop.
   a.finalize();
   b.finalize();
-  if (threads > 1) {
-    ParallelInclusion search(
-        a, b, algorithm == InclusionAlgorithm::kAntichain, threads, budget);
-    InclusionResult result = search.run();
-    if (!result.included) {
-      // The parallel witness is assembled from racy parent-pointer chains
-      // ("revalidate, don't compare"): confirm it is a genuine member of
-      // L(a) \ L(b) by direct subset simulation before handing it out. A
-      // failed revalidation falls back to the sequential search, whose BFS
-      // witness is canonical — the boolean verdict is unaffected either way.
-      const bool witness_ok = result.counterexample.has_value() &&
-                              a.accepts(*result.counterexample) &&
-                              !b.accepts(*result.counterexample);
-      if (!witness_ok) {
-        return algorithm == InclusionAlgorithm::kSubset
-                   ? subset_inclusion(a, b, budget)
-                   : antichain_inclusion(a, b, budget);
-      }
-    }
-    return result;
-  }
   switch (algorithm) {
     case InclusionAlgorithm::kSubset:
       return subset_inclusion(a, b, budget);
@@ -526,14 +298,14 @@ InclusionResult check_inclusion(const Nfa& a, const Nfa& b,
 }
 
 bool is_included(const Nfa& a, const Nfa& b, InclusionAlgorithm algorithm,
-                 Budget* budget, std::size_t threads) {
-  return check_inclusion(a, b, algorithm, budget, threads).included;
+                 Budget* budget) {
+  return check_inclusion(a, b, algorithm, budget).included;
 }
 
 bool nfa_equivalent(const Nfa& a, const Nfa& b, InclusionAlgorithm algorithm,
-                    Budget* budget, std::size_t threads) {
-  return is_included(a, b, algorithm, budget, threads) &&
-         is_included(b, a, algorithm, budget, threads);
+                    Budget* budget) {
+  return is_included(a, b, algorithm, budget) &&
+         is_included(b, a, algorithm, budget);
 }
 
 }  // namespace rlv

@@ -15,23 +15,14 @@
 // reported as the stage's frontier peak, and a tripped limit raises
 // ResourceExhausted instead of running unbounded.
 //
-// With `threads > 1` the exploration runs as a sharded work-stealing
-// frontier search: each worker owns a deque of configurations and steals
-// from siblings when drained; the per-left-state antichain/visited store is
-// guarded by striped reader-writer locks (subsumption probes take the
-// shared side, insertions re-check under the exclusive side). The boolean
-// verdict is identical to the sequential search — subsumption pruning is
-// confluent, so exploration order cannot change whether a counterexample
-// exists — but a found counterexample word depends on the interleaving.
-// check_inclusion therefore REVALIDATES every parallel counterexample by
-// direct subset simulation (a.accepts(w) && !b.accepts(w)) before returning
-// it, falling back to the sequential search if the racy witness assembly
-// produced a bogus word; callers always receive a genuine member of
-// L(a) \ L(b), though not a canonical one (revalidate, don't byte-compare
-// when cross-checking). The sequential search (threads <= 1) additionally
-// guarantees a *shortest* counterexample (BFS order). Witness bookkeeping
-// uses shared parent-pointer chains in both modes, so memory stays
-// O(configurations) instead of O(configurations × depth).
+// Both searches run breadth-first. The subset search therefore returns a
+// *shortest* counterexample. The antichain search drops a queued
+// configuration once a smaller right-hand set for the same left state
+// enters the antichain, so its counterexample is a genuine member of
+// L(a) \ L(b) but not necessarily a shortest one (revalidate, don't
+// byte-compare when cross-checking). Witness bookkeeping uses shared
+// parent-pointer chains, so memory stays O(configurations) instead of
+// O(configurations × depth).
 
 #include <optional>
 
@@ -53,23 +44,21 @@ struct InclusionResult {
 
 /// Decides L(a) ⊆ L(b). Both automata must share the same alphabet object;
 /// throws std::invalid_argument otherwise (this guard survives NDEBUG).
-/// `threads > 1` runs the sharded work-stealing parallel search (see the
-/// header comment for the determinism contract).
 [[nodiscard]] InclusionResult check_inclusion(
     const Nfa& a, const Nfa& b,
     InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain,
-    Budget* budget = nullptr, std::size_t threads = 1);
+    Budget* budget = nullptr);
 
 /// Convenience wrapper returning only the verdict.
 [[nodiscard]] bool is_included(
     const Nfa& a, const Nfa& b,
     InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain,
-    Budget* budget = nullptr, std::size_t threads = 1);
+    Budget* budget = nullptr);
 
 /// L(a) = L(b) via two inclusion checks.
 [[nodiscard]] bool nfa_equivalent(
     const Nfa& a, const Nfa& b,
     InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain,
-    Budget* budget = nullptr, std::size_t threads = 1);
+    Budget* budget = nullptr);
 
 }  // namespace rlv

@@ -30,9 +30,6 @@ std::string render_query_request(const Query& query, std::uint64_t id,
     out += ",\"algorithm\":\"" +
            std::string(inclusion_algorithm_name(query.algorithm)) + "\"";
   }
-  if (query.threads > 0) {
-    out += ",\"threads\":" + std::to_string(query.threads);
-  }
   if (query.timeout_ms > 0) {
     out += ",\"timeout_ms\":" + std::to_string(query.timeout_ms);
   }

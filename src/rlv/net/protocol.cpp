@@ -13,8 +13,8 @@ namespace {
 /// ("formual") fail loudly instead of silently checking the wrong thing.
 constexpr std::string_view kKnownFields[] = {
     "op",      "id",         "system",     "formula", "property_automaton",
-    "check",   "algorithm",  "threads",    "timeout_ms", "max_states",
-    "certify", "label",      "session",    "actions",
+    "check",   "algorithm",  "timeout_ms", "max_states", "certify",
+    "label",   "session",    "actions",
 };
 
 /// Shared between query and monitor_open: the property is the formula XOR
@@ -132,9 +132,6 @@ Request parse_request(std::string_view line) {
     }
     request.query.algorithm = *algo;
   }
-  if (const JsonValue* threads = root.find("threads")) {
-    request.query.threads = static_cast<std::size_t>(threads->as_uint());
-  }
   if (const JsonValue* timeout = root.find("timeout_ms")) {
     request.query.timeout_ms = timeout->as_uint();
   }
@@ -158,7 +155,6 @@ void apply_limits(Query& query, const ServerLimits& limits) {
                            ? std::min(query.max_states, limits.max_max_states)
                            : limits.max_max_states;
   }
-  query.threads = std::min(query.threads, limits.max_threads);
 }
 
 std::string render_server_counters(const ServerCounters& c, bool draining) {

@@ -16,12 +16,11 @@
 //    "property_automaton":"...",        // Büchi text, excludes "formula"
 //    "check":"rl",                      // rl|rs|sat|fair|fairweak
 //    "algorithm":"antichain",           // antichain|subset
-//    "threads":2,                       // intra-query inclusion threads
 //    "timeout_ms":500,"max_states":1e6, // per-query budget overrides
 //    "certify":true,                    // request certificate validation
 //    "label":"fig2"}                    // presentation name in the record
 //
-// Client-supplied threads/budget values are clamped to the server's caps
+// Client-supplied budget values are clamped to the server's caps
 // by apply_limits(); certify can only strengthen the engine's policy
 // (monotone: a request never disables server-side certification).
 //
@@ -47,14 +46,12 @@
 namespace rlv::net {
 
 /// Server-side caps applied to client-supplied per-query overrides. A zero
-/// cap means "no override allowed" for threads and "unlimited" for the
-/// budget fields; a nonzero budget cap also acts as the default for
+/// cap means "unlimited"; a nonzero cap also acts as the default for
 /// requests that specify no budget, so every served query carries a
 /// deadline the drain path can rely on.
 struct ServerLimits {
   std::uint64_t max_timeout_ms = 30000;
   std::uint64_t max_max_states = 0;
-  std::size_t max_threads = 1;
   /// Monitor-session caps: how many streaming sessions one connection may
   /// hold open, and how many actions one monitor_step may batch. Requests
   /// over these caps are rejected deterministically ("connection_sessions"

@@ -8,6 +8,9 @@
 //
 //   * philosophers_net(n)   — dining philosophers, deadlockable, scales
 //                             roughly 3.4× in marking-graph states per seat;
+//                             the all-left deadlock gives the behavior
+//                             language maximal words (see
+//                             extend_maximal_words());
 //   * bounded_buffer_net(b) — producer/consumer over a b-slot buffer
 //                             (deliberately NOT 1-safe for b ≥ 2: the
 //                             `space` place holds b tokens, exercising the

@@ -13,7 +13,7 @@
 // Restrictions, by design:
 //   * only trivially-destructible payloads (create<T> enforces this) — the
 //     arena never runs destructors;
-//   * not thread-safe — parallel kernels own one arena per worker;
+//   * not thread-safe — each kernel search owns its arena;
 //   * pointers stay valid until reset()/destruction (chunks never move).
 
 #include <cstddef>

@@ -17,10 +17,10 @@
 // budget-disabled results are identical to unbudgeted execution.
 //
 // A Budget governs ONE check. charge()/tick()/note_frontier() are safe to
-// call concurrently from the worker threads of a parallel kernel (the
-// counters are atomic, so the state cap is enforced exactly under
-// concurrency); StageScope construction/destruction must stay on the
-// coordinating thread, and no worker may charge across a stage boundary.
+// call concurrently (the counters are atomic, so the state cap is enforced
+// exactly under concurrency); StageScope construction/destruction must
+// stay on the coordinating thread, and no other thread may charge across a
+// stage boundary.
 // The engine creates a fresh Budget per query and merges the profile into
 // its cumulative stats afterwards.
 
@@ -70,11 +70,11 @@ class ResourceExhausted : public std::runtime_error {
 };
 
 /// Per-stage observability counters. `states_built` and `peak_antichain`
-/// are atomic because parallel kernels charge them from worker threads;
-/// `calls` and `nanos` are only touched by StageScope on the coordinating
-/// thread. The copy operations take relaxed snapshots — copy a profile only
-/// after the governed kernel has quiesced (the engine copies per-query
-/// profiles after the check returns).
+/// are atomic so that concurrent charges stay exact; `calls` and `nanos`
+/// are only touched by StageScope on the coordinating thread. The copy
+/// operations take relaxed snapshots — copy a profile only after the
+/// governed kernel has quiesced (the engine copies per-query profiles after
+/// the check returns).
 struct StageMetrics {
   std::uint64_t calls = 0;                    // StageScope entries
   std::atomic<std::uint64_t> states_built{0}; // states/configs constructed
@@ -172,7 +172,7 @@ class Budget {
   /// stage and enforces both limits. Throws ResourceExhausted. Safe to call
   /// concurrently: the cap check rides a single fetch_add, so no two
   /// threads can both observe a total at or below the cap once it is
-  /// crossed — budgets stay exact under intra-query parallelism.
+  /// crossed.
   void charge(std::uint64_t states = 1) {
     profile_[stage_].states_built.fetch_add(states,
                                             std::memory_order_relaxed);
@@ -240,8 +240,8 @@ class Budget {
   std::uint64_t max_states_ = ~std::uint64_t{0};
   std::atomic<std::uint64_t> states_used_{0};
   std::atomic<std::uint32_t> deadline_ticks_{0};
-  // Written only by StageScope on the coordinating thread; parallel kernels
-  // never cross a stage boundary while workers are charging.
+  // Written only by StageScope on the coordinating thread; no other thread
+  // may charge across a stage boundary.
   Stage stage_ = Stage::kOther;
   StageScope* top_ = nullptr;
   QueryProfile profile_;

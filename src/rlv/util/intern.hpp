@@ -19,8 +19,7 @@
 //   * U64KeySet — a flat hash set of 64-bit keys (e.g. packed
 //     (left state, interned right id) pairs) for visited-set dedup.
 //
-// None of these are thread-safe; parallel kernels keep per-worker or
-// lock-striped structures (see lang/inclusion.cpp).
+// None of these are thread-safe; each kernel search owns its own.
 
 #include <cstddef>
 #include <cstdint>

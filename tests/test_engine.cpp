@@ -260,6 +260,31 @@ TEST(Engine, EvictionCountersSurfaceInStats) {
   EXPECT_GT(engine.stats().total().evictions, 0u);
 }
 
+TEST(Engine, StructurallyEqualTextsKeepOneAlphabetUnderEviction) {
+  // Two texts that parse to one structure share the structure-keyed
+  // behaviors and prefixes caches, each with its own alphabet object. With
+  // capacity 1 those caches evict independently: the third query meets a
+  // fresh behaviors automaton (new text's alphabet) and a cached pre(L_ω)
+  // built over the first text's alphabet.
+  const std::string fig2 = serialize_system(figure2_system());
+  const std::string fig3 = serialize_system(figure3_system());
+  Engine engine(EngineOptions{.jobs = 1, .cache_capacity = 1});
+  ASSERT_TRUE(
+      engine.run_one({fig2, "G F result", CheckKind::kRelativeLiveness}).ok());
+  ASSERT_TRUE(
+      engine.run_one({fig3, "G F result", CheckKind::kSatisfaction}).ok());
+  const Verdict v = engine.run_one(
+      {fig2 + "# same structure, new text\n", "G F request",
+       CheckKind::kRelativeLiveness});
+  ASSERT_TRUE(v.ok()) << v.error;
+
+  const Nfa system = figure2_system();
+  EXPECT_EQ(v.holds, relative_liveness(limit_of_prefix_closed(system),
+                                       parse_ltl("G F request"),
+                                       Labeling::canonical(system.alphabet()))
+                         .holds);
+}
+
 // ---------------------------------------------------------------------------
 // ThreadPool.
 

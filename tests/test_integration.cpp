@@ -25,6 +25,7 @@
 #include "rlv/omega/limit.hpp"
 #include "rlv/omega/reduce.hpp"
 #include "rlv/petri/reachability.hpp"
+#include "rlv/petri/scenario.hpp"
 
 namespace rlv {
 namespace {
@@ -85,7 +86,7 @@ TEST(Integration, TokenRing) {
 
 TEST(Integration, PhilosophersWorkflow) {
   const ReachabilityGraph graph =
-      build_reachability_graph(dining_philosophers_net(2));
+      build_reachability_graph(petri::philosophers_net(2).net);
   check_consistency(graph.system, patterns::infinitely_often("eat_0"));
   check_consistency(graph.system, patterns::response("hungry_0", "eat_0"));
 }

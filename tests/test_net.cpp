@@ -117,6 +117,10 @@ TEST(NetProtocol, RejectsUnknownFieldsAndBadShapes) {
   EXPECT_THROW((void)net::parse_request(R"({"op":"eval"})"),
                std::runtime_error);  // unknown op
   EXPECT_THROW((void)net::parse_request("[1,2]"), std::runtime_error);
+  // Inclusion is sequential; a "threads" request field is unknown.
+  EXPECT_THROW(
+      (void)net::parse_request(R"({"system":"S","formula":"x","threads":2})"),
+      std::runtime_error);
 }
 
 TEST(NetProtocol, RenderQueryRequestRoundTripsHostileStrings) {
@@ -125,7 +129,6 @@ TEST(NetProtocol, RenderQueryRequestRoundTripsHostileStrings) {
   query.formula = "G(\"a\" -> F b)";
   query.kind = CheckKind::kSatisfaction;
   query.algorithm = InclusionAlgorithm::kSubset;
-  query.threads = 3;
   query.timeout_ms = 1234;
   query.max_states = 99;
   query.certify = true;
@@ -138,7 +141,6 @@ TEST(NetProtocol, RenderQueryRequestRoundTripsHostileStrings) {
   EXPECT_EQ(req.query.formula, query.formula);
   EXPECT_EQ(req.query.kind, query.kind);
   EXPECT_EQ(req.query.algorithm, query.algorithm);
-  EXPECT_EQ(req.query.threads, query.threads);
   EXPECT_EQ(req.query.timeout_ms, query.timeout_ms);
   EXPECT_EQ(req.query.max_states, query.max_states);
   EXPECT_EQ(req.query.certify, query.certify);
@@ -148,22 +150,18 @@ TEST(NetProtocol, AppliesLimitsAsCapsAndDefaults) {
   net::ServerLimits limits;
   limits.max_timeout_ms = 1000;
   limits.max_max_states = 500;
-  limits.max_threads = 2;
 
   Query query;  // no overrides: caps become defaults
   net::apply_limits(query, limits);
   EXPECT_EQ(query.timeout_ms, 1000u);
   EXPECT_EQ(query.max_states, 500u);
-  EXPECT_EQ(query.threads, 0u);
 
   Query greedy;
   greedy.timeout_ms = 99999;
   greedy.max_states = 99999;
-  greedy.threads = 64;
   net::apply_limits(greedy, limits);
   EXPECT_EQ(greedy.timeout_ms, 1000u);
   EXPECT_EQ(greedy.max_states, 500u);
-  EXPECT_EQ(greedy.threads, 2u);
 
   Query modest;
   modest.timeout_ms = 10;

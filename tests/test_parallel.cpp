@@ -1,30 +1,23 @@
-// Differential tests for the intra-query parallel kernels (PR: parallel
-// inclusion + on-the-fly emptiness):
+// Differential tests across kernel configurations:
 //
-//   * sequential vs parallel check_inclusion, subset vs antichain — the
-//     boolean verdict must be identical on every random instance; a
-//     counterexample is validated by revalidation (membership in
-//     L(a) \ L(b)), never by comparing against the sequential word, which
-//     the parallel search does not promise to reproduce;
+//   * subset vs antichain check_inclusion — the boolean verdict must be
+//     identical on every random instance; a counterexample is validated by
+//     revalidation (membership in L(a) \ L(b)), never by comparing words;
 //   * materialized (intersect_buchi + buchi_empty/find_accepting_lasso) vs
 //     on-the-fly (product_empty / find_accepting_lasso_product) emptiness,
 //     2-ary and 3-ary;
-//   * relative_liveness and the engine with intra-query threads against
-//     their sequential verdicts;
-//   * the witness-memory and antichain-accounting regressions (deep-chain
-//     shortest counterexample, heavy-subsumption frontier counter).
-//
-// The randomized suites here are the cross-validation gate for the
-// parallel kernels and run under TSan in CI.
+//   * relative_liveness with both inclusion algorithms, rs/sat through the
+//     lazy products, and the Theorem 4.7 identity;
+//   * the witness-memory and antichain regressions (deep-chain shortest
+//     counterexample, heavy-subsumption frontier counter, stale queued
+//     configurations, budget exhaustion).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "rlv/core/relative.hpp"
-#include "rlv/engine/engine.hpp"
 #include "rlv/gen/random.hpp"
-#include "rlv/io/format.hpp"
 #include "rlv/lang/inclusion.hpp"
 #include "rlv/ltl/parser.hpp"
 #include "rlv/ltl/translate.hpp"
@@ -38,39 +31,29 @@
 namespace rlv {
 namespace {
 
-constexpr std::size_t kThreads = 4;
-
 // ---------------------------------------------------------------------------
-// Inclusion: sequential vs parallel, subset vs antichain.
+// Inclusion: subset vs antichain.
 
 class InclusionDifferential : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(InclusionDifferential, ParallelVerdictMatchesSequential) {
+TEST_P(InclusionDifferential, AntichainVerdictMatchesSubset) {
   Rng rng(GetParam() * 2654435761 + 7);
   auto sigma = random_alphabet(2);
   const Nfa a = random_nfa(rng, 3 + rng.next_below(5), sigma);
   const Nfa b = random_nfa(rng, 3 + rng.next_below(5), sigma);
 
-  const InclusionResult subset_seq =
+  const InclusionResult subset =
       check_inclusion(a, b, InclusionAlgorithm::kSubset);
-  const InclusionResult antichain_seq =
+  const InclusionResult antichain =
       check_inclusion(a, b, InclusionAlgorithm::kAntichain);
-  // The two sequential algorithms must agree with each other.
-  ASSERT_EQ(subset_seq.included, antichain_seq.included);
-
-  for (const InclusionAlgorithm algorithm :
-       {InclusionAlgorithm::kSubset, InclusionAlgorithm::kAntichain}) {
-    const InclusionResult par =
-        check_inclusion(a, b, algorithm, nullptr, kThreads);
-    EXPECT_EQ(par.included, subset_seq.included)
-        << "algorithm=" << inclusion_algorithm_name(algorithm);
-    if (!par.included) {
-      // Revalidate, don't byte-compare: any word of L(a) \ L(b) is correct.
-      ASSERT_TRUE(par.counterexample.has_value());
-      EXPECT_TRUE(a.accepts(*par.counterexample));
-      EXPECT_FALSE(b.accepts(*par.counterexample));
-    }
+  ASSERT_EQ(subset.included, antichain.included);
+  for (const InclusionResult* r : {&subset, &antichain}) {
+    if (r->included) continue;
+    // Revalidate, don't byte-compare: any word of L(a) \ L(b) is correct.
+    ASSERT_TRUE(r->counterexample.has_value());
+    EXPECT_TRUE(a.accepts(*r->counterexample));
+    EXPECT_FALSE(b.accepts(*r->counterexample));
   }
 }
 
@@ -114,12 +97,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EmptinessDifferential,
                          ::testing::Range<std::uint64_t>(0, 250));
 
 // ---------------------------------------------------------------------------
-// Full checks: rl (parallel inclusion), rs/sat (lazy products) against the
-// sequential/materialized decision procedures.
+// Full checks: rl (both inclusion algorithms), rs/sat (lazy products) against
+// the materialized decision procedures.
 
 class CheckDifferential : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(CheckDifferential, VerdictsAgreeAcrossExecutionModes) {
+TEST_P(CheckDifferential, VerdictsAgreeAcrossAlgorithms) {
   Rng rng(GetParam() * 96557 + 29);
   auto sigma = random_alphabet(2);
   const Nfa ts = random_transition_system(rng, 2 + rng.next_below(4), sigma);
@@ -129,22 +112,21 @@ TEST_P(CheckDifferential, VerdictsAgreeAcrossExecutionModes) {
   const Formula f =
       random_formula(rng, {sigma->name(0), sigma->name(1)}, 2);
 
-  // Relative liveness: sequential vs parallel inclusion, both algorithms.
-  const auto rl_seq = relative_liveness(system, f, lambda);
+  // Relative liveness: antichain (the default) vs subset inclusion.
+  const auto rl = relative_liveness(system, f, lambda);
   for (const InclusionAlgorithm algorithm :
        {InclusionAlgorithm::kSubset, InclusionAlgorithm::kAntichain}) {
-    const auto rl_par =
-        relative_liveness(system, f, lambda, algorithm, nullptr, kThreads);
-    ASSERT_EQ(rl_par.holds, rl_seq.holds) << f.to_string();
-    if (!rl_par.holds) {
+    const auto rl_alg = relative_liveness(system, f, lambda, algorithm);
+    ASSERT_EQ(rl_alg.holds, rl.holds) << f.to_string();
+    if (!rl_alg.holds) {
       // The violating prefix must be a system prefix with no continuation
       // into L_ω ∩ P — exactly Lemma 4.3's counterexample condition.
-      ASSERT_TRUE(rl_par.violating_prefix.has_value());
+      ASSERT_TRUE(rl_alg.violating_prefix.has_value());
       const Buchi property = translate_ltl(f, lambda);
       const Nfa pre_sys = prefix_nfa(system);
       const Nfa pre_both = prefix_nfa(intersect_buchi(system, property));
-      EXPECT_TRUE(pre_sys.accepts(*rl_par.violating_prefix)) << f.to_string();
-      EXPECT_FALSE(pre_both.accepts(*rl_par.violating_prefix))
+      EXPECT_TRUE(pre_sys.accepts(*rl_alg.violating_prefix)) << f.to_string();
+      EXPECT_FALSE(pre_both.accepts(*rl_alg.violating_prefix))
           << f.to_string();
     }
   }
@@ -160,7 +142,7 @@ TEST_P(CheckDifferential, VerdictsAgreeAcrossExecutionModes) {
   // satisfaction ⟺ relative liveness ∧ relative safety.
   const auto rs = relative_safety(system, f, lambda);
   ASSERT_FALSE(rs.exhausted.has_value());
-  EXPECT_EQ(sat.holds, rl_seq.holds && rs.holds) << f.to_string();
+  EXPECT_EQ(sat.holds, rl.holds && rs.holds) << f.to_string();
   if (rs.counterexample) {
     // A genuine behavior of the system violating P.
     EXPECT_TRUE(accepts_lasso(system, *rs.counterexample)) << f.to_string();
@@ -172,51 +154,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CheckDifferential,
                          ::testing::Range<std::uint64_t>(0, 150));
 
 // ---------------------------------------------------------------------------
-// Engine: intra_query_threads must not change any verdict.
-
-TEST(ParallelEngine, IntraQueryThreadsPreserveVerdicts) {
-  Rng rng(4242);
-  auto sigma = random_alphabet(2);
-
-  std::vector<Query> queries;
-  for (int i = 0; i < 25; ++i) {
-    const Nfa ts =
-        random_transition_system(rng, 2 + rng.next_below(4), sigma);
-    if (ts.num_states() == 0) continue;
-    Query q;
-    q.system = serialize_system(ts);
-    q.formula =
-        random_formula(rng, {sigma->name(0), sigma->name(1)}, 2).to_string();
-    q.kind = (i % 3 == 0)   ? CheckKind::kRelativeLiveness
-             : (i % 3 == 1) ? CheckKind::kRelativeSafety
-                            : CheckKind::kSatisfaction;
-    queries.push_back(std::move(q));
-  }
-
-  EngineOptions sequential;
-  Engine seq_engine(sequential);
-  EngineOptions parallel;
-  parallel.intra_query_threads = kThreads;
-  parallel.jobs = 2;  // inter-query and intra-query parallelism composed
-  Engine par_engine(parallel);
-
-  const auto seq = seq_engine.run(queries);
-  const auto par = par_engine.run(queries);
-  ASSERT_EQ(seq.size(), par.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].ok(), par[i].ok()) << i;
-    EXPECT_EQ(seq[i].holds, par[i].holds) << i;
-    EXPECT_EQ(seq[i].violating_prefix.has_value(),
-              par[i].violating_prefix.has_value())
-        << i;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Witness-memory regression: the deep-chain family has a unique shortest
 // counterexample of length n. The BFS must still return exactly it
-// (sequential shortest-path guarantee survives the parent-pointer rewrite),
-// and the explored frontier must stay linear in n — the old full-Word
+// (shortest-path guarantee survives the parent-pointer rewrite), and the
+// explored frontier must stay linear in n — the old full-Word
 // representation held Θ(n²) symbols at peak on this family.
 
 TEST(WitnessMemory, DeepChainShortestCounterexample) {
@@ -253,14 +194,6 @@ TEST(WitnessMemory, DeepChainShortestCounterexample) {
     EXPECT_LE(m.states_built, 2 * (kDepth + 1));
     EXPECT_LE(m.peak_antichain, 2 * (kDepth + 1));
   }
-
-  // The parallel search returns *a* valid counterexample (here unique, so
-  // it must be the same word).
-  const InclusionResult par = check_inclusion(
-      a, b, InclusionAlgorithm::kAntichain, nullptr, kThreads);
-  EXPECT_FALSE(par.included);
-  ASSERT_TRUE(par.counterexample.has_value());
-  EXPECT_EQ(par.counterexample->size(), kDepth);
 }
 
 // ---------------------------------------------------------------------------
@@ -294,40 +227,57 @@ TEST(AntichainAccounting, HeavySubsumptionKeepsCounterExact) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Budget behavior of the parallel kernels: a tripped budget must surface as
-// ResourceExhausted from every worker interleaving — no deadlock, no crash,
-// no wrong verdict.
+/// (a|b)* a (a|b)^{n-1}: "the n-th letter from the end is a". Its DFA needs
+/// 2^n states, so self-inclusion is the classic exponential instance.
+Nfa nth_from_end(std::size_t n, const AlphabetRef& sigma) {
+  Nfa nfa(sigma);
+  const State s0 = nfa.add_state(false);
+  nfa.add_transition(s0, 0, s0);
+  nfa.add_transition(s0, 1, s0);
+  State prev = nfa.add_state(n == 1);
+  nfa.add_transition(s0, 0, prev);
+  for (std::size_t i = 1; i < n; ++i) {
+    const State next = nfa.add_state(i + 1 == n);
+    nfa.add_transition(prev, 0, next);
+    nfa.add_transition(prev, 1, next);
+    prev = next;
+  }
+  nfa.set_initial(s0);
+  return nfa;
+}
 
-TEST(ParallelBudget, ExhaustionPropagatesFromWorkers) {
-  // (a|b)* a (a|b)^{n-1} against itself: the inclusion HOLDS, so the search
-  // has no early counterexample exit and must exhaust the (exponential)
-  // antichain — guaranteeing the 3-configuration cap trips in some worker.
+// Stale-configuration regression: a configuration whose right-hand set was
+// subsumed after it was queued must not be expanded. Expanding them anyway
+// explores all 2^n subsets of the self-inclusion below (1,048,576 antichain
+// insertions at n = 20); dropping them leaves about 2n.
+TEST(AntichainAccounting, SkipsConfigurationsSubsumedAfterQueueing) {
+  constexpr std::size_t kN = 20;
   auto sigma = random_alphabet(2);
-  auto nth_from_end = [&](std::size_t n) {
-    Nfa nfa(sigma);
-    const State s0 = nfa.add_state(false);
-    nfa.add_transition(s0, 0, s0);
-    nfa.add_transition(s0, 1, s0);
-    State prev = nfa.add_state(n == 1);
-    nfa.add_transition(s0, 0, prev);
-    for (std::size_t i = 1; i < n; ++i) {
-      const State next = nfa.add_state(i + 1 == n);
-      nfa.add_transition(prev, 0, next);
-      nfa.add_transition(prev, 1, next);
-      prev = next;
-    }
-    nfa.set_initial(s0);
-    return nfa;
-  };
-  const Nfa a = nth_from_end(10);
-  const Nfa b = nth_from_end(10);
+  const Nfa a = nth_from_end(kN, sigma);
+  const Nfa b = nth_from_end(kN, sigma);
+  Budget budget;
+  const InclusionResult res =
+      check_inclusion(a, b, InclusionAlgorithm::kAntichain, &budget);
+  EXPECT_TRUE(res.included);
+  EXPECT_LE(budget.profile()[Stage::kInclusion].states_built, 4 * kN);
+}
+
+// ---------------------------------------------------------------------------
+// Budget behavior: a tripped budget must surface as ResourceExhausted — no
+// crash, no wrong verdict.
+
+TEST(AntichainBudget, ExhaustionSurfacesAsResourceExhausted) {
+  // The inclusion HOLDS, so the search has no early counterexample exit and
+  // must build more than 3 configurations — guaranteeing the cap trips.
+  auto sigma = random_alphabet(2);
+  const Nfa a = nth_from_end(10, sigma);
+  const Nfa b = nth_from_end(10, sigma);
   Budget budget;
   budget.set_max_states(3);  // trips almost immediately
   EXPECT_THROW(
       {
-        const auto res = check_inclusion(a, b, InclusionAlgorithm::kAntichain,
-                                         &budget, kThreads);
+        const auto res =
+            check_inclusion(a, b, InclusionAlgorithm::kAntichain, &budget);
         (void)res;
       },
       ResourceExhausted);

@@ -20,12 +20,13 @@
 #include "rlv/omega/limit.hpp"
 #include "rlv/omega/live.hpp"
 #include "rlv/petri/reachability.hpp"
+#include "rlv/petri/scenario.hpp"
 
 namespace rlv {
 namespace {
 
 ReachabilityGraph philosophers(std::size_t n) {
-  return build_reachability_graph(dining_philosophers_net(n));
+  return build_reachability_graph(petri::philosophers_net(n).net);
 }
 
 TEST(Philosophers, DeadlockIsReachable) {
@@ -35,7 +36,7 @@ TEST(Philosophers, DeadlockIsReachable) {
     ASSERT_FALSE(graph.deadlocks.empty()) << "n=" << n;
     // The deadlock marking: every philosopher holds the left fork.
     const Marking dead = graph.marking(graph.deadlocks.front());
-    const PetriNet net = dining_philosophers_net(n);
+    const PetriNet net = petri::philosophers_net(n).net;
     for (PlaceId p = 0; p < net.num_places(); ++p) {
       if (net.place_name(p).starts_with("has_left")) {
         EXPECT_EQ(dead[p], 1u) << net.place_name(p);

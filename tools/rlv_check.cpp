@@ -43,9 +43,6 @@
 //   --explain           annotate witnesses with the state sets they
 //                       traverse: the counterexample lassos of rs/sat and
 //                       the violating prefix of rl
-//   --threads N         run the relative-liveness inclusion search on N
-//                       threads (verdict unchanged; a violating prefix may
-//                       differ from the sequential one but is always valid)
 //   --certify           re-check the witness of a negative rl/rs/sat verdict
 //                       with the independent certificate checker
 //                       (rlv/cert/certificate.hpp) and print the outcome; an
@@ -94,7 +91,7 @@ int usage() {
                "       rlv_check --petri-file <net.pn> --ltl \"<formula>\"\n"
                "       [--check rl|rs|sat|fair|fairweak|synth|doom|monitor]\n"
                "       [--trace \"<a b c>\"] [--trace-file <file>] [--hom <file>]\n"
-               "       [--property-aut <file>] [--explain] [--threads N]\n"
+               "       [--property-aut <file>] [--explain]\n"
                "       [--certify] [--dot]\n"
                "       [--net-hom] [--petri-max-states N] [--petri-timeout-ms N]\n"
                "  --explain annotates rl doomed prefixes and rs/sat lassos\n"
@@ -147,7 +144,6 @@ int main(int argc, char** argv) {
   bool net_hom = false;
   long petri_max_states = 0;
   long petri_timeout_ms = 0;
-  std::size_t threads = 1;
 
   int first_flag = 1;
   if (argv[1][0] != '-') {
@@ -172,10 +168,6 @@ int main(int argc, char** argv) {
       explain = true;
     } else if (arg == "--certify") {
       certify = true;
-    } else if (arg == "--threads" && i + 1 < argc) {
-      const int n = std::atoi(argv[++i]);
-      if (n <= 0) return usage();
-      threads = static_cast<std::size_t>(n);
     } else if (arg == "--dot") {
       dot = true;
     } else if (arg == "--petri-file" && i + 1 < argc) {
@@ -234,10 +226,7 @@ int main(int argc, char** argv) {
       const Buchi property =
           Buchi::from_structure(remap_alphabet(raw, system.alphabet()));
       if (mode == "rl") {
-        const auto res =
-            relative_liveness(behaviors, property,
-                              InclusionAlgorithm::kAntichain,
-                              /*budget=*/nullptr, threads);
+        const auto res = relative_liveness(behaviors, property);
         std::printf("relative liveness: %s\n", res.holds ? "HOLDS" : "FAILS");
         if (res.violating_prefix) {
           std::printf("doomed prefix: %s\n",
@@ -354,10 +343,7 @@ int main(int argc, char** argv) {
     const Labeling lambda = Labeling::canonical(system.alphabet());
 
     if (mode == "rl") {
-      const auto res =
-          relative_liveness(behaviors, formula, lambda,
-                            InclusionAlgorithm::kAntichain,
-                            /*budget=*/nullptr, threads);
+      const auto res = relative_liveness(behaviors, formula, lambda);
       std::printf("relative liveness: %s\n", res.holds ? "HOLDS" : "FAILS");
       if (res.violating_prefix) {
         std::printf("doomed prefix: %s\n",

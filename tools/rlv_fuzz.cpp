@@ -7,9 +7,6 @@
 //                          satisfaction against the brute-force
 //                          explicit-product decider (rlv/cert/oracle.hpp);
 //   * subset vs antichain— both inclusion algorithms on the Lemma 4.3 check;
-//   * sequential vs parallel — the sharded inclusion search must agree with
-//                          the sequential one (and its schedule-dependent
-//                          witness must certify);
 //   * Thm 4.7 identity   — satisfies ⟺ relative liveness ∧ relative safety;
 //   * certificates       — every negative verdict's witness is re-checked
 //                          with the independent validator
@@ -24,7 +21,6 @@
 //   --states N     max system states (default 6, min 2)
 //   --alphabet N   max alphabet size (default 3, min 2)
 //   --depth N      max formula operator depth (default 3)
-//   --threads N    worker count for the parallel inclusion leg (default 3)
 //   --verbose      print a line per instance
 //
 // Exit status: 0 = all instances agree, 1 = mismatch found, 2 = bad usage.
@@ -59,8 +55,7 @@ using namespace rlv;
 int usage() {
   std::fprintf(stderr,
                "usage: rlv_fuzz [--petri] [--seed N] [--instances N]"
-               " [--states N] [--alphabet N] [--depth N] [--threads N]"
-               " [--verbose]\n");
+               " [--states N] [--alphabet N] [--depth N] [--verbose]\n");
   return 2;
 }
 
@@ -145,8 +140,7 @@ petri::NetFile figure1_scenario() {
   return file;
 }
 
-int run_petri_fuzz(std::uint64_t seed, std::size_t instances,
-                   std::size_t threads, bool verbose) {
+int run_petri_fuzz(std::uint64_t seed, std::size_t instances, bool verbose) {
   if (const int rc = petri_budget_probe(); rc != 0) return rc;
 
   Rng rng(seed);
@@ -214,24 +208,17 @@ int run_petri_fuzz(std::uint64_t seed, std::size_t instances,
         return bail("format round-trip changed the unfolding");
       }
 
-      // Kernels: both inclusion algorithms, sequential and parallel.
+      // Kernels: both inclusion algorithms.
       const RelativeLivenessResult rl_anti = relative_liveness(
           behaviors, formula, lambda, InclusionAlgorithm::kAntichain);
       const RelativeLivenessResult rl_subset = relative_liveness(
           behaviors, formula, lambda, InclusionAlgorithm::kSubset);
-      const RelativeLivenessResult rl_par =
-          relative_liveness(behaviors, formula, lambda,
-                            InclusionAlgorithm::kAntichain,
-                            /*budget=*/nullptr, threads);
       const RelativeSafetyResult rs =
           relative_safety(behaviors, formula, lambda);
       const SatisfactionResult sat = satisfies(behaviors, formula, lambda);
 
       if (rl_anti.holds != rl_subset.holds) {
         return bail("rl: antichain and subset disagree");
-      }
-      if (rl_anti.holds != rl_par.holds) {
-        return bail("rl: sequential and parallel disagree");
       }
       if (sat.holds != (rl_anti.holds && rs.holds)) {
         return bail("Thm 4.7 identity violated: sat != (rl && rs)");
@@ -356,7 +343,6 @@ int main(int argc, char** argv) {
   std::size_t max_states = 6;
   std::size_t max_alphabet = 3;
   std::size_t max_depth = 3;
-  std::size_t threads = 3;
   bool verbose = false;
   bool petri = false;
 
@@ -387,10 +373,6 @@ int main(int argc, char** argv) {
       const long long n = next_num(1);
       if (n < 0) return usage();
       max_depth = static_cast<std::size_t>(n);
-    } else if (arg == "--threads") {
-      const long long n = next_num(1);
-      if (n < 0) return usage();
-      threads = static_cast<std::size_t>(n);
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--petri") {
@@ -400,7 +382,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (petri) return run_petri_fuzz(seed, instances, threads, verbose);
+  if (petri) return run_petri_fuzz(seed, instances, verbose);
 
   Rng rng(seed);
   std::size_t certificates = 0;
@@ -424,15 +406,11 @@ int main(int argc, char** argv) {
     };
 
     try {
-      // Kernels: both inclusion algorithms, sequential and parallel.
+      // Kernels: both inclusion algorithms.
       const RelativeLivenessResult rl_anti = relative_liveness(
           behaviors, formula, lambda, InclusionAlgorithm::kAntichain);
       const RelativeLivenessResult rl_subset = relative_liveness(
           behaviors, formula, lambda, InclusionAlgorithm::kSubset);
-      const RelativeLivenessResult rl_par =
-          relative_liveness(behaviors, formula, lambda,
-                            InclusionAlgorithm::kAntichain,
-                            /*budget=*/nullptr, threads);
       const RelativeSafetyResult rs =
           relative_safety(behaviors, formula, lambda);
       const SatisfactionResult sat = satisfies(behaviors, formula, lambda);
@@ -446,9 +424,6 @@ int main(int argc, char** argv) {
 
       if (rl_anti.holds != rl_subset.holds) {
         return bail("rl: antichain and subset disagree");
-      }
-      if (rl_anti.holds != rl_par.holds) {
-        return bail("rl: sequential and parallel disagree");
       }
       if (rl_anti.holds != orl) {
         return bail(std::string("rl: kernel says ") +
@@ -471,9 +446,9 @@ int main(int argc, char** argv) {
       }
 
       // Certificates: every negative verdict's witness must validate.
-      const RelativeLivenessResult* rls[] = {&rl_anti, &rl_subset, &rl_par};
-      const char* rl_names[] = {"rl/antichain", "rl/subset", "rl/parallel"};
-      for (std::size_t k = 0; k < 3; ++k) {
+      const RelativeLivenessResult* rls[] = {&rl_anti, &rl_subset};
+      const char* rl_names[] = {"rl/antichain", "rl/subset"};
+      for (std::size_t k = 0; k < 2; ++k) {
         const cert::Validation v =
             cert::validate(*rls[k], behaviors, formula, lambda);
         if (v.checked) ++certificates;

@@ -17,7 +17,7 @@
 // rlv::strip_cr, the same helper the network protocol uses):
 //
 //   <system-file> [--check rl|rs|sat|fair|fairweak]
-//                 [--algorithm subset|antichain] [--threads N]
+//                 [--algorithm subset|antichain]
 //                 [--property-aut <buchi-file>] [<formula...>]
 //
 // Everything after the system path and the optional flags is the PLTL
@@ -52,8 +52,6 @@
 //   --cache N       per-cache capacity in entries (default 256)
 //   --timeout-ms N  per-query wall-clock budget (default 0: unlimited)
 //   --max-states N  per-query constructed-state budget (default 0)
-//   --threads N     intra-query threads for the parallel inclusion search
-//                   (default 1: sequential; per-line --threads overrides)
 //   --certify       revalidate every negative verdict's witness with the
 //                   independent certificate checker before it is cached; a
 //                   rejected witness turns the record into "ok":false with
@@ -106,16 +104,16 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: rlvd [<batch-file>|-] [--jobs N] [--cache N] [--timeout-ms N]"
-      " [--max-states N] [--threads N] [--certify] [--metrics]\n"
+      " [--max-states N] [--certify] [--metrics]\n"
       "       rlvd --serve <port> [--bind ADDR] [--jobs N] [--cache N]"
-      " [--timeout-ms N] [--max-states N] [--threads N] [--certify]\n"
+      " [--timeout-ms N] [--max-states N] [--certify]\n"
       "            [--max-inflight N] [--max-conn-inflight N]"
       " [--max-connections N] [--idle-timeout-ms N] [--drain-timeout-ms N]\n"
       "            [--max-sessions N] [--max-conn-sessions N]"
       " [--max-steps-per-request N] [--session-idle-timeout-ms N]"
       " [--reactors N]\n"
       "  batch line: <system-file> [--check rl|rs|sat|fair|fairweak]"
-      " [--algorithm subset|antichain] [--threads N]"
+      " [--algorithm subset|antichain]"
       " [--property-aut <file>] [<formula...>]\n");
   return 2;
 }
@@ -137,8 +135,6 @@ int serve(EngineOptions engine_options, net::ServerOptions server_options) {
   if (engine_options.timeout_ms == 0) engine_options.timeout_ms = 30000;
   server_options.limits.max_timeout_ms = engine_options.timeout_ms;
   server_options.limits.max_max_states = engine_options.max_states;
-  server_options.limits.max_threads =
-      std::max<std::size_t>(engine_options.intra_query_threads, 1);
 
   Engine engine(engine_options);
   net::Server server(engine, server_options);
@@ -214,13 +210,6 @@ std::optional<Request> parse_request_line(const std::string& line,
                                  tokens[i + 1] + "'");
       }
       request.query.algorithm = *algorithm;
-      i += 2;
-    } else if (i + 1 < tokens.size() && tokens[i] == "--threads") {
-      const int threads = std::atoi(tokens[i + 1].c_str());
-      if (threads <= 0) {
-        throw std::runtime_error("bad --threads '" + tokens[i + 1] + "'");
-      }
-      request.query.threads = static_cast<std::size_t>(threads);
       i += 2;
     } else if (i + 1 < tokens.size() && tokens[i] == "--property-aut") {
       request.property_path = tokens[i + 1];
@@ -316,10 +305,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-states" && i + 1 < argc) {
       options.max_states =
           static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.intra_query_threads =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (options.intra_query_threads == 0) return usage();
     } else if (arg == "--certify") {
       options.certify_verdicts = true;
     } else if (arg == "--metrics") {
