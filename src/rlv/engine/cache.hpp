@@ -23,6 +23,9 @@
 //     land on the same shard. `capacity` stays the *total* across shards;
 //     the single-shard default is bit-compatible with the historical
 //     whole-cache LRU order (the MemoCache unit tests pin that down);
+//   * a non-computing lookup (find) for callers that want a resident value
+//     or nothing — the engine's O(request bytes) hit path; it counts
+//     nothing itself, so a lookup that falls through is not counted twice;
 //   * hit/miss/coalesced/eviction counters, aggregated into EngineStats.
 //     Counters are relaxed atomics bumped under the shard lock but read
 //     without it, so a `stats` snapshot never stalls a worker mid-lookup.
@@ -37,6 +40,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,13 +88,14 @@ class MemoCache {
 
   /// Returns the cached value for `key`, computing it with `fn` on a miss.
   /// `fn` is invoked outside the cache lock; exceptions propagate to every
-  /// waiter and the entry is removed so a later call can retry.
+  /// waiter and the entry is removed so a later call can retry. A hit
+  /// allocates nothing: the promise (and its shared state) is built only
+  /// on the miss branch.
   template <typename Fn>
   std::shared_ptr<const Value> get_or_compute(const Key& key, Fn&& fn) {
     Shard& shard = shard_for(key);
-    std::promise<std::shared_ptr<const Value>> promise;
+    std::optional<std::promise<std::shared_ptr<const Value>>> promise;
     std::shared_future<std::shared_ptr<const Value>> future;
-    bool inserted = false;
     {
       std::lock_guard lock(shard.mutex);
       auto it = shard.entries.find(key);
@@ -99,24 +104,24 @@ class MemoCache {
         if (entry.resident) {
           shard.hits.fetch_add(1, std::memory_order_relaxed);
           lru_move_back(shard, &entry);
-        } else {
-          shard.coalesced.fetch_add(1, std::memory_order_relaxed);
+          return entry.future.get();  // ready: never blocks
         }
+        shard.coalesced.fetch_add(1, std::memory_order_relaxed);
         future = entry.future;
       } else {
         shard.misses.fetch_add(1, std::memory_order_relaxed);
-        future = promise.get_future().share();
+        promise.emplace();
+        future = promise->get_future().share();
         auto [pos, ok] = shard.entries.emplace(key, Entry{});
         pos->second.future = future;
         pos->second.key = &pos->first;
-        inserted = true;
       }
     }
-    if (!inserted) return future.get();
+    if (!promise) return future.get();
 
     try {
       auto value = std::make_shared<const Value>(fn());
-      promise.set_value(value);
+      promise->set_value(value);
       std::lock_guard lock(shard.mutex);
       auto it = shard.entries.find(key);
       if (it != shard.entries.end()) {
@@ -126,11 +131,31 @@ class MemoCache {
       }
       return value;
     } catch (...) {
-      promise.set_exception(std::current_exception());
+      promise->set_exception(std::current_exception());
       std::lock_guard lock(shard.mutex);
       shard.entries.erase(key);  // never entered the LRU list
       throw;
     }
+  }
+
+  /// Non-computing lookup: the resident value for `key`, or null when the
+  /// key is absent or its computation is still in flight. A found value is
+  /// refreshed in the LRU order like a hit, but nothing is counted — a
+  /// lookup that falls through to get_or_compute would otherwise count
+  /// twice. The caller records the hit with count_hit once it knows the
+  /// lookup served.
+  [[nodiscard]] std::shared_ptr<const Value> find(const Key& key) {
+    Shard& shard = shard_for(key);
+    std::lock_guard lock(shard.mutex);
+    const auto it = shard.entries.find(key);
+    if (it == shard.entries.end() || !it->second.resident) return nullptr;
+    lru_move_back(shard, &it->second);
+    return it->second.future.get();
+  }
+
+  /// Counts one hit for `key`, as get_or_compute does on a resident entry.
+  void count_hit(const Key& key) {
+    shard_for(key).hits.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Lock-free counter snapshot (each field relaxed — the totals are

@@ -353,6 +353,7 @@ struct Engine::Impl {
     };
 
     Verdict verdict;
+    verdict.alphabet = sigma;
     switch (query.kind) {
       case CheckKind::kRelativeLiveness: {
         // Lemma 4.3: pre(L_ω) ⊆ pre(L_ω ∩ P); ⊇ always holds.
@@ -471,8 +472,83 @@ struct Engine::Impl {
     return verdict;
   }
 
-  Verdict run_one(const Query& query) {
-    const auto start = std::chrono::steady_clock::now();
+  using Clock = std::chrono::steady_clock;
+
+  /// What a query's request bytes determine: the system text's fingerprint
+  /// and, for the formula flavor, the parsed formula. The resident lookup
+  /// fills it in and the computing path reuses it, so a miss pays for
+  /// neither twice.
+  struct Lookup {
+    std::uint64_t system_text = 0;
+    std::optional<Formula> formula;  // unset: not parsed (or unparsable)
+  };
+
+  static VerdictKey verdict_key(const ParsedSystem& sys,
+                                const std::optional<Formula>& f,
+                                const ParsedProperty* prop,
+                                const Query& query) {
+    return {sys.fingerprint, f ? f->raw() : nullptr,
+            prop ? prop->fingerprint : 0, query.kind, query.algorithm};
+  }
+
+  /// The epilogue every answered query shares: profile, totals, wall time.
+  void finish(Verdict& verdict, const Budget& budget, Clock::time_point start) {
+    verdict.profile = budget.profile();
+    merge_profile(verdict.profile);
+    verdict.millis =
+        std::chrono::duration<double, std::milli>(Clock::now() - start)
+            .count();
+  }
+
+  /// The hit half of run_one: answers the query if its verdict is already
+  /// resident, doing only O(request bytes) work — text fingerprints, the
+  /// formula parse, and non-computing cache lookups. It never parses a
+  /// system or automaton text, translates, or runs a kernel. A full hit
+  /// counts one hit in every cache it touched, exactly as the computing
+  /// path would; anything not fully resident counts nothing and returns
+  /// nullopt (an unparsable formula too: the computing path reports it).
+  std::optional<Verdict> answer_resident(const Query& query, Lookup& lookup,
+                                         Clock::time_point start) {
+    Budget budget;
+    std::shared_ptr<const ParsedSystem> sys;
+    {
+      StageScope scope(&budget, Stage::kParse);
+      lookup.system_text = fingerprint_text(query.system);
+      sys = systems.find(lookup.system_text);
+      if (!sys) return std::nullopt;
+      if (query.property_automaton.empty()) {
+        try {
+          lookup.formula = parse_ltl(query.formula);
+        } catch (const std::exception&) {
+          return std::nullopt;
+        }
+      }
+    }
+    std::shared_ptr<const ParsedProperty> prop;
+    PropertyKey property_key{};
+    if (!query.property_automaton.empty()) {
+      property_key = {fingerprint_text(query.property_automaton),
+                      sys->nfa.alphabet().get()};
+      prop = properties.find(property_key);
+      if (!prop) return std::nullopt;
+    }
+    const VerdictKey key = verdict_key(*sys, lookup.formula, prop.get(), query);
+    const auto resident = verdicts.find(key);
+    if (!resident) return std::nullopt;
+
+    systems.count_hit(lookup.system_text);
+    if (prop) properties.count_hit(property_key);
+    verdicts.count_hit(key);
+    queries_run.fetch_add(1, std::memory_order_relaxed);
+    Verdict verdict = *resident;
+    finish(verdict, budget, start);
+    return verdict;
+  }
+
+  /// The computing half of run_one: every cache through get_or_compute, so
+  /// whatever is missing gets built (and counted) here.
+  Verdict compute(const Query& query, const Lookup& lookup,
+                  Clock::time_point start) {
     queries_run.fetch_add(1, std::memory_order_relaxed);
 
     // One budget per query, armed from the engine options unless the query
@@ -496,25 +572,25 @@ struct Engine::Impl {
       std::optional<Formula> f;
       {
         StageScope scope(&budget, Stage::kParse);
-        sys = systems.get_or_compute(fingerprint_text(query.system), [&] {
+        sys = systems.get_or_compute(lookup.system_text, [&] {
           Nfa nfa = parse_system(query.system);
           const std::uint64_t fp = fingerprint_nfa(nfa);
           return ParsedSystem{std::move(nfa), fp};
         });
-        if (query.property_automaton.empty()) f = parse_ltl(query.formula);
+        if (query.property_automaton.empty()) {
+          f = lookup.formula ? lookup.formula : parse_ltl(query.formula);
+        }
       }
       std::shared_ptr<const ParsedProperty> prop;
       if (!query.property_automaton.empty()) {
         prop = property(query.property_automaton, sys->nfa.alphabet(), &budget);
       }
-      const VerdictKey key{sys->fingerprint, f ? f->raw() : nullptr,
-                           prop ? prop->fingerprint : 0, query.kind,
-                           query.algorithm};
       // A ResourceExhausted escaping decide() propagates out of
       // get_or_compute, which drops the entry — exhausted outcomes are
       // never cached, so a retry with a larger budget recomputes.
       verdict = *verdicts.get_or_compute(
-          key, [&] { return decide(sys, f, prop, query, &budget); });
+          verdict_key(*sys, f, prop.get(), query),
+          [&] { return decide(sys, f, prop, query, &budget); });
     } catch (const ResourceExhausted& e) {
       verdict = Verdict{};
       verdict.resource_exhausted = true;
@@ -523,13 +599,17 @@ struct Engine::Impl {
       verdict = Verdict{};
       verdict.error = e.what();
     }
-    verdict.profile = budget.profile();
-    merge_profile(verdict.profile);
-    verdict.millis =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
+    finish(verdict, budget, start);
     return verdict;
+  }
+
+  Verdict run_one(const Query& query) {
+    const auto start = Clock::now();
+    Lookup lookup;
+    if (auto verdict = answer_resident(query, lookup, start)) {
+      return std::move(*verdict);
+    }
+    return compute(query, lookup, start);
   }
 
   [[nodiscard]] std::uint64_t now_ms() const {
@@ -708,9 +788,16 @@ Verdict Engine::run_one(const Query& query) { return impl_->run_one(query); }
 std::size_t Engine::workers() const { return impl_->pool.num_workers(); }
 
 void Engine::submit(Query query, std::function<void(Verdict)> done) {
-  impl_->pool.submit(
-      [impl = impl_.get(), query = std::move(query),
-       done = std::move(done)] { done(impl->run_one(query)); });
+  Impl::Lookup lookup;
+  if (auto verdict =
+          impl_->answer_resident(query, lookup, Impl::Clock::now())) {
+    done(std::move(*verdict));
+    return;
+  }
+  impl_->pool.submit([impl = impl_.get(), query = std::move(query),
+                      lookup = std::move(lookup), done = std::move(done)] {
+    done(impl->compute(query, lookup, Impl::Clock::now()));
+  });
 }
 
 MonitorOpenResult Engine::open_monitor(const MonitorSpec& spec) {
@@ -736,6 +823,17 @@ MonitorCloseResult Engine::close_monitor(std::uint64_t session) {
 std::size_t Engine::sweep_idle_sessions(std::uint64_t max_idle_ms) {
   std::lock_guard lock(impl_->session_mutex);
   return impl_->sessions.sweep_idle(impl_->now_ms(), max_idle_ms);
+}
+
+CacheCounters Engine::cache_totals() const {
+  CacheCounters total = impl_->systems.counters();
+  total += impl_->behaviors.counters();
+  total += impl_->prefixes.counters();
+  total += impl_->translations.counters();
+  total += impl_->properties.counters();
+  total += impl_->verdicts.counters();
+  total += impl_->monitors.counters();
+  return total;
 }
 
 EngineStats Engine::stats() const {

@@ -88,14 +88,20 @@ class Engine {
   /// Executes a single query through the same caches.
   [[nodiscard]] Verdict run_one(const Query& query);
 
-  /// Asynchronous single-query submission — the serving hook. Enqueues the
-  /// query on the engine pool and invokes `done` with the verdict on the
-  /// worker thread that executed it. With jobs <= 1 the pool has no
-  /// workers, so the query (and `done`) run inline on the caller — a
-  /// resident server must therefore be given an engine with jobs >= 2 or
-  /// its event loop executes queries itself. `done` must not throw. Every
-  /// callback submitted before ~Engine runs to completion before the
-  /// destructor returns (the pool drains its queue).
+  /// Asynchronous single-query submission — the serving hook. A query
+  /// whose verdict is already resident is answered on the calling thread:
+  /// the lookup costs O(request bytes) (text fingerprints, the formula
+  /// parse, non-computing cache lookups — never a system parse, a
+  /// translation, or a kernel) and `done` runs inline before submit
+  /// returns. Every other query is enqueued on the engine pool and `done`
+  /// runs on the worker thread that executed it. Either way the verdict,
+  /// and every EngineStats counter, is what run_one would have produced.
+  /// With jobs <= 1 the pool has no workers, so misses (and their `done`)
+  /// also run inline on the caller — a resident server must therefore be
+  /// given an engine with jobs >= 2 or its event loop computes verdicts
+  /// itself. `done` must not throw. Every callback submitted before
+  /// ~Engine runs to completion before the destructor returns (the pool
+  /// drains its queue).
   void submit(Query query, std::function<void(Verdict)> done);
 
   // -------------------------------------------------------------------
@@ -126,6 +132,10 @@ class Engine {
 
   /// Cumulative cache counters and query totals since construction.
   [[nodiscard]] EngineStats stats() const;
+
+  /// stats().total() without the rest of the snapshot: the seven caches'
+  /// counters summed — what every result record embeds.
+  [[nodiscard]] CacheCounters cache_totals() const;
 
   /// Pool worker threads (0 when jobs <= 1, i.e. inline execution).
   [[nodiscard]] std::size_t workers() const;

@@ -83,6 +83,10 @@ struct Verdict {
   std::optional<Word> violating_prefix;
   /// Relative safety / fairness violation: a lasso behavior.
   std::optional<Lasso> counterexample;
+  /// The alphabet the witness symbols index (the behaviors automaton's,
+  /// which decided the check); null when the query failed. Rendering a
+  /// record names witness actions through it.
+  AlphabetRef alphabet;
   /// Nonempty when the query failed (parse error, bad formula, ...).
   std::string error;
   /// True when the per-query budget tripped before a verdict was reached;

@@ -102,17 +102,14 @@ std::string render_query_record(std::size_t id, const Query& query,
   out << ",\"ok\":" << (v.ok() ? "true" : "false");
   if (v.ok()) {
     out << ",\"holds\":" << (v.holds ? "true" : "false");
-    // Witness symbols are ids over the system's alphabet; reparse the
-    // (small) system text to render them as action names.
+    // Witness symbols are ids over the alphabet that decided the check.
     if (v.violating_prefix) {
-      const Nfa system = parse_system(query.system);
-      const Alphabet& sigma = *system.alphabet();
+      const Alphabet& sigma = *v.alphabet;
       out << ",\"witness\":\""
           << json_escape(sigma.format(*v.violating_prefix)) << '"';
       append_word_array(out, "witness_prefix", sigma, *v.violating_prefix);
     } else if (v.counterexample) {
-      const Nfa system = parse_system(query.system);
-      const Alphabet& sigma = *system.alphabet();
+      const Alphabet& sigma = *v.alphabet;
       out << ",\"witness\":\""
           << json_escape(sigma.format(v.counterexample->prefix) + " (" +
                          sigma.format(v.counterexample->period) + ")^w")

@@ -43,9 +43,9 @@ namespace rlv {
 
 /// Renders one rlvd result record. `system_label` / `property_label` are
 /// presentation strings (the paths from the batch file; property empty for
-/// the formula flavor). Witness symbols are rendered as action names by
-/// reparsing the (small) system text of `query`. `cache` is the engine-wide
-/// cumulative counter snapshot to embed.
+/// the formula flavor). Witness symbols are rendered as action names
+/// through the verdict's own alphabet. `cache` is the engine-wide
+/// cumulative counter snapshot to embed (Engine::cache_totals).
 [[nodiscard]] std::string render_query_record(std::size_t id,
                                               const Query& query,
                                               const Verdict& verdict,

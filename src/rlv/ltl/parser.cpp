@@ -13,6 +13,13 @@ bool is_atom_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
+/// Bound on the parser's recursion: every prefix operator, parenthesis and
+/// right-nested U/R/B/-> operand is one level deeper. Far beyond any
+/// formula a person writes, far below what the threads that parse (an
+/// event loop among them) have stack for: past it the input is an
+/// LtlParseError, not a stack overflow.
+constexpr std::size_t kMaxDepth = 1000;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -52,6 +59,15 @@ class Parser {
     throw LtlParseError(message, pos_);
   }
 
+  /// Parses a nested operand with `rule`, one level deeper.
+  Formula nested(Formula (Parser::*rule)()) {
+    if (depth_ == kMaxDepth) fail("nesting too deep");
+    ++depth_;
+    Formula f = (this->*rule)();
+    --depth_;
+    return f;
+  }
+
   Formula parse_iff() {
     Formula f = parse_implies();
     while (eat("<->")) f = f_iff(f, parse_implies());
@@ -60,7 +76,7 @@ class Parser {
 
   Formula parse_implies() {
     Formula f = parse_or();
-    if (eat("->")) return f_implies(f, parse_implies());
+    if (eat("->")) return f_implies(f, nested(&Parser::parse_implies));
     return f;
   }
 
@@ -85,24 +101,24 @@ class Parser {
 
   Formula parse_bin() {
     Formula f = parse_unary();
-    if (eat("U")) return f_until(f, parse_bin());
-    if (eat("R")) return f_release(f, parse_bin());
-    if (eat("B")) return f_before(f, parse_bin());
+    if (eat("U")) return f_until(f, nested(&Parser::parse_bin));
+    if (eat("R")) return f_release(f, nested(&Parser::parse_bin));
+    if (eat("B")) return f_before(f, nested(&Parser::parse_bin));
     return f;
   }
 
   Formula parse_unary() {
-    if (eat("!")) return f_not(parse_unary());
-    if (eat("X")) return f_next(parse_unary());
-    if (eat("F")) return f_eventually(parse_unary());
-    if (eat("G")) return f_always(parse_unary());
+    if (eat("!")) return f_not(nested(&Parser::parse_unary));
+    if (eat("X")) return f_next(nested(&Parser::parse_unary));
+    if (eat("F")) return f_eventually(nested(&Parser::parse_unary));
+    if (eat("G")) return f_always(nested(&Parser::parse_unary));
     return parse_primary();
   }
 
   Formula parse_primary() {
     skip_ws();
     if (eat("(")) {
-      Formula f = parse_iff();
+      Formula f = nested(&Parser::parse_iff);
       if (!eat(")")) fail("expected ')'");
       return f;
     }
@@ -118,6 +134,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

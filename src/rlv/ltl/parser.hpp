@@ -34,7 +34,10 @@ class LtlParseError : public std::runtime_error {
   std::size_t position_;
 };
 
-/// Parses `text` into a formula. Throws LtlParseError on malformed input.
+/// Parses `text` into a formula. Throws LtlParseError on malformed input,
+/// and on input nested more than 1000 levels deep ("nesting too deep"):
+/// each prefix operator, parenthesis and right-nested U/R/B/-> operand is
+/// one level.
 [[nodiscard]] Formula parse_ltl(std::string_view text);
 
 }  // namespace rlv

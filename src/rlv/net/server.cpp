@@ -165,6 +165,10 @@ struct CompletionSink {
   std::mutex mutex;
   std::vector<Completion> items;
   int wake_fd = -1;
+  /// The reactor thread draining this sink. A post from it (a resident
+  /// verdict answered inline) needs no wake: the reactor drains the sink
+  /// at the top of every loop pass, before it polls again.
+  std::atomic<std::thread::id> owner{};
 
   ~CompletionSink() {
     // Handed-off sockets nobody adopted must not leak past the server.
@@ -180,7 +184,9 @@ struct CompletionSink {
       std::lock_guard lock(mutex);
       items.push_back({conn_id, std::move(line), open, session, -1});
     }
-    wake();
+    if (owner.load(std::memory_order_relaxed) != std::this_thread::get_id()) {
+      wake();
+    }
   }
 
   void post_fd(int fd) {
@@ -310,10 +316,12 @@ struct Server::Impl {
       std::string label = req.label.empty() ? "inline" : std::move(req.label);
       std::string property_label =
           req.query.property_automaton.empty() ? std::string() : label;
-      // The callback runs on an engine worker: rendering (which re-parses
-      // the system text for witness action names) happens there, off the
-      // event loops. Engine outlives every callback (its destructor drains
-      // the pool), and the shared sink outlives the server.
+      // A resident verdict is answered right here, inside submit(): the
+      // callback runs on this reactor and posts to its own sink without a
+      // wake, and the next loop pass drains it before polling. Anything
+      // else runs (and renders) on an engine worker. Engine outlives every
+      // callback (its destructor drains the pool), and the shared sink
+      // outlives the server.
       engine().submit(
           std::move(to_run),
           [sink = sink, engine = &engine(), conn_id = conn.id, id = req.id,
@@ -321,7 +329,7 @@ struct Server::Impl {
            property_label = std::move(property_label)](Verdict verdict) {
             std::string record =
                 render_query_record(id, query, verdict, label, property_label,
-                                    engine->stats().total());
+                                    engine->cache_totals());
             sink->post(conn_id, std::move(record));
           });
     }
@@ -597,6 +605,7 @@ struct Server::Impl {
     }
 
     void run() {
+      sink->owner.store(std::this_thread::get_id(), std::memory_order_relaxed);
       std::optional<Clock::time_point> drain_deadline;
       std::vector<pollfd> fds;
       std::vector<std::uint64_t> owners;  // sentinels above, or conn id

@@ -14,12 +14,14 @@
 // SO_REUSEPORT (every reactor listens on the same address); when that
 // is unavailable (or force_acceptor_handoff is set), reactor 0 keeps
 // the only listener and hands accepted fds round-robin to the other
-// reactors through their completion sinks. Reactors never execute a
-// query: query work happens on the Engine's worker pool via
-// Engine::submit, results are rendered on the worker thread (rendering
-// re-parses the system text — keep that off the loops) and handed back
+// reactors through their completion sinks. A reactor answers a query
+// whose verdict is already resident itself, inside Engine::submit, in
+// O(request bytes) — the record goes into its own completion sink with no
+// self-pipe wake and out before the next poll. Everything that parses a
+// system, translates, or runs a kernel happens on the Engine's worker
+// pool; those results are rendered on the worker thread and handed back
 // through the owning reactor's mutex-protected completion queue plus a
-// self-pipe wakeup. Because the engine runs queries inline when built
+// self-pipe wakeup. Because the engine runs misses inline when built
 // with jobs <= 1, a Server requires an Engine with jobs >= 2.
 //
 // Backpressure: in-flight queries are bounded per connection and globally;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -193,6 +194,81 @@ TEST(Engine, RandomSystemsParallelMatchesSequential) {
   Engine sequential(EngineOptions{.jobs = 1});
   Engine parallel(EngineOptions{.jobs = 4});
   expect_identical(sequential.run(batch), parallel.run(batch));
+}
+
+// ---------------------------------------------------------------------------
+// Engine::submit answers resident verdicts inline.
+
+void expect_same_counters(const EngineStats& got, const EngineStats& want) {
+  const std::pair<const char*, CacheCounters EngineStats::*> caches[] = {
+      {"systems", &EngineStats::systems},
+      {"behaviors", &EngineStats::behaviors},
+      {"prefixes", &EngineStats::prefixes},
+      {"translations", &EngineStats::translations},
+      {"properties", &EngineStats::properties},
+      {"verdicts", &EngineStats::verdicts},
+      {"monitors", &EngineStats::monitors}};
+  for (const auto& [name, field] : caches) {
+    const CacheCounters& g = got.*field;
+    const CacheCounters& w = want.*field;
+    EXPECT_EQ(g.hits, w.hits) << name;
+    EXPECT_EQ(g.coalesced, w.coalesced) << name;
+    EXPECT_EQ(g.misses, w.misses) << name;
+    EXPECT_EQ(g.evictions, w.evictions) << name;
+  }
+  EXPECT_EQ(got.queries_run, want.queries_run);
+}
+
+/// Submits `query` and waits for its callback; returns the thread `done`
+/// ran on.
+std::thread::id submit_and_wait(Engine& engine, const Query& query,
+                                Verdict& out) {
+  std::promise<std::thread::id> ran_on;
+  std::future<std::thread::id> ran = ran_on.get_future();
+  engine.submit(query, [&](Verdict verdict) {
+    out = std::move(verdict);
+    ran_on.set_value(std::this_thread::get_id());
+  });
+  return ran.get();
+}
+
+TEST(EngineSubmit, ResidentHitsRunInlineAndCountLikeRunOne) {
+  Engine served(EngineOptions{.jobs = 2});
+  Engine twin(EngineOptions{.jobs = 2});
+  const std::string fig2 = serialize_system(figure2_system());
+  Query automaton_query;
+  automaton_query.system = fig2;
+  automaton_query.kind = CheckKind::kSatisfaction;
+  automaton_query.property_automaton =
+      "alphabet: result\nstates: 1\ninitial: 0\naccepting: 0\n0 result 0\n";
+
+  struct Case {
+    const char* name;
+    Query query;
+    bool resident;  // its verdict is in the cache when submitted
+  };
+  const Case cases[] = {
+      {"cold", {fig2, "G F result", CheckKind::kRelativeLiveness}, false},
+      {"full hit", {fig2, "G F result", CheckKind::kRelativeLiveness}, true},
+      {"system resident, verdict not",
+       {fig2, "F result", CheckKind::kRelativeLiveness},
+       false},
+      {"automaton flavor, cold", automaton_query, false},
+      {"automaton flavor, full hit", automaton_query, true},
+  };
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Verdict got;
+    const std::thread::id ran_on = submit_and_wait(served, c.query, got);
+    const Verdict want = twin.run_one(c.query);
+    EXPECT_EQ(ran_on == caller, c.resident);
+    ASSERT_TRUE(got.ok()) << got.error;
+    EXPECT_EQ(got.holds, want.holds);
+    EXPECT_EQ(got.violating_prefix, want.violating_prefix);
+    EXPECT_EQ(got.counterexample.has_value(), want.counterexample.has_value());
+    expect_same_counters(served.stats(), twin.stats());
+  }
 }
 
 // ---------------------------------------------------------------------------

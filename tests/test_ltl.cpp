@@ -68,6 +68,84 @@ TEST(Parser, Errors) {
   EXPECT_THROW((void)parse_ltl("&& a"), LtlParseError);
 }
 
+// The parser recurses once per prefix operator, parenthesis and
+// right-nested binary operand; past 1000 levels it must refuse the input
+// with a structured error instead of running off the stack.
+constexpr std::size_t kParserMaxDepth = 1000;
+
+std::string repeat(std::string_view unit, std::size_t n) {
+  std::string out;
+  out.reserve(unit.size() * n);
+  for (std::size_t i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+/// `nest(n)` builds a formula n levels deep at one recursion site.
+template <typename Nest>
+void expect_depth_bounded(Nest nest) {
+  EXPECT_NO_THROW((void)parse_ltl(nest(kParserMaxDepth)));
+  try {
+    (void)parse_ltl(nest(kParserMaxDepth + 1));
+    ADD_FAILURE() << "expected LtlParseError";
+  } catch (const LtlParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+              std::string::npos)
+        << e.what();
+    EXPECT_GT(e.position(), 0u);
+  }
+  // Far past the bound (a stack overflow before the bound existed).
+  EXPECT_THROW((void)parse_ltl(nest(200000)), LtlParseError);
+}
+
+TEST(ParserDepth, Not) {
+  expect_depth_bounded([](std::size_t n) { return repeat("!", n) + "a"; });
+  try {
+    (void)parse_ltl(repeat("!", kParserMaxDepth + 1) + "a");
+  } catch (const LtlParseError& e) {
+    EXPECT_EQ(e.position(), kParserMaxDepth + 1);  // just past the culprit
+  }
+}
+
+TEST(ParserDepth, Next) {
+  expect_depth_bounded([](std::size_t n) { return repeat("X ", n) + "a"; });
+}
+
+TEST(ParserDepth, Eventually) {
+  expect_depth_bounded([](std::size_t n) { return repeat("F ", n) + "a"; });
+}
+
+TEST(ParserDepth, Always) {
+  expect_depth_bounded([](std::size_t n) { return repeat("G ", n) + "a"; });
+}
+
+TEST(ParserDepth, Parentheses) {
+  expect_depth_bounded(
+      [](std::size_t n) { return repeat("(", n) + "a" + repeat(")", n); });
+}
+
+TEST(ParserDepth, Until) {
+  expect_depth_bounded([](std::size_t n) { return repeat("a U ", n) + "b"; });
+}
+
+TEST(ParserDepth, Release) {
+  expect_depth_bounded([](std::size_t n) { return repeat("a R ", n) + "b"; });
+}
+
+TEST(ParserDepth, Before) {
+  expect_depth_bounded([](std::size_t n) { return repeat("a B ", n) + "b"; });
+}
+
+TEST(ParserDepth, Implies) {
+  expect_depth_bounded([](std::size_t n) { return repeat("a -> ", n) + "b"; });
+}
+
+TEST(ParserDepth, FlatChainsAreNotNesting) {
+  // Left-associative operators loop instead of recursing: no bound.
+  EXPECT_NO_THROW((void)parse_ltl(repeat("a && ", 50000) + "b"));
+  EXPECT_NO_THROW((void)parse_ltl(repeat("a || ", 50000) + "b"));
+  EXPECT_NO_THROW((void)parse_ltl(repeat("a <-> ", 50000) + "b"));
+}
+
 TEST(Ast, HashConsingGivesPointerEquality) {
   const Formula f1 = f_and(f_atom("x"), f_next(f_atom("y")));
   const Formula f2 = f_and(f_atom("x"), f_next(f_atom("y")));

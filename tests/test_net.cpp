@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -537,6 +538,72 @@ TEST(NetServer, SurvivesMidResponseDisconnect) {
   net::Client probe = ts.connect_client();
   const JsonValue pong = parse_json(probe.call(R"({"op":"ping","id":1})"));
   EXPECT_TRUE(pong.find("ok")->as_bool());
+}
+
+TEST(NetServer, DeeplyNestedFormulaIsAParseErrorNotACrash) {
+  TestServer ts;
+  const std::string fig2 = serialize_system(figure2_system());
+  {
+    net::Client client = ts.connect_client();
+    // Resident system: the reactor itself parses the next formula while
+    // looking for a resident verdict.
+    ASSERT_TRUE(net::parse_response(
+                    client.call(net::render_query_request(
+                        {fig2, "G F result", CheckKind::kRelativeLiveness}, 1)))
+                    .ok);
+    // ~400 KB, under the 1 MiB line cap: one recursion level per '!'.
+    const Query deep{fig2, std::string(400000, '!') + "result",
+                     CheckKind::kRelativeLiveness};
+    const net::Response response =
+        net::parse_response(client.call(net::render_query_request(deep, 2)));
+    EXPECT_EQ(response.id, 2u);
+    EXPECT_FALSE(response.ok);
+    EXPECT_NE(response.error.find("nesting too deep"), std::string::npos)
+        << response.error;
+  }
+  net::Client probe = ts.connect_client();
+  const JsonValue pong = parse_json(probe.call(R"({"op":"ping","id":3})"));
+  EXPECT_TRUE(pong.find("ok")->as_bool());
+}
+
+TEST(NetServer, ResidentVerdictAnsweredWhileWorkersAreBusy) {
+  TestServer ts;  // two pool workers
+  const std::string fig2 = serialize_system(figure2_system());
+  const Query warm{fig2, "G F result", CheckKind::kRelativeLiveness};
+  net::Client fast = ts.connect_client();
+  ASSERT_TRUE(
+      net::parse_response(fast.call(net::render_query_request(warm, 1))).ok);
+
+  // Two slow queries (rank-based complementation of the dense property)
+  // occupy both workers; the state cap bounds their memory, the generous
+  // deadline never trips first.
+  std::vector<net::Client> slow;
+  for (const CheckKind kind :
+       {CheckKind::kRelativeSafety, CheckKind::kSatisfaction}) {
+    Query hard;
+    hard.system = fig2;
+    hard.property_automaton = dense_property_text();
+    hard.kind = kind;
+    hard.timeout_ms = 20000;
+    hard.max_states = 150000;
+    slow.push_back(ts.connect_client());
+    slow.back().send_line(net::render_query_request(hard, 10, "dense"));
+  }
+  while (ts.server().counters().queries < 3) std::this_thread::yield();
+
+  // The warm query's verdict is resident: the reactor answers it without
+  // waiting for a worker, so no slow reply can have arrived first.
+  const net::Response hit =
+      net::parse_response(fast.call(net::render_query_request(warm, 2)));
+  EXPECT_TRUE(hit.ok);
+  EXPECT_EQ(hit.id, 2u);
+  for (net::Client& client : slow) {
+    pollfd pfd{client.fd(), POLLIN, 0};
+    EXPECT_EQ(::poll(&pfd, 1, 0), 0) << "a slow reply arrived first";
+  }
+  for (net::Client& client : slow) {
+    EXPECT_TRUE(net::parse_response(client.read_line()).resource_exhausted);
+  }
 }
 
 TEST(NetServer, IdleConnectionsAreClosed) {

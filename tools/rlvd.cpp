@@ -127,7 +127,7 @@ void handle_stop_signal(int) {
 }
 
 int serve(EngineOptions engine_options, net::ServerOptions server_options) {
-  // The event loop never executes queries; that takes a real worker pool.
+  // The event loop answers only cached verdicts; misses need a worker pool.
   if (engine_options.jobs < 2) engine_options.jobs = 2;
   // Serving without any per-query deadline would leave drain at the mercy
   // of the slowest query; default the cap (which also serves as the
@@ -371,7 +371,7 @@ int main(int argc, char** argv) {
     const Request& request = requests[i];
     const std::string record = render_query_record(
         i, request.query, verdicts[i], request.system_path,
-        request.property_path, engine.stats().total());
+        request.property_path, engine.cache_totals());
     std::puts(record.c_str());
   }
 
