@@ -4,15 +4,14 @@
 #include "rlv/ltl/pnf.hpp"
 #include "rlv/ltl/translate.hpp"
 #include "rlv/omega/complement.hpp"
-#include "rlv/omega/limit.hpp"
 #include "rlv/omega/live.hpp"
 #include "rlv/omega/product.hpp"
 
 namespace rlv {
 
 Buchi relative_safety_closure(const Buchi& system, const Buchi& property) {
-  const Buchi both = intersect_buchi(system, property);
-  const Buchi closure = limit_of_prefix_closed(prefix_nfa(both));
+  const Buchi closure =
+      Buchi::from_structure(prefix_of_intersection(system, property));
   return intersect_buchi(system, closure);
 }
 
@@ -52,7 +51,7 @@ RelativeDecomposition relative_decomposition(const Buchi& system, Formula f,
   const Buchi safety = relative_safety_closure(system, property);
 
   // Escape automaton: accepts x ∈ Σ^ω with some prefix not in pre(L∩P).
-  const Nfa pre = prefix_nfa(intersect_buchi(system, property));
+  const Nfa pre = prefix_of_intersection(system, property);
   const Dfa pre_dfa = determinize(pre).complete();
   // The completed DFA has a (possibly fresh) rejecting sink region: states
   // from which pre can no longer accept. Words reaching such a state have

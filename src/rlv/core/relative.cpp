@@ -1,23 +1,21 @@
 #include "rlv/core/relative.hpp"
 
+#include <vector>
+
 #include "rlv/ltl/pnf.hpp"
 #include "rlv/ltl/translate.hpp"
 #include "rlv/omega/complement.hpp"
-#include "rlv/omega/limit.hpp"
 #include "rlv/omega/live.hpp"
-#include "rlv/omega/product.hpp"
 
 namespace rlv {
 
-namespace {
-
-RelativeLivenessResult liveness_via_intersection(const Buchi& system,
-                                                 const Buchi& intersection,
-                                                 InclusionAlgorithm algorithm,
-                                                 Budget* budget) {
+RelativeLivenessResult decide_relative_liveness(const Buchi& system,
+                                                const Nfa& pre_system,
+                                                const Buchi& property,
+                                                InclusionAlgorithm algorithm,
+                                                Budget* budget) {
   // Lemma 4.3: pre(L_ω) ⊆ pre(L_ω ∩ P); the reverse inclusion is automatic.
-  const Nfa pre_system = prefix_nfa(system);
-  const Nfa pre_both = prefix_nfa(intersection);
+  const Nfa pre_both = prefix_of_intersection(system, property, budget);
   const InclusionResult inc =
       check_inclusion(pre_system, pre_both, algorithm, budget);
   RelativeLivenessResult result;
@@ -26,21 +24,29 @@ RelativeLivenessResult liveness_via_intersection(const Buchi& system,
   return result;
 }
 
-RelativeSafetyResult safety_via_negation(const Buchi& system,
-                                         const Buchi& intersection,
-                                         const Buchi& negated_property,
-                                         Budget* budget) {
-  // Lemma 4.4: L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P = ∅, decided on the fly — the
-  // triple product is explored lazily by the nested DFS instead of being
-  // materialized, so a counterexample (or its absence) is often established
-  // after touching a fraction of the product.
-  const Buchi closure = limit_of_prefix_closed(prefix_nfa(intersection));
+RelativeSafetyResult decide_relative_safety(const Buchi& system,
+                                            const Buchi& property,
+                                            const Buchi& negated_property,
+                                            Budget* budget) {
+  // Lemma 4.4: L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P = ∅, decided on the fly. The
+  // prefix automaton is already trim and live, so read with every state
+  // accepting it is lim(pre(L_ω ∩ P)) as it stands.
+  const Buchi closure =
+      Buchi::from_structure(prefix_of_intersection(system, property, budget));
+  std::vector<const Buchi*> operands{&closure, &negated_property};
+  if (!all_accepting(system)) operands.insert(operands.begin(), &system);
+  auto lasso = find_accepting_lasso_product(operands, budget);
   RelativeSafetyResult result;
-  auto lasso = find_accepting_lasso_product(
-      {&system, &closure, &negated_property}, budget);
   result.holds = !lasso.has_value();
   result.counterexample = std::move(lasso);
   return result;
+}
+
+namespace {
+
+Nfa system_prefixes(const Buchi& system, Budget* budget) {
+  StageScope scope(budget, Stage::kPreTrim);
+  return prefix_nfa(system);
 }
 
 }  // namespace
@@ -50,8 +56,8 @@ RelativeLivenessResult relative_liveness(const Buchi& system,
                                          InclusionAlgorithm algorithm,
                                          Budget* budget) {
   try {
-    return liveness_via_intersection(
-        system, intersect_buchi(system, property, budget), algorithm, budget);
+    return decide_relative_liveness(system, system_prefixes(system, budget),
+                                    property, algorithm, budget);
   } catch (const ResourceExhausted& e) {
     RelativeLivenessResult result;
     result.exhausted = e.stage();
@@ -65,8 +71,8 @@ RelativeLivenessResult relative_liveness(const Buchi& system, Formula f,
                                          Budget* budget) {
   try {
     const Buchi property = translate_ltl(f, lambda, budget);
-    return liveness_via_intersection(
-        system, intersect_buchi(system, property, budget), algorithm, budget);
+    return decide_relative_liveness(system, system_prefixes(system, budget),
+                                    property, algorithm, budget);
   } catch (const ResourceExhausted& e) {
     RelativeLivenessResult result;
     result.exhausted = e.stage();
@@ -77,9 +83,8 @@ RelativeLivenessResult relative_liveness(const Buchi& system, Formula f,
 RelativeSafetyResult relative_safety(const Buchi& system,
                                      const Buchi& property, Budget* budget) {
   try {
-    return safety_via_negation(system,
-                               intersect_buchi(system, property, budget),
-                               complement_buchi(property, budget), budget);
+    return decide_relative_safety(system, property,
+                                  complement_buchi(property, budget), budget);
   } catch (const ResourceExhausted& e) {
     RelativeSafetyResult result;
     result.exhausted = e.stage();
@@ -92,8 +97,7 @@ RelativeSafetyResult relative_safety(const Buchi& system, Formula f,
   try {
     const Buchi property = translate_ltl(f, lambda, budget);
     const Buchi negated = translate_ltl_negated(f, lambda, budget);
-    return safety_via_negation(
-        system, intersect_buchi(system, property, budget), negated, budget);
+    return decide_relative_safety(system, property, negated, budget);
   } catch (const ResourceExhausted& e) {
     RelativeSafetyResult result;
     result.exhausted = e.stage();

@@ -6,11 +6,17 @@
 //   P relative liveness of L_ω   ⟺   pre(L_ω) = pre(L_ω ∩ P)
 //   P relative safety  of L_ω   ⟺   L_ω ∩ lim(pre(L_ω ∩ P)) ⊆ P
 //
-// pre(·) of a Büchi automaton is an NFA (live-state trimming); the liveness
-// check is an NFA inclusion (only ⊆ needs checking — ⊇ always holds); the
-// safety check is a Büchi emptiness after intersecting with ¬P. Properties
-// can be given as Büchi automata or as PLTL formulas (Theorem 4.5 covers
-// both); the formula route avoids Büchi complementation.
+// pre(·) of a Büchi automaton is an NFA (live-state trimming); both lemmas
+// read pre(L_ω ∩ P), built in one pass over the reachable pair product
+// (prefix_of_intersection in rlv/omega/live.hpp). The liveness check is an
+// NFA inclusion (only ⊆ needs checking — ⊇ always holds); the safety check
+// is a Büchi emptiness after intersecting with ¬P. Properties can be given
+// as Büchi automata or as PLTL formulas (Theorem 4.5 covers both); the
+// formula route avoids Büchi complementation.
+//
+// The two lemma bodies live once, in decide_relative_liveness and
+// decide_relative_safety below; the public entry points, the query engine
+// and the fuzzer all go through them.
 //
 // Also provides classical satisfaction L_ω ⊆ P and the Theorem 4.7
 // decomposition (satisfaction ⟺ relative liveness ∧ relative safety).
@@ -51,6 +57,27 @@ struct RelativeSafetyResult {
   /// Set when the budget tripped; `holds` is then meaningless.
   std::optional<Stage> exhausted;
 };
+
+/// Lemma 4.3 body: pre(L_ω) ⊆ pre(L_ω ∩ P) by NFA inclusion. `pre_system`
+/// must accept pre(L_ω(system)) (prefix_nfa(system)); taking it as an
+/// argument lets a caller that caches it pass the cached copy. The property
+/// shares the system's alphabet object. A violating prefix is the inclusion
+/// counterexample (BFS-shortest under kSubset). Throws ResourceExhausted
+/// when the budget trips — the entry points below catch it.
+[[nodiscard]] RelativeLivenessResult decide_relative_liveness(
+    const Buchi& system, const Nfa& pre_system, const Buchi& property,
+    InclusionAlgorithm algorithm, Budget* budget);
+
+/// Lemma 4.4 body: L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P = ∅, searched on the fly.
+/// When every system state is accepting, L_ω is limit-closed, so
+/// lim(pre(L_ω ∩ P)) ⊆ lim(pre(L_ω)) = L_ω and the search runs over the two
+/// operands {lim(pre(L_ω ∩ P)), ¬P}; otherwise it keeps L_ω as a third
+/// operand. Either way the counterexample is a lasso of L_ω ∩ ¬P all of
+/// whose prefixes extend into L_ω ∩ P. Throws ResourceExhausted when the
+/// budget trips.
+[[nodiscard]] RelativeSafetyResult decide_relative_safety(
+    const Buchi& system, const Buchi& property,
+    const Buchi& negated_property, Budget* budget);
 
 /// Is L_ω(property) a relative liveness property of L_ω(system)? (Def 4.1)
 [[nodiscard]] RelativeLivenessResult relative_liveness(

@@ -9,6 +9,7 @@
 #include <stdexcept>
 
 #include "rlv/cert/certificate.hpp"
+#include "rlv/core/relative.hpp"
 #include "rlv/engine/fingerprint.hpp"
 #include "rlv/engine/thread_pool.hpp"
 #include "rlv/fair/fair_check.hpp"
@@ -22,7 +23,6 @@
 #include "rlv/omega/emptiness.hpp"
 #include "rlv/omega/limit.hpp"
 #include "rlv/omega/live.hpp"
-#include "rlv/omega/product.hpp"
 #include "rlv/util/hash.hpp"
 
 namespace rlv {
@@ -318,12 +318,12 @@ struct Engine::Impl {
         complement_buchi(prop->automaton, budget));
   }
 
-  /// The decision procedures of rlv/core/relative.hpp and
-  /// rlv/fair/fair_check.hpp, restated over the cached intermediates. Every
-  /// derived object lives on the alphabet object of the *cached* behaviors
-  /// automaton, so alphabet identity (which intersect_buchi and
-  /// check_inclusion require) holds even when two different texts parse to
-  /// one structure.
+  /// Runs the decision procedures of rlv/core/relative.hpp (the Lemma 4.3
+  /// and 4.4 bodies) and rlv/fair/fair_check.hpp over the cached
+  /// intermediates. Every derived object lives on the alphabet object of the
+  /// *cached* behaviors automaton, so alphabet identity (which the products
+  /// and check_inclusion require) holds even when two different texts parse
+  /// to one structure.
   Verdict decide(const std::shared_ptr<const ParsedSystem>& sys,
                  const std::optional<Formula>& f,
                  const std::shared_ptr<const ParsedProperty>& sys_prop,
@@ -356,41 +356,26 @@ struct Engine::Impl {
     verdict.alphabet = sigma;
     switch (query.kind) {
       case CheckKind::kRelativeLiveness: {
-        // Lemma 4.3: pre(L_ω) ⊆ pre(L_ω ∩ P); ⊇ always holds.
         const auto property_aut = positive();
-        const Buchi intersection =
-            intersect_buchi(*behaviors_aut, *property_aut, budget);
-        Nfa pre_both = [&] {
-          StageScope scope(budget, Stage::kPreTrim);
-          return prefix_nfa(intersection);
-        }();
         const auto pre_system =
             prefixes.get_or_compute({sys->fingerprint, sigma.get()}, [&] {
               StageScope scope(budget, Stage::kPreTrim);
               return prefix_nfa(*behaviors_aut);
             });
-        const InclusionResult inc =
-            check_inclusion(*pre_system, pre_both, query.algorithm, budget);
-        verdict.holds = inc.included;
-        verdict.violating_prefix = inc.counterexample;
+        RelativeLivenessResult res = decide_relative_liveness(
+            *behaviors_aut, *pre_system, *property_aut, query.algorithm,
+            budget);
+        verdict.holds = res.holds;
+        verdict.violating_prefix = std::move(res.violating_prefix);
         break;
       }
       case CheckKind::kRelativeSafety: {
-        // Lemma 4.4: L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P = ∅, explored on the fly —
-        // the triple product is never materialized, so the query pays only
-        // for the states the nested DFS visits.
         const auto property_aut = positive();
         const auto negated_aut = negated();
-        const Buchi intersection =
-            intersect_buchi(*behaviors_aut, *property_aut, budget);
-        const Buchi closure = [&] {
-          StageScope scope(budget, Stage::kPreTrim);
-          return limit_of_prefix_closed(prefix_nfa(intersection));
-        }();
-        auto lasso = find_accepting_lasso_product(
-            {behaviors_aut.get(), &closure, negated_aut.get()}, budget);
-        verdict.holds = !lasso.has_value();
-        verdict.counterexample = std::move(lasso);
+        RelativeSafetyResult res = decide_relative_safety(
+            *behaviors_aut, *property_aut, *negated_aut, budget);
+        verdict.holds = res.holds;
+        verdict.counterexample = std::move(res.counterexample);
         break;
       }
       case CheckKind::kSatisfaction: {
@@ -408,7 +393,8 @@ struct Engine::Impl {
             *behaviors_aut, *negated_aut,
             query.kind == CheckKind::kFairStrong
                 ? FairnessKind::kStrongTransition
-                : FairnessKind::kWeakTransition);
+                : FairnessKind::kWeakTransition,
+            budget);
         verdict.holds = res.all_fair_runs_satisfy;
         verdict.counterexample = res.counterexample;
         break;

@@ -26,15 +26,20 @@ struct FairProduct {
   Nfa structure;
   std::vector<std::uint32_t> system_state;        // per product state
   std::vector<std::vector<EdgeInfo>> edge_info;   // per product state
+  // Flat ids of the system's own edges: those of system state s are
+  // system_edge_offset[s] .. system_edge_offset[s+1].
+  std::vector<std::uint32_t> system_edge_offset;
 };
 
-FairProduct build_product(const Buchi& system, const Buchi& negated) {
+FairProduct build_product(const Buchi& system, const Buchi& negated,
+                          Budget* budget) {
   require_same_alphabet(system.alphabet(), negated.alphabet(),
                         "fair_check product");
-  FairProduct product{Nfa(system.alphabet()), {}, {}};
+  StageScope scope(budget, Stage::kProduct);
+  FairProduct product{Nfa(system.alphabet()), {}, {}, {}};
 
-  // Flat ids for the system's own edges.
-  std::vector<std::uint32_t> sys_edge_offset(system.num_states() + 1, 0);
+  std::vector<std::uint32_t>& sys_edge_offset = product.system_edge_offset;
+  sys_edge_offset.assign(system.num_states() + 1, 0);
   for (State s = 0; s < system.num_states(); ++s) {
     sys_edge_offset[s + 1] =
         sys_edge_offset[s] + static_cast<std::uint32_t>(system.out(s).size());
@@ -45,6 +50,7 @@ FairProduct build_product(const Buchi& system, const Buchi& negated) {
   auto intern = [&](State p, State q) -> State {
     auto [it, inserted] = ids.emplace(std::make_pair(p, q), kNoState);
     if (inserted) {
+      budget_charge(budget);
       it->second = product.structure.add_state(true);
       product.system_state.push_back(p);
       product.edge_info.emplace_back();
@@ -64,6 +70,7 @@ FairProduct build_product(const Buchi& system, const Buchi& negated) {
     const State from = ids.at({p, q});
     for (std::uint32_t i = 0; i < system.out(p).size(); ++i) {
       const Transition& ts = system.out(p)[i];
+      budget_tick(budget);
       for (const auto& tn : negated.out(q)) {
         if (ts.symbol != tn.symbol) continue;
         const State to = intern(ts.target, tn.target);
@@ -80,15 +87,12 @@ FairProduct build_product(const Buchi& system, const Buchi& negated) {
 
 FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
                                                 const Buchi& negated,
-                                                FairnessKind kind) {
-  const FairProduct product = build_product(system, negated);
-  StreettAutomaton streett(product.structure);
-
-  const std::size_t num_sys_edges = [&] {
-    std::size_t n = 0;
-    for (State s = 0; s < system.num_states(); ++s) n += system.out(s).size();
-    return n;
-  }();
+                                                FairnessKind kind,
+                                                Budget* budget) {
+  const FairProduct product = build_product(system, negated, budget);
+  const StreettAutomaton streett(product.structure);
+  const std::vector<std::uint32_t>& sys_edge_offset =
+      product.system_edge_offset;
 
   // Flatten the per-state edge info in StreettAutomaton's edge order.
   std::vector<EdgeInfo> flat_info;
@@ -101,57 +105,72 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
   }
   assert(flat_info.size() == streett.num_edges());
 
-  // Fairness pairs, lifted through the product (see fairness.hpp for the
-  // underlying encodings). For each *system* edge e with source s:
+  // The fairness pairs lifted through the product (see fairness.hpp for the
+  // encodings), one per *system* edge e with source s:
   //   strong:  E = product edges whose source projects to s,
   //            F = product edges projecting to e;
   //   weak:    E = all product edges,
   //            F = (product edges whose source projects to a state ≠ s)
-  //                ∪ (product edges projecting to e).
-  std::vector<DynBitset> by_source(system.num_states(), streett.edge_set());
-  std::vector<DynBitset> by_edge(num_sys_edges, streett.edge_set());
-  DynBitset all_edges = streett.edge_set();
-  for (EdgeId pe = 0; pe < streett.num_edges(); ++pe) {
-    const State src = streett.edge_source(pe);
-    by_source[product.system_state[src]].set(pe);
-    by_edge[flat_info[pe].system_edge].set(pe);
-    all_edges.set(pe);
-  }
-  {
-    std::size_t flat = 0;
-    for (State s = 0; s < system.num_states(); ++s) {
-      for (std::uint32_t i = 0; i < system.out(s).size(); ++i, ++flat) {
-        switch (kind) {
-          case FairnessKind::kStrongTransition:
-            streett.add_pair({by_source[s], by_edge[flat]});
-            break;
-          case FairnessKind::kWeakTransition: {
-            DynBitset goal = all_edges;
-            goal -= by_source[s];
-            goal |= by_edge[flat];
-            streett.add_pair({all_edges, std::move(goal)});
-            break;
-          }
-        }
+  //                ∪ (product edges projecting to e);
+  // plus the Büchi acceptance of ¬P as the pair (all edges, edges entering
+  // ¬P-accepting states). Stored as bitsets these pairs would take
+  // system edges × product edges bits, so the SCC search gets them as a
+  // refiner instead: inside an SCC, a pair is violated exactly when the
+  // SCC visits s ("touched") but never takes e ("starved").
+  std::vector<std::uint8_t> touched(system.num_states(), 0);
+  std::vector<std::uint8_t> taken(sys_edge_offset.back(), 0);
+  std::vector<State> touched_list;
+  std::vector<std::uint32_t> taken_list;
+  const auto refine = [&](const DynBitset& scc) {
+    bool accepting = false;
+    scc.for_each([&](std::size_t pe) {
+      const State s = product.system_state[streett.edge_source(
+          static_cast<EdgeId>(pe))];
+      if (!touched[s]) {
+        touched[s] = 1;
+        touched_list.push_back(s);
       }
-    }
-  }
+      const EdgeInfo& info = flat_info[pe];
+      if (!taken[info.system_edge]) {
+        taken[info.system_edge] = 1;
+        taken_list.push_back(info.system_edge);
+      }
+      accepting = accepting || info.neg_accepting_target;
+    });
+    const auto starved = [&](State s) {
+      for (std::uint32_t e = sys_edge_offset[s]; e < sys_edge_offset[s + 1];
+           ++e) {
+        if (!taken[e]) return true;
+      }
+      return false;
+    };
 
-  // Büchi acceptance of ¬P as a Streett pair: every infinite run triggers
-  // the antecedent (all edges), so the goal (edges entering ¬P-accepting
-  // states) must recur.
-  {
-    DynBitset all = streett.edge_set();
-    DynBitset acc = streett.edge_set();
-    for (EdgeId pe = 0; pe < streett.num_edges(); ++pe) {
-      all.set(pe);
-      if (flat_info[pe].neg_accepting_target) acc.set(pe);
+    DynBitset removed = streett.edge_set();
+    if (!accepting) {
+      removed = scc;
+    } else if (kind == FairnessKind::kStrongTransition) {
+      // Mark starved states 2, then drop every SCC edge leaving one.
+      for (const State s : touched_list) {
+        if (starved(s)) touched[s] = 2;
+      }
+      scc.for_each([&](std::size_t pe) {
+        const State s = product.system_state[streett.edge_source(
+            static_cast<EdgeId>(pe))];
+        if (touched[s] == 2) removed.set(pe);
+      });
+    } else if (touched_list.size() == 1 && starved(touched_list.front())) {
+      removed = scc;
     }
-    streett.add_pair({std::move(all), std::move(acc)});
-  }
+
+    for (const State s : touched_list) touched[s] = 0;
+    for (const std::uint32_t e : taken_list) taken[e] = 0;
+    touched_list.clear();
+    taken_list.clear();
+    return removed;
+  };
 
   FairCheckResult result;
-  auto lasso = find_fair_lasso(streett);
+  auto lasso = find_fair_lasso(streett, refine, budget);
   result.all_fair_runs_satisfy = !lasso.has_value();
   result.counterexample = std::move(lasso);
   return result;
@@ -159,16 +178,16 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
 
 FairCheckResult check_fair_satisfaction(const Buchi& system, Formula f,
                                         const Labeling& lambda,
-                                        FairnessKind kind) {
+                                        FairnessKind kind, Budget* budget) {
   return check_fair_satisfaction_negated(
-      system, translate_ltl_negated(f, lambda), kind);
+      system, translate_ltl_negated(f, lambda, budget), kind, budget);
 }
 
 FairCheckResult check_process_fair_satisfaction(
     const Buchi& system, Formula f, const Labeling& lambda,
     const std::vector<std::string>& process_prefixes) {
   const Buchi negated = translate_ltl_negated(f, lambda);
-  const FairProduct product = build_product(system, negated);
+  const FairProduct product = build_product(system, negated, nullptr);
   StreettAutomaton streett(product.structure);
 
   std::vector<EdgeInfo> flat_info;

@@ -16,6 +16,7 @@
 #include "rlv/ltl/ast.hpp"
 #include "rlv/omega/buchi.hpp"
 #include "rlv/omega/emptiness.hpp"
+#include "rlv/util/budget.hpp"
 
 namespace rlv {
 
@@ -28,15 +29,20 @@ struct FairCheckResult {
 
 /// Does every fair infinite run of `system` (a transition system:
 /// all-accepting Büchi automaton) satisfy f under λ? Fairness defaults to
-/// the strong transition notion Theorem 5.1 relies on.
+/// the strong transition notion Theorem 5.1 relies on. With a Budget the
+/// product is built under Stage::kProduct (one state charged per product
+/// state) and the Streett search runs under Stage::kEmptiness; a tripped
+/// budget throws ResourceExhausted.
 [[nodiscard]] FairCheckResult check_fair_satisfaction(
     const Buchi& system, Formula f, const Labeling& lambda,
-    FairnessKind kind = FairnessKind::kStrongTransition);
+    FairnessKind kind = FairnessKind::kStrongTransition,
+    Budget* budget = nullptr);
 
 /// Variant with the violating behavior given as a Büchi automaton for ¬P.
 [[nodiscard]] FairCheckResult check_fair_satisfaction_negated(
     const Buchi& system, const Buchi& negated_property,
-    FairnessKind kind = FairnessKind::kStrongTransition);
+    FairnessKind kind = FairnessKind::kStrongTransition,
+    Budget* budget = nullptr);
 
 /// Process-fairness flavor: does every strongly process-fair run satisfy f?
 /// Processes are given as action-name prefixes (see group_edges_by_prefix);

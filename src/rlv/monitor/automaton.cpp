@@ -8,7 +8,6 @@
 #include "rlv/lang/ops.hpp"
 #include "rlv/ltl/translate.hpp"
 #include "rlv/omega/live.hpp"
-#include "rlv/omega/product.hpp"
 
 namespace rlv::monitor {
 
@@ -40,11 +39,11 @@ MonitorAutomaton::MonitorAutomaton(const Buchi& system, Formula f,
 
 void MonitorAutomaton::build(const Buchi& system, const Buchi& property,
                              bool certify, Budget* budget) {
-  // The two pre-language DFAs of Lemma 4.3. prefix_nfa trims to reachable
-  // live states and makes everything accepting, so after determinization a
-  // word is in the language iff the (partial) DFA is still alive on it.
-  const Dfa sat = determinize(
-      prefix_nfa(intersect_buchi(system, property, budget)), budget);
+  // The two pre-language DFAs of Lemma 4.3. Both prefix NFAs hold reachable
+  // live states only, all accepting, so after determinization a word is in
+  // the language iff the (partial) DFA is still alive on it.
+  const Dfa sat =
+      determinize(prefix_of_intersection(system, property, budget), budget);
   const Dfa sys_pre = determinize(prefix_nfa(system), budget);
 
   stride_ = sigma_->size();

@@ -1,7 +1,10 @@
 #include "rlv/omega/live.hpp"
 
+#include <algorithm>
 #include <vector>
 
+#include "rlv/util/hash.hpp"
+#include "rlv/util/intern.hpp"
 #include "rlv/util/scc.hpp"
 
 namespace rlv {
@@ -78,6 +81,180 @@ Nfa prefix_nfa(const Buchi& a) {
     result.set_accepting(s, true);
   }
   return result;
+}
+
+Nfa prefix_of_intersection(const Buchi& a, const Buchi& b, Budget* budget) {
+  require_same_alphabet(a.alphabet(), b.alphabet(), "prefix_of_intersection");
+  a.structure().finalize();
+  b.structure().finalize();
+
+  // Pair i is (pairs[2i], pairs[2i+1]); its out-edges are
+  // edges[edge_off[i] .. edge_off[i+1]). Pairs are expanded in id order and
+  // each appends its successors as it goes, so the edges come out grouped
+  // by source without a sort.
+  std::vector<State> pairs;
+  std::vector<State> initial;
+  std::vector<std::uint32_t> edge_off;
+  std::vector<Transition> edges;
+  {
+    StageScope scope(budget, Stage::kProduct);
+    const auto hash_of = [](State p, State q) {
+      return hash_combine(hash_combine(0, p), q);
+    };
+    IdTable table;
+    const auto intern = [&](State p, State q) -> State {
+      const std::size_t h = hash_of(p, q);
+      const State found = table.find(h, [&](State id) {
+        return pairs[2 * std::size_t{id}] == p &&
+               pairs[2 * std::size_t{id} + 1] == q;
+      });
+      if (found != IdTable::kNoId) return found;
+      budget_charge(budget);
+      const auto id = static_cast<State>(pairs.size() / 2);
+      pairs.push_back(p);
+      pairs.push_back(q);
+      table.insert(h, id, [&](State x) {
+        return hash_of(pairs[2 * std::size_t{x}], pairs[2 * std::size_t{x} + 1]);
+      });
+      return id;
+    };
+
+    for (const State p : a.initial()) {
+      for (const State q : b.initial()) {
+        const State id = intern(p, q);
+        if (std::find(initial.begin(), initial.end(), id) == initial.end()) {
+          initial.push_back(id);
+        }
+      }
+    }
+    for (State s = 0; s < pairs.size() / 2; ++s) {
+      edge_off.push_back(static_cast<std::uint32_t>(edges.size()));
+      const State p = pairs[2 * std::size_t{s}];
+      const State q = pairs[2 * std::size_t{s} + 1];
+      // a's edges arrive grouped by symbol (CSR): join each group with b's
+      // block for the same symbol.
+      const std::span<const Transition> ea = a.out(p);
+      for (std::size_t i = 0; i < ea.size();) {
+        const Symbol sym = ea[i].symbol;
+        std::size_t end = i;
+        while (end < ea.size() && ea[end].symbol == sym) ++end;
+        const std::span<const Transition> eb = b.block(q, sym);
+        for (; i < end; ++i) {
+          for (const Transition& tb : eb) {
+            edges.push_back(Transition{sym, intern(ea[i].target, tb.target)});
+          }
+        }
+      }
+    }
+    edge_off.push_back(static_cast<std::uint32_t>(edges.size()));
+  }
+
+  const auto n = static_cast<State>(pairs.size() / 2);
+  std::vector<bool> live(n, false);
+  StageScope scope(budget, Stage::kPreTrim);
+  {
+    // Iterative Tarjan over the pair graph (deep products overflow a
+    // recursive one). comp[v] stays kUndef while v is open, so "on the
+    // Tarjan stack" is index[v] set and comp[v] unset.
+    constexpr std::uint32_t kUndef = 0xffffffffU;
+    std::vector<std::uint32_t> index(n, kUndef);
+    std::vector<std::uint32_t> low(n, 0);
+    std::vector<std::uint32_t> comp(n, kUndef);
+    std::vector<State> stack;
+    struct Frame {
+      State node;
+      std::uint32_t next_edge;
+    };
+    std::vector<Frame> call;
+    std::uint32_t next_index = 0;
+    std::uint32_t num_comps = 0;
+    const auto open = [&](State v) {
+      index[v] = low[v] = next_index++;
+      stack.push_back(v);
+      call.push_back({v, edge_off[v]});
+    };
+
+    for (State root = 0; root < n; ++root) {
+      if (index[root] != kUndef) continue;
+      open(root);
+      while (!call.empty()) {
+        Frame& frame = call.back();
+        const State v = frame.node;
+        if (frame.next_edge < edge_off[v + 1]) {
+          const State w = edges[frame.next_edge++].target;
+          if (index[w] == kUndef) {
+            open(w);
+          } else if (comp[w] == kUndef) {
+            low[v] = std::min(low[v], index[w]);
+          }
+          continue;
+        }
+        call.pop_back();
+        if (!call.empty()) {
+          const State parent = call.back().node;
+          low[parent] = std::min(low[parent], low[v]);
+        }
+        if (low[v] != index[v]) continue;
+
+        // v roots an SCC: its members sit on the stack above it. Every edge
+        // leaving it ends in an SCC closed earlier, whose liveness is final.
+        std::size_t first = stack.size();
+        do {
+          --first;
+          comp[stack[first]] = num_comps;
+        } while (stack[first] != v);
+        bool internal = false;
+        bool into_live = false;
+        bool meets_a = false;
+        bool meets_b = false;
+        for (std::size_t i = first; i < stack.size(); ++i) {
+          const State m = stack[i];
+          meets_a = meets_a || a.is_accepting(pairs[2 * std::size_t{m}]);
+          meets_b = meets_b || b.is_accepting(pairs[2 * std::size_t{m} + 1]);
+          for (std::uint32_t e = edge_off[m]; e < edge_off[m + 1]; ++e) {
+            const State w = edges[e].target;
+            if (comp[w] == num_comps) {
+              internal = true;
+            } else if (live[w]) {
+              into_live = true;
+            }
+          }
+        }
+        if (into_live || (internal && meets_a && meets_b)) {
+          for (std::size_t i = first; i < stack.size(); ++i) live[stack[i]] = true;
+        }
+        stack.resize(first);
+        ++num_comps;
+        budget_tick(budget);
+      }
+    }
+  }
+
+  Nfa result(a.alphabet());
+  std::vector<State> remap(n, kNoState);
+  for (State s = 0; s < n; ++s) {
+    if (live[s]) remap[s] = result.add_state(true);
+  }
+  for (const State s : initial) {
+    if (live[s]) result.set_initial(remap[s]);
+  }
+  for (State s = 0; s < n; ++s) {
+    if (!live[s]) continue;
+    for (std::uint32_t e = edge_off[s]; e < edge_off[s + 1]; ++e) {
+      const Transition& t = edges[e];
+      if (live[t.target]) {
+        result.add_transition(remap[s], t.symbol, remap[t.target]);
+      }
+    }
+  }
+  return result;
+}
+
+bool all_accepting(const Buchi& a) {
+  for (State s = 0; s < a.num_states(); ++s) {
+    if (!a.is_accepting(s)) return false;
+  }
+  return true;
 }
 
 bool omega_empty(const Buchi& a) {

@@ -23,49 +23,41 @@ StreettAutomaton::StreettAutomaton(Nfa structure)
 namespace {
 
 /// Recursive restriction search. `alive` is the current edge subset; returns
-/// the edge set of a fair SCC (every pair vacuous or fulfilled inside it),
-/// or nullopt.
+/// the edge set of a fair SCC (`refine` removes nothing from it), or nullopt.
 std::optional<DynBitset> fair_scc_edges(const StreettAutomaton& a,
-                                        const DynBitset& alive) {
+                                        const DynBitset& alive,
+                                        const SccRefiner& refine,
+                                        Budget* budget) {
   const std::size_t n = a.structure().num_states();
 
   // SCCs of the subgraph induced by `alive` edges.
   std::vector<std::vector<std::uint32_t>> succ(n);
   alive.for_each([&](std::size_t e) {
+    budget_tick(budget);
     succ[a.edge_source(static_cast<EdgeId>(e))].push_back(
         a.edge(static_cast<EdgeId>(e)).target);
   });
   const SccResult scc = tarjan_scc(succ);
 
-  // Group the alive edges by the SCC they are internal to.
-  std::vector<DynBitset> internal(scc.count, a.edge_set());
-  std::vector<bool> has_edges(scc.count, false);
+  // The alive edges internal to each SCC, as id lists: one bitset per SCC
+  // would cost components × edges bits.
+  std::vector<std::vector<EdgeId>> internal(scc.count);
   alive.for_each([&](std::size_t e) {
     const EdgeId id = static_cast<EdgeId>(e);
     const std::uint32_t cs = scc.component[a.edge_source(id)];
-    if (cs == scc.component[a.edge(id).target]) {
-      internal[cs].set(e);
-      has_edges[cs] = true;
-    }
+    if (cs == scc.component[a.edge(id).target]) internal[cs].push_back(id);
   });
 
   for (std::uint32_t c = 0; c < scc.count; ++c) {
-    if (!has_edges[c]) continue;  // trivial SCC
-    DynBitset edges = internal[c];
-    DynBitset removed = a.edge_set();
-    bool bad = false;
-    for (const StreettPair& pair : a.pairs()) {
-      if (pair.antecedent.intersects(edges) && !pair.goal.intersects(edges)) {
-        bad = true;
-        DynBitset doomed = pair.antecedent;
-        doomed &= edges;
-        removed |= doomed;
-      }
-    }
-    if (!bad) return edges;
+    if (internal[c].empty()) continue;  // trivial SCC
+    budget_tick(budget);
+    DynBitset edges = a.edge_set();
+    for (const EdgeId e : internal[c]) edges.set(e);
+    const DynBitset removed = refine(edges);
+    if (removed.none()) return edges;
     edges -= removed;
     if (edges.none()) continue;
-    if (auto sub = fair_scc_edges(a, edges)) return sub;
+    if (auto sub = fair_scc_edges(a, edges, refine, budget)) return sub;
   }
   return std::nullopt;
 }
@@ -150,11 +142,33 @@ Word path_within(const StreettAutomaton& a, const DynBitset& edges, State from,
 
 }  // namespace
 
-bool streett_nonempty(const StreettAutomaton& a) {
-  return find_fair_lasso(a).has_value();
+bool streett_nonempty(const StreettAutomaton& a, Budget* budget) {
+  return find_fair_lasso(a, budget).has_value();
 }
 
-std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a) {
+std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a,
+                                     Budget* budget) {
+  return find_fair_lasso(
+      a,
+      [&a](const DynBitset& edges) {
+        DynBitset removed = a.edge_set();
+        for (const StreettPair& pair : a.pairs()) {
+          if (pair.antecedent.intersects(edges) &&
+              !pair.goal.intersects(edges)) {
+            DynBitset doomed = pair.antecedent;
+            doomed &= edges;
+            removed |= doomed;
+          }
+        }
+        return removed;
+      },
+      budget);
+}
+
+std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a,
+                                     const SccRefiner& refine,
+                                     Budget* budget) {
+  StageScope scope(budget, Stage::kEmptiness);
   // Restrict to edges reachable from the initial states.
   const DynBitset reach = a.structure().reachable();
   DynBitset alive = a.edge_set();
@@ -162,7 +176,7 @@ std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a) {
     if (reach.test(a.edge_source(e))) alive.set(e);
   }
 
-  const auto fair = fair_scc_edges(a, alive);
+  const auto fair = fair_scc_edges(a, alive, refine, budget);
   if (!fair) return std::nullopt;
 
   const DynBitset scc_states = states_of_edges(a, *fair);

@@ -12,12 +12,14 @@
 // and the validation of Theorem 5.1.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "rlv/lang/nfa.hpp"
 #include "rlv/omega/emptiness.hpp"
+#include "rlv/util/budget.hpp"
 
 namespace rlv {
 
@@ -60,10 +62,29 @@ class StreettAutomaton {
 };
 
 /// True when some run from an initial state satisfies every Streett pair.
-[[nodiscard]] bool streett_nonempty(const StreettAutomaton& a);
+[[nodiscard]] bool streett_nonempty(const StreettAutomaton& a,
+                                    Budget* budget = nullptr);
 
 /// A witness lasso whose period traverses every edge of a fair SCC (hence
-/// satisfies every pair), when one exists.
-[[nodiscard]] std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a);
+/// satisfies every pair), when one exists. The SCC search runs under
+/// Stage::kEmptiness and ticks the optional Budget's deadline once per
+/// edge it indexes.
+[[nodiscard]] std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a,
+                                                   Budget* budget = nullptr);
+
+/// One refinement step of the SCC search: given the internal edges of a
+/// non-trivial SCC, returns the edges that no accepting run confined to
+/// those edges can take infinitely often — none when the SCC is accepting.
+/// For the pairs of a StreettAutomaton that is the union of E ∩ scc over
+/// the pairs (E, F) with E ∩ scc ≠ ∅ and F ∩ scc = ∅.
+using SccRefiner = std::function<DynBitset(const DynBitset& scc_edges)>;
+
+/// find_fair_lasso with the acceptance condition given as a refiner; the
+/// automaton's own pairs are ignored. For conditions with too many pairs to
+/// store as bitsets — one pair per system edge lifted through a product is
+/// quadratic in memory (see rlv/fair/fair_check.cpp).
+[[nodiscard]] std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a,
+                                                   const SccRefiner& refine,
+                                                   Budget* budget = nullptr);
 
 }  // namespace rlv

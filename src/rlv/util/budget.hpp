@@ -39,9 +39,9 @@ namespace rlv {
 /// standalone determinize() call).
 enum class Stage : std::uint8_t {
   kParse,       // system / formula / property-automaton parsing
-  kPreTrim,     // lim(L) construction and pre(L_ω) live-state trimming
+  kPreTrim,     // lim(L) construction and pre(L_ω) / pre(L_ω ∩ P) liveness
   kTranslate,   // LTL → Büchi (GPVW tableau + degeneralization)
-  kProduct,     // Büchi intersection (counter construction)
+  kProduct,     // Büchi intersection, pair products (rl/rs, fair checks)
   kInclusion,   // NFA inclusion (subset or antichain)
   kEmptiness,   // Büchi emptiness / lasso extraction
   kComplement,  // rank-based Büchi complementation

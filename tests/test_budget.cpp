@@ -7,15 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include "rlv/core/relative.hpp"
 #include "rlv/engine/engine.hpp"
+#include "rlv/fair/fair_check.hpp"
 #include "rlv/gen/random.hpp"
 #include "rlv/io/format.hpp"
 #include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/ltl/parser.hpp"
+#include "rlv/ltl/translate.hpp"
 #include "rlv/omega/complement.hpp"
 #include "rlv/omega/limit.hpp"
 #include "rlv/omega/product.hpp"
@@ -386,6 +389,100 @@ TEST(Budget, GenerousEngineBudgetMatchesUnbudgetedVerdicts) {
     EXPECT_EQ(expected[i].holds, actual[i].holds) << "query " << i;
     EXPECT_EQ(expected[i].violating_prefix, actual[i].violating_prefix)
         << "query " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fair checks: the product is charged under `product`, and the Streett search
+// ticks the deadline under `emptiness`.
+
+/// The `bits`-dimensional hypercube as system text: 2^bits states, action
+/// t<i> flips bit i. Strongly connected, so every fair check explores all of
+/// it.
+std::string hypercube_text(int bits) {
+  std::string text = "alphabet:";
+  for (int i = 0; i < bits; ++i) text += " t" + std::to_string(i);
+  text += "\nstates: " + std::to_string(1 << bits) +
+          "\ninitial: 0\naccepting: all\n";
+  for (int s = 0; s < (1 << bits); ++s) {
+    for (int i = 0; i < bits; ++i) {
+      text += std::to_string(s) + " t" + std::to_string(i) + " " +
+              std::to_string(s ^ (1 << i)) + "\n";
+    }
+  }
+  return text;
+}
+
+TEST(Budget, FairQueriesHonourTheStateCap) {
+  const std::string text = hypercube_text(12);
+  EngineOptions limited;
+  limited.max_states = 2'000;
+  Engine engine(limited);
+  for (const CheckKind kind : {CheckKind::kFairStrong, CheckKind::kFairWeak}) {
+    const Verdict v = engine.run_one({text, "G F t0", kind});
+    EXPECT_TRUE(v.resource_exhausted) << check_kind_name(kind);
+    EXPECT_EQ(v.exhausted_stage, "product") << check_kind_name(kind);
+  }
+}
+
+TEST(Budget, FairCheckHonoursTheDeadline) {
+  // Prepared outside the budget, so only the fair check's own stages run
+  // against the deadline. Unbudgeted, this check takes well over 100 ms in
+  // Release on a 4-core host.
+  const Nfa system_nfa = parse_system(hypercube_text(14));
+  const Buchi system = limit_of_prefix_closed(system_nfa);
+  const Labeling lambda = Labeling::canonical(system.alphabet());
+  const Buchi negated = translate_ltl_negated(parse_ltl("G F t0"), lambda);
+
+  Budget budget;
+  budget.set_deadline_in(std::chrono::milliseconds(20));
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)check_fair_satisfaction_negated(
+        system, negated, FairnessKind::kStrongTransition, &budget);
+    FAIL() << "expected ResourceExhausted";
+  } catch (const ResourceExhausted& e) {
+    EXPECT_EQ(e.kind(), ResourceExhausted::Kind::kDeadline);
+    EXPECT_TRUE(e.stage() == Stage::kProduct || e.stage() == Stage::kEmptiness)
+        << stage_name(e.stage());
+  }
+#ifdef NDEBUG
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
+#endif
+}
+
+TEST(Budget, FairVerdictsUnaffectedByGenerousBudget) {
+  Rng rng(77);
+  for (int i = 0; i < 40; ++i) {
+    const AlphabetRef sigma = random_alphabet(2);
+    const Nfa ts = random_transition_system(rng, 2 + rng.next_below(4), sigma);
+    const Buchi system = limit_of_prefix_closed(ts);
+    const Labeling lambda = Labeling::canonical(sigma);
+    const Formula f =
+        random_formula(rng, {sigma->name(0), sigma->name(1)}, 3);
+    for (const FairnessKind kind :
+         {FairnessKind::kStrongTransition, FairnessKind::kWeakTransition}) {
+      Budget generous;
+      generous.set_deadline_in(std::chrono::milliseconds(600'000));
+      generous.set_max_states(500'000'000);
+      const FairCheckResult plain =
+          check_fair_satisfaction(system, f, lambda, kind);
+      const FairCheckResult budgeted =
+          check_fair_satisfaction(system, f, lambda, kind, &generous);
+      EXPECT_EQ(plain.all_fair_runs_satisfy, budgeted.all_fair_runs_satisfy)
+          << f.to_string();
+      EXPECT_EQ(plain.counterexample.has_value(),
+                budgeted.counterexample.has_value());
+      if (plain.counterexample && budgeted.counterexample) {
+        EXPECT_EQ(plain.counterexample->prefix,
+                  budgeted.counterexample->prefix);
+        EXPECT_EQ(plain.counterexample->period,
+                  budgeted.counterexample->period);
+      }
+      EXPECT_GT(generous.profile()[Stage::kProduct].states_built, 0u);
+      EXPECT_EQ(generous.profile()[Stage::kEmptiness].calls, 1u);
+    }
   }
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
+#include "rlv/gen/random.hpp"
 #include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/omega/buchi.hpp"
@@ -502,6 +504,111 @@ TEST_P(RandomBuchiProperty, LimitConstructionsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomBuchiProperty,
                          ::testing::Range<std::uint64_t>(0, 25));
+
+// ---------------------------------------------------------------------------
+// prefix_of_intersection: pre(L_ω(a) ∩ L_ω(b)) from the pair product.
+
+/// Every state of `out` accepting, and nothing for trim_omega to remove.
+void expect_trim_and_live(const Nfa& out) {
+  for (State s = 0; s < out.num_states(); ++s) {
+    EXPECT_TRUE(out.is_accepting(s)) << "state " << s;
+  }
+  EXPECT_EQ(trim_omega(Buchi::from_structure(out)).num_states(),
+            out.num_states());
+}
+
+TEST(PrefixOfIntersection, MatchesDegeneralizedChainOnRandomPairs) {
+  Rng rng(2024);
+  std::size_t neither_all_accepting = 0;
+  std::size_t several_initial = 0;
+  std::size_t empty_intersection = 0;
+  std::size_t self_loop_singletons = 0;
+  for (int i = 0; i < 600; ++i) {
+    const AlphabetRef sigma = random_alphabet(2 + rng.next_below(2));
+    Buchi a = random_buchi(rng, 1 + rng.next_below(5), sigma);
+    Buchi b = random_buchi(rng, 1 + rng.next_below(5), sigma);
+    if (rng.chance(1, 3)) {
+      a.set_initial(static_cast<State>(rng.next_below(a.num_states())));
+      b.set_initial(static_cast<State>(rng.next_below(b.num_states())));
+    }
+    const Nfa out = prefix_of_intersection(a, b);
+    const Nfa reference = prefix_nfa(intersect_buchi(a, b));
+    ASSERT_TRUE(nfa_equivalent(out, reference))
+        << "instance " << i << "\n" << a.to_string() << b.to_string();
+    expect_trim_and_live(out);
+
+    if (!all_accepting(a) && !all_accepting(b)) ++neither_all_accepting;
+    if (a.initial().size() > 1 && b.initial().size() > 1) ++several_initial;
+    if (out.initial().empty()) ++empty_intersection;
+    for (State s = 0; s < out.num_states(); ++s) {
+      for (const Transition& t : out.out(s)) {
+        if (t.target == s) ++self_loop_singletons;
+      }
+    }
+  }
+  // The draw covers the shapes the kernel special-cases.
+  EXPECT_GT(neither_all_accepting, 100u);
+  EXPECT_GT(several_initial, 50u);
+  EXPECT_GT(empty_intersection, 50u);
+  EXPECT_GT(self_loop_singletons, 50u);
+}
+
+TEST(PrefixOfIntersection, SccMeetingOneAcceptanceSetIsDead) {
+  // a: one accepting state looping on a and b (L_ω(a) = Σ^ω).
+  Buchi a(ab());
+  a.add_state(true);
+  a.add_transition(0, A(), 0);
+  a.add_transition(0, B(), 0);
+  a.set_initial(0);
+  // b: two initial states, a non-accepting a-loop and an accepting b-loop.
+  Buchi b(ab());
+  b.add_state(false);
+  b.add_state(true);
+  b.add_transition(0, A(), 0);
+  b.add_transition(1, B(), 1);
+  b.set_initial(0);
+  b.set_initial(1);
+  // The pair (0, 0) is a self-loop SCC meeting a's acceptance set only: it
+  // must be dead. (0, 1) is live, so pre(L_ω(a) ∩ L_ω(b)) = b*.
+  const Nfa out = prefix_of_intersection(a, b);
+  ASSERT_EQ(out.num_states(), 1u);
+  expect_trim_and_live(out);
+  EXPECT_TRUE(out.accepts({}));
+  EXPECT_TRUE(out.accepts({B(), B()}));
+  EXPECT_FALSE(out.accepts({A()}));
+  EXPECT_TRUE(nfa_equivalent(out, prefix_nfa(intersect_buchi(a, b))));
+}
+
+TEST(PrefixOfIntersection, BudgetTripsInProductAndGenerousBudgetIsInert) {
+  Rng rng(7);
+  const AlphabetRef sigma = random_alphabet(2);
+  Buchi a = random_buchi(rng, 6, sigma);
+  Buchi b = random_buchi(rng, 6, sigma);
+  for (State s = 0; s < 6; ++s) {
+    for (Symbol c = 0; c < 2; ++c) {
+      a.add_transition(s, c, (s + 1) % 6);
+      b.add_transition(s, c, (s + c + 1) % 6);
+    }
+  }
+  const Nfa unbudgeted = prefix_of_intersection(a, b);
+
+  Budget tight;
+  tight.set_max_states(2);
+  try {
+    (void)prefix_of_intersection(a, b, &tight);
+    FAIL() << "expected ResourceExhausted";
+  } catch (const ResourceExhausted& e) {
+    EXPECT_EQ(e.stage(), Stage::kProduct);
+  }
+
+  Budget generous;
+  generous.set_max_states(1'000'000);
+  generous.set_deadline_in(std::chrono::milliseconds(600'000));
+  const Nfa budgeted = prefix_of_intersection(a, b, &generous);
+  EXPECT_EQ(budgeted.to_string(), unbudgeted.to_string());
+  EXPECT_GT(generous.profile()[Stage::kProduct].states_built, 2u);
+  EXPECT_EQ(generous.profile()[Stage::kPreTrim].calls, 1u);
+}
 
 }  // namespace
 }  // namespace rlv

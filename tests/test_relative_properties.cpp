@@ -5,11 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "rlv/cert/certificate.hpp"
+
 #include "rlv/core/machine_closure.hpp"
 #include "rlv/core/relative.hpp"
 #include "rlv/core/topology.hpp"
+#include "rlv/engine/engine.hpp"
 #include "rlv/gen/families.hpp"
 #include "rlv/gen/random.hpp"
+#include "rlv/io/format.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/lang/quotient.hpp"
 #include "rlv/ltl/eval.hpp"
@@ -18,6 +25,7 @@
 #include "rlv/omega/live.hpp"
 #include "rlv/omega/lasso.hpp"
 #include "rlv/omega/limit.hpp"
+#include "rlv/omega/emptiness.hpp"
 #include "rlv/omega/product.hpp"
 #include "rlv/util/rng.hpp"
 
@@ -262,6 +270,121 @@ TEST_P(RelativeProperty, DefinitionProbeNeverContradictsChecker) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RelativeProperty,
                          ::testing::Range<std::uint64_t>(0, 30));
+
+// ---------------------------------------------------------------------------
+// The Lemma 4.4 operand rule: an all-accepting system is limit-closed, so
+// lim(pre(L_ω ∩ P)) ⊆ L_ω and the search drops the L_ω operand; any other
+// system keeps it.
+
+TEST(RelativeSafetyOperands, TwoOperandSearchMatchesThreeOperandReference) {
+  Rng rng(4404);
+  std::size_t violations = 0;
+  for (int i = 0; i < 320; ++i) {
+    const AlphabetRef sigma = random_alphabet(2 + rng.next_below(2));
+    const Nfa ts = random_transition_system(rng, 2 + rng.next_below(5), sigma);
+    const Buchi system = limit_of_prefix_closed(ts);
+    ASSERT_TRUE(all_accepting(system));
+    const Labeling lambda = Labeling::canonical(sigma);
+    std::vector<std::string> atoms;
+    for (Symbol c = 0; c < sigma->size(); ++c) atoms.push_back(sigma->name(c));
+    const Formula f = random_formula(rng, atoms, 3);
+    const Buchi property = translate_ltl(f, lambda);
+    const Buchi negated = translate_ltl_negated(f, lambda);
+    const Buchi closure =
+        Buchi::from_structure(prefix_of_intersection(system, property));
+
+    const auto two = find_accepting_lasso_product({&closure, &negated});
+    const auto three =
+        find_accepting_lasso_product({&system, &closure, &negated});
+    ASSERT_EQ(two.has_value(), three.has_value()) << f.to_string();
+    const RelativeSafetyResult rs = relative_safety(system, f, lambda);
+    EXPECT_EQ(rs.holds, !three.has_value()) << f.to_string();
+    if (two) {
+      ++violations;
+      const cert::Validation v =
+          cert::check_safety_lasso(*two, system, property, f, lambda);
+      EXPECT_TRUE(v.valid) << f.to_string() << ": " << v.reason;
+    }
+  }
+  EXPECT_GT(violations, 10u);
+}
+
+TEST(RelativeSafetyOperands, NonLimitClosedSystemKeepsLOmegaOperand) {
+  // L_ω = G F a over {a, b}: not limit-closed (a*b^ω has every prefix in
+  // pre(L_ω) but is not in L_ω). With P = G F a, L_ω ⊆ P, so by Thm 4.7
+  // P is a relative safety property of L_ω.
+  const AlphabetRef sigma = Alphabet::make({"a", "b"});
+  const Symbol a = sigma->id("a");
+  const Symbol b = sigma->id("b");
+  Buchi system(sigma);
+  system.add_state(false);
+  system.add_state(true);
+  system.add_transition(0, b, 0);
+  system.add_transition(0, a, 1);
+  system.add_transition(1, a, 1);
+  system.add_transition(1, b, 0);
+  system.set_initial(0);
+  ASSERT_FALSE(all_accepting(system));
+
+  const Labeling lambda = Labeling::canonical(sigma);
+  const Formula f = parse_ltl("G F a");
+  const Buchi property = translate_ltl(f, lambda);
+  const Buchi negated = translate_ltl_negated(f, lambda);
+  EXPECT_TRUE(satisfies(system, f, lambda).holds);
+  EXPECT_TRUE(relative_safety(system, f, lambda).holds);
+  EXPECT_TRUE(relative_safety(system, property).holds);
+
+  // A search that dropped L_ω would report a lasso of the form a*b^ω.
+  const Buchi closure =
+      Buchi::from_structure(prefix_of_intersection(system, property));
+  const auto wrong = find_accepting_lasso_product({&closure, &negated});
+  ASSERT_TRUE(wrong.has_value());
+  EXPECT_EQ(wrong->period, Word(wrong->period.size(), b));
+}
+
+TEST(RelativeSafetyOperands, EngineMatchesLibraryWithCertifiedWitnesses) {
+  Rng rng(515);
+  Engine engine(EngineOptions{.certify_verdicts = true});
+  std::size_t negatives = 0;
+  for (int i = 0; i < 80; ++i) {
+    const AlphabetRef sigma = random_alphabet(2);
+    const Nfa ts = random_transition_system(rng, 2 + rng.next_below(4), sigma);
+    const Buchi system = limit_of_prefix_closed(ts);
+    const Labeling lambda = Labeling::canonical(sigma);
+    const Formula f = random_formula(rng, {sigma->name(0), sigma->name(1)}, 3);
+    const std::string text = serialize_system(ts);
+
+    const Verdict rl = engine.run_one(
+        {text, f.to_string(), CheckKind::kRelativeLiveness});
+    const Verdict rs =
+        engine.run_one({text, f.to_string(), CheckKind::kRelativeSafety});
+    ASSERT_TRUE(rl.ok()) << f.to_string() << ": " << rl.error;
+    ASSERT_TRUE(rs.ok()) << f.to_string() << ": " << rs.error;
+
+    const RelativeLivenessResult lib_rl = relative_liveness(system, f, lambda);
+    const RelativeSafetyResult lib_rs = relative_safety(system, f, lambda);
+    EXPECT_EQ(rl.holds, lib_rl.holds) << f.to_string();
+    EXPECT_EQ(rs.holds, lib_rs.holds) << f.to_string();
+    EXPECT_TRUE(cert::validate(lib_rl, system, f, lambda).valid);
+    EXPECT_TRUE(cert::validate(lib_rs, system, f, lambda).valid);
+    const Buchi property = translate_ltl(f, lambda);
+    if (!rl.holds) {
+      ++negatives;
+      ASSERT_TRUE(rl.violating_prefix.has_value());
+      EXPECT_TRUE(
+          cert::check_doomed_prefix(*rl.violating_prefix, system, property)
+              .valid);
+    }
+    if (!rs.holds) {
+      ++negatives;
+      ASSERT_TRUE(rs.counterexample.has_value());
+      EXPECT_TRUE(cert::check_safety_lasso(*rs.counterexample, system,
+                                           property, f, lambda)
+                      .valid);
+    }
+  }
+  EXPECT_GT(negatives, 10u);
+}
 
 }  // namespace
 }  // namespace rlv

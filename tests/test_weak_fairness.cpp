@@ -5,11 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "rlv/fair/fair_check.hpp"
 #include "rlv/fair/fairness.hpp"
 #include "rlv/gen/families.hpp"
 #include "rlv/gen/random.hpp"
 #include "rlv/ltl/parser.hpp"
+#include "rlv/ltl/translate.hpp"
 #include "rlv/omega/lasso.hpp"
 #include "rlv/omega/limit.hpp"
 #include "rlv/util/rng.hpp"
@@ -182,6 +189,129 @@ TEST(ProcessFairness, GroupingByPrefix) {
   EXPECT_EQ(groups[0].count(), 1u);
   EXPECT_EQ(groups[1].count(), 1u);
   EXPECT_TRUE(groups[2].none());
+}
+
+// ---------------------------------------------------------------------------
+// check_fair_satisfaction_negated hands the Streett search its fairness
+// pairs as a refiner. Reference: the same product with every pair stored
+// explicitly, one per system edge, searched by the pair-based
+// find_fair_lasso.
+
+bool explicit_pairs_find_fair_violation(const Buchi& system,
+                                        const Buchi& negated,
+                                        FairnessKind kind) {
+  // Reachable product of the system with ¬P, keeping for each product edge
+  // the system edge it projects to.
+  Nfa product(system.alphabet());
+  std::vector<std::pair<State, State>> pairs;
+  std::vector<std::vector<std::pair<Transition, std::uint32_t>>> edges_of;
+  std::map<std::pair<State, State>, State> ids;
+  const auto intern = [&](State p, State q) {
+    const auto [it, fresh] = ids.emplace(std::make_pair(p, q), 0);
+    if (fresh) {
+      it->second = product.add_state(true);
+      pairs.emplace_back(p, q);
+      edges_of.emplace_back();
+    }
+    return it->second;
+  };
+  std::vector<std::uint32_t> sys_offset(system.num_states() + 1, 0);
+  for (State s = 0; s < system.num_states(); ++s) {
+    sys_offset[s + 1] =
+        sys_offset[s] + static_cast<std::uint32_t>(system.out(s).size());
+  }
+  for (const State p : system.initial()) {
+    for (const State q : negated.initial()) product.set_initial(intern(p, q));
+  }
+  for (State id = 0; id < pairs.size(); ++id) {
+    const auto [p, q] = pairs[id];
+    for (std::uint32_t i = 0; i < system.out(p).size(); ++i) {
+      const Transition ts = system.out(p)[i];
+      for (const Transition& tn : negated.out(q)) {
+        if (tn.symbol != ts.symbol) continue;
+        const State to = intern(ts.target, tn.target);
+        product.add_transition(id, ts.symbol, to);
+        edges_of[id].push_back({Transition{ts.symbol, to}, sys_offset[p] + i});
+      }
+    }
+  }
+  // Flat edge ids follow Nfa::out, which groups a state's edges by symbol
+  // and keeps insertion order within a symbol.
+  std::vector<std::uint32_t> flat_sys_edge;
+  std::vector<bool> neg_accepting;
+  for (auto& edges : edges_of) {
+    std::stable_sort(edges.begin(), edges.end(),
+                     [](const auto& x, const auto& y) {
+                       return x.first.symbol < y.first.symbol;
+                     });
+    for (const auto& [t, e] : edges) {
+      flat_sys_edge.push_back(e);
+      neg_accepting.push_back(negated.is_accepting(pairs[t.target].second));
+    }
+  }
+
+  StreettAutomaton streett(product);
+  const std::size_t m = streett.num_edges();
+  for (State s = 0; s < system.num_states(); ++s) {
+    for (std::uint32_t e = sys_offset[s]; e < sys_offset[s + 1]; ++e) {
+      StreettPair pair{streett.edge_set(), streett.edge_set()};
+      for (EdgeId pe = 0; pe < m; ++pe) {
+        const bool from_s = pairs[streett.edge_source(pe)].first == s;
+        const bool is_e = flat_sys_edge[pe] == e;
+        if (kind == FairnessKind::kStrongTransition) {
+          if (from_s) pair.antecedent.set(pe);
+          if (is_e) pair.goal.set(pe);
+        } else {
+          pair.antecedent.set(pe);
+          if (!from_s || is_e) pair.goal.set(pe);
+        }
+      }
+      streett.add_pair(std::move(pair));
+    }
+  }
+  StreettPair buchi{streett.edge_set(), streett.edge_set()};
+  for (EdgeId pe = 0; pe < m; ++pe) {
+    buchi.antecedent.set(pe);
+    if (neg_accepting[pe]) buchi.goal.set(pe);
+  }
+  streett.add_pair(std::move(buchi));
+  return find_fair_lasso(streett).has_value();
+}
+
+TEST(FairCheck, RefinerMatchesExplicitPairs) {
+  Rng rng(9001);
+  std::size_t violated[2] = {0, 0};
+  for (int i = 0; i < 300; ++i) {
+    const AlphabetRef sigma = random_alphabet(2 + rng.next_below(2));
+    const Nfa ts = random_transition_system(rng, 2 + rng.next_below(4), sigma);
+    const Buchi system = limit_of_prefix_closed(ts);
+    const Labeling lambda = Labeling::canonical(sigma);
+    std::vector<std::string> atoms;
+    for (Symbol c = 0; c < sigma->size(); ++c) atoms.push_back(sigma->name(c));
+    const Formula f = random_formula(rng, atoms, 3);
+    const Buchi negated = translate_ltl_negated(f, lambda);
+    for (const FairnessKind kind :
+         {FairnessKind::kStrongTransition, FairnessKind::kWeakTransition}) {
+      const FairCheckResult res =
+          check_fair_satisfaction_negated(system, negated, kind);
+      const bool reference =
+          explicit_pairs_find_fair_violation(system, negated, kind);
+      ASSERT_EQ(!res.all_fair_runs_satisfy, reference)
+          << f.to_string() << (kind == FairnessKind::kWeakTransition
+                                   ? " (weak)"
+                                   : " (strong)");
+      if (reference) {
+        ++violated[kind == FairnessKind::kWeakTransition];
+        ASSERT_TRUE(res.counterexample.has_value());
+        EXPECT_TRUE(accepts_lasso(system, res.counterexample->prefix,
+                                  res.counterexample->period));
+        EXPECT_TRUE(accepts_lasso(negated, res.counterexample->prefix,
+                                  res.counterexample->period));
+      }
+    }
+  }
+  EXPECT_GT(violated[0], 20u);
+  EXPECT_GT(violated[1], violated[0]);
 }
 
 }  // namespace

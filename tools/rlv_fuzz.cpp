@@ -1,7 +1,10 @@
 // rlv_fuzz — differential fuzz harness for the decision kernels.
 //
 // Drives rlv::gen random transition systems and PLTL formulas through every
-// kernel configuration and cross-checks:
+// kernel configuration and cross-checks the following. Every fourth instance
+// also draws a random Büchi system with non-accepting states (not
+// limit-closed, so the Lemma 4.4 search keeps L_ω as an operand) and runs the
+// same checks on it.
 //
 //   * kernel vs oracle   — relative liveness / relative safety /
 //                          satisfaction against the brute-force
@@ -72,6 +75,71 @@ void print_repro(const Repro& r, const std::string& what) {
                what.c_str());
   std::fprintf(stderr, "formula: %s\nsystem:\n%s", r.formula.c_str(),
                serialize_system(*r.system).c_str());
+}
+
+/// The non-limit-closed leg: a random Büchi system with at least one
+/// non-accepting state, checked like a transition-system instance (both
+/// inclusion algorithms, rl/rs/sat against the oracle, Thm 4.7,
+/// certificates). Returns false after printing a repro on a mismatch.
+bool check_general_system(Rng& rng, std::uint64_t seed, std::size_t instance,
+                          std::size_t max_states, std::size_t max_alphabet,
+                          std::size_t max_depth, std::size_t& certificates) {
+  const AlphabetRef sigma =
+      random_alphabet(2 + rng.next_below(max_alphabet - 1));
+  Buchi system = random_buchi(rng, 2 + rng.next_below(max_states - 1), sigma);
+  system.set_accepting(static_cast<State>(rng.next_below(system.num_states())),
+                       false);
+  std::vector<std::string> atoms;
+  for (Symbol s = 0; s < sigma->size(); ++s) atoms.push_back(sigma->name(s));
+  const Formula formula = random_formula(rng, atoms, max_depth);
+  const Labeling lambda = Labeling::canonical(sigma);
+
+  const auto bail = [&](const std::string& what) {
+    std::fprintf(stderr,
+                 "rlv_fuzz: MISMATCH at instance %zu (seed %llu), "
+                 "non-limit-closed system: %s\nformula: %s\nsystem:\n%s",
+                 instance, static_cast<unsigned long long>(seed),
+                 what.c_str(), formula.to_string().c_str(),
+                 serialize_buchi(system).c_str());
+    return false;
+  };
+
+  try {
+    const RelativeLivenessResult rl_anti = relative_liveness(
+        system, formula, lambda, InclusionAlgorithm::kAntichain);
+    const RelativeLivenessResult rl_subset = relative_liveness(
+        system, formula, lambda, InclusionAlgorithm::kSubset);
+    const RelativeSafetyResult rs = relative_safety(system, formula, lambda);
+    const SatisfactionResult sat = satisfies(system, formula, lambda);
+
+    if (rl_anti.holds != rl_subset.holds) {
+      return bail("rl: antichain and subset disagree");
+    }
+    if (rl_anti.holds !=
+        cert::oracle_relative_liveness(system, formula, lambda)) {
+      return bail("rl: kernel vs oracle");
+    }
+    if (rs.holds != cert::oracle_relative_safety(system, formula, lambda)) {
+      return bail("rs: kernel vs oracle");
+    }
+    if (sat.holds != cert::oracle_satisfies(system, formula, lambda)) {
+      return bail("sat: kernel vs oracle");
+    }
+    if (sat.holds != (rl_anti.holds && rs.holds)) {
+      return bail("Thm 4.7 identity violated: sat != (rl && rs)");
+    }
+    for (const cert::Validation& v :
+         {cert::validate(rl_anti, system, formula, lambda),
+          cert::validate(rl_subset, system, formula, lambda),
+          cert::validate(rs, system, formula, lambda),
+          cert::validate(sat, system, formula, lambda)}) {
+      if (v.checked) ++certificates;
+      if (!v.valid) return bail("certificate: " + v.reason);
+    }
+  } catch (const std::exception& e) {
+    return bail(std::string("exception: ") + e.what());
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -385,8 +453,12 @@ int main(int argc, char** argv) {
   if (petri) return run_petri_fuzz(seed, instances, verbose);
 
   Rng rng(seed);
+  // The non-limit-closed leg draws from its own stream, so the
+  // transition-system instances of a seed do not depend on it.
+  Rng general_rng(seed ^ 0x9e3779b97f4a7c15ULL);
   std::size_t certificates = 0;
   std::size_t negatives = 0;
+  std::size_t general = 0;
 
   for (std::size_t instance = 0; instance < instances; ++instance) {
     const std::size_t sigma_size = 2 + rng.next_below(max_alphabet - 1);
@@ -467,6 +539,14 @@ int main(int argc, char** argv) {
       return bail(std::string("exception: ") + e.what());
     }
 
+    if (instance % 4 == 0) {
+      if (!check_general_system(general_rng, seed, instance, max_states,
+                                max_alphabet, max_depth, certificates)) {
+        return 1;
+      }
+      ++general;
+    }
+
     if (verbose) {
       std::printf("instance %zu ok (%zu states, |Sigma|=%zu)\n", instance,
                   states, sigma_size);
@@ -474,9 +554,10 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "rlv_fuzz: %zu instances ok (seed %llu): %zu sat violations, "
-      "%zu certificates validated, 0 mismatches\n",
-      instances, static_cast<unsigned long long>(seed), negatives,
+      "rlv_fuzz: %zu instances ok (seed %llu, %zu with a non-limit-closed "
+      "system): %zu sat violations, %zu certificates validated, "
+      "0 mismatches\n",
+      instances, static_cast<unsigned long long>(seed), general, negatives,
       certificates);
   return 0;
 }
