@@ -82,10 +82,12 @@ struct GenBuchi {
   std::vector<DynBitset> sets;   // each sized to structure.num_states()
 };
 
-/// Degeneralization: counter construction producing an equivalent Büchi
-/// automaton with |Q| * (k+1) states for k acceptance sets (k >= 1), or a
-/// direct all-accepting copy for k = 0. Each constructed state is charged
-/// to `budget` under the caller's current stage.
-[[nodiscard]] Buchi degeneralize(const GenBuchi& gba, Budget* budget = nullptr);
+/// Degeneralization: the counter construction, building only the
+/// (state, level) pairs reachable from the initial states — at most
+/// |Q| * (k+1) for k acceptance sets. With k = 0 every state becomes
+/// accepting and with k = 1 the one set becomes the acceptance set; both
+/// return the structure unchanged. Each constructed pair is charged to
+/// `budget` under the caller's current stage.
+[[nodiscard]] Buchi degeneralize(GenBuchi gba, Budget* budget = nullptr);
 
 }  // namespace rlv

@@ -151,6 +151,80 @@ TEST(Degeneralize, ZeroSetsAcceptsAllRuns) {
   EXPECT_FALSE(accepts_lasso(buchi, {}, {B()}));  // no run at all
 }
 
+/// Reachable states of the full counter construction — all |Q| * (k+1)
+/// (state, level) copies, reachable or not, were once materialized.
+std::size_t full_counter_reachable(const GenBuchi& gba) {
+  const std::size_t n = gba.structure.num_states();
+  const std::size_t k = gba.sets.size();
+  const auto advance = [&](State s, std::size_t level) {
+    while (level < k && gba.sets[level].test(s)) ++level;
+    return level;
+  };
+  std::vector<bool> seen(n * (k + 1), false);
+  std::vector<std::pair<State, std::size_t>> queue;
+  const auto visit = [&](State s, std::size_t level) {
+    if (seen[level * n + s]) return;
+    seen[level * n + s] = true;
+    queue.emplace_back(s, level);
+  };
+  for (const State s : gba.structure.initial()) visit(s, advance(s, 0));
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const auto [s, level] = queue[i];
+    for (const auto& t : gba.structure.out(s)) {
+      visit(t.target, advance(t.target, level == k ? 0 : level));
+    }
+  }
+  return queue.size();
+}
+
+TEST(Degeneralize, BuildsOnlyReachablePairs) {
+  Rng rng(20261017);
+  for (int round = 0; round < 500; ++round) {
+    const std::size_t n = 1 + rng.next_below(6);
+    GenBuchi gba(ab());
+    for (std::size_t i = 0; i < n; ++i) gba.structure.add_state();
+    for (State s = 0; s < n; ++s) {
+      for (Symbol c = 0; c < 2; ++c) {
+        const std::uint64_t fanout = rng.next_below(3);
+        for (std::uint64_t f = 0; f < fanout; ++f) {
+          gba.structure.add_transition_unique(
+              s, c, static_cast<State>(rng.next_below(n)));
+        }
+      }
+    }
+    gba.structure.set_initial(static_cast<State>(rng.next_below(n)));
+    const std::size_t k = rng.next_below(4);
+    for (std::size_t i = 0; i < k; ++i) {
+      DynBitset set(n);
+      for (State s = 0; s < n; ++s) {
+        if (rng.chance(1, 2)) set.set(s);
+      }
+      gba.sets.push_back(std::move(set));
+    }
+
+    const Buchi buchi = degeneralize(gba);
+    const std::size_t reachable = buchi.structure().reachable().count();
+    EXPECT_LE(reachable, full_counter_reachable(gba)) << "round " << round;
+    if (k <= 1) {
+      // The structure itself, with the one set (or every state) accepting.
+      ASSERT_EQ(buchi.num_states(), n);
+      EXPECT_EQ(buchi.num_transitions(), gba.structure.num_transitions());
+      for (State s = 0; s < n; ++s) {
+        EXPECT_EQ(buchi.is_accepting(s), k == 0 || gba.sets[0].test(s));
+      }
+    } else {
+      EXPECT_EQ(buchi.num_states(), reachable) << "round " << round;
+    }
+    for (int i = 0; i < 10; ++i) {
+      const Word u = random_word(rng, 0, 3);
+      const Word v = random_word(rng, 1, 4);
+      EXPECT_EQ(accepts_lasso_gen(gba, u, v), accepts_lasso(buchi, u, v))
+          << "round " << round << " u=" << ab()->format(u)
+          << " v=" << ab()->format(v) << " sets=" << k;
+    }
+  }
+}
+
 TEST(Product, InfAAndInfB) {
   const Buchi both = intersect_buchi(inf_a(), inf_b());
   EXPECT_TRUE(accepts_lasso(both, {}, {A(), B()}));

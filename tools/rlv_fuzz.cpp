@@ -13,7 +13,11 @@
 //   * Thm 4.7 identity   — satisfies ⟺ relative liveness ∧ relative safety;
 //   * certificates       — every negative verdict's witness is re-checked
 //                          with the independent validator
-//                          (rlv/cert/certificate.hpp).
+//                          (rlv/cert/certificate.hpp);
+//   * translation        — the automata for f and ¬f against eval_ltl on
+//                          random lassos. The oracle builds its automata
+//                          with the same translator as the kernels, so only
+//                          this leg can catch a translation bug.
 //
 // Any mismatch prints a self-contained repro (seed, instance number, system
 // text, formula) and exits 1. Deterministic for a fixed seed.
@@ -43,7 +47,10 @@
 #include "rlv/hom/image.hpp"
 #include "rlv/hom/simplicity.hpp"
 #include "rlv/io/format.hpp"
+#include "rlv/ltl/eval.hpp"
 #include "rlv/ltl/pnf.hpp"
+#include "rlv/ltl/translate.hpp"
+#include "rlv/omega/lasso.hpp"
 #include "rlv/omega/limit.hpp"
 #include "rlv/petri/format.hpp"
 #include "rlv/petri/reachability.hpp"
@@ -75,6 +82,31 @@ void print_repro(const Repro& r, const std::string& what) {
                what.c_str());
   std::fprintf(stderr, "formula: %s\nsystem:\n%s", r.formula.c_str(),
                serialize_system(*r.system).c_str());
+}
+
+/// The translation leg: membership of random lassos in translate_ltl(f) and
+/// translate_ltl_negated(f) against eval_ltl, which does not translate.
+/// Returns a description of the first disagreement, or an empty string;
+/// counts the lassos checked.
+std::string check_translation(Rng& rng, Formula f, const Labeling& lambda,
+                              std::size_t& lassos) {
+  const Buchi positive = translate_ltl(f, lambda);
+  const Buchi negated = translate_ltl_negated(f, lambda);
+  const AlphabetRef& sigma = lambda.alphabet();
+  for (int i = 0; i < 8; ++i) {
+    const auto [u, v] = random_lasso(rng, sigma, 4, 4);
+    const bool holds = eval_ltl(f, u, v, lambda);
+    const char* wrong = accepts_lasso(positive, u, v) != holds ? "f"
+                        : accepts_lasso(negated, u, v) == holds ? "!f"
+                                                                : nullptr;
+    if (wrong) {
+      return std::string("translation of ") + wrong + " vs eval_ltl on u=" +
+             sigma->format(u) + " v=" + sigma->format(v) + " (eval: " +
+             (holds ? "f holds" : "f fails") + ")";
+    }
+    ++lassos;
+  }
+  return {};
 }
 
 /// The non-limit-closed leg: a random Büchi system with at least one
@@ -456,7 +488,9 @@ int main(int argc, char** argv) {
   // The non-limit-closed leg draws from its own stream, so the
   // transition-system instances of a seed do not depend on it.
   Rng general_rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  Rng lasso_rng(seed ^ 0xc2b2ae3d27d4eb4fULL);  // the translation leg's
   std::size_t certificates = 0;
+  std::size_t lassos = 0;
   std::size_t negatives = 0;
   std::size_t general = 0;
 
@@ -535,6 +569,10 @@ int main(int argc, char** argv) {
         if (!v.valid) return bail("rs/sat certificate: " + v.reason);
       }
       if (!sat.holds) ++negatives;
+
+      const std::string translation =
+          check_translation(lasso_rng, formula, lambda, lassos);
+      if (!translation.empty()) return bail(translation);
     } catch (const std::exception& e) {
       return bail(std::string("exception: ") + e.what());
     }
@@ -556,8 +594,8 @@ int main(int argc, char** argv) {
   std::printf(
       "rlv_fuzz: %zu instances ok (seed %llu, %zu with a non-limit-closed "
       "system): %zu sat violations, %zu certificates validated, "
-      "0 mismatches\n",
+      "%zu translation lassos checked against eval_ltl, 0 mismatches\n",
       instances, static_cast<unsigned long long>(seed), general, negatives,
-      certificates);
+      certificates, lassos);
   return 0;
 }
