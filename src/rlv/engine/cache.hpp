@@ -131,11 +131,34 @@ class MemoCache {
       }
       return value;
     } catch (...) {
+      {
+        std::lock_guard lock(shard.mutex);
+        shard.entries.erase(key);  // never entered the LRU list
+      }
+      // Erased before the waiters wake, so one that retries meets a clean
+      // miss instead of this failed computation.
       promise->set_exception(std::current_exception());
-      std::lock_guard lock(shard.mutex);
-      shard.entries.erase(key);  // never entered the LRU list
       throw;
     }
+  }
+
+  /// get_or_compute, except that a caller who joined another caller's
+  /// computation and got `Error` from it retries once with its own `fn`.
+  /// For failures that belong to the computing caller rather than to the
+  /// key, such as a per-query resource budget running out; the caller's
+  /// own `Error` propagates as usual.
+  template <typename Error, typename Fn>
+  std::shared_ptr<const Value> get_or_compute_own(const Key& key, Fn&& fn) {
+    bool ran = false;
+    try {
+      return get_or_compute(key, [&] {
+        ran = true;
+        return fn();
+      });
+    } catch (const Error&) {
+      if (ran) throw;
+    }
+    return get_or_compute(key, fn);
   }
 
   /// Non-computing lookup: the resident value for `key`, or null when the

@@ -186,7 +186,7 @@ struct EngineStats {
   CacheCounters systems;       // text → parsed Nfa
   CacheCounters behaviors;     // system → lim(L) Büchi automaton
   CacheCounters prefixes;      // system → trimmed pre(L_ω) NFA
-  CacheCounters translations;  // (formula, alphabet, polarity) → Büchi
+  CacheCounters translations;  // (formula, polarity) → tableau
   CacheCounters properties;    // (automaton text, alphabet) → remapped Büchi
   CacheCounters verdicts;      // (system, property, kind, algo) → Verdict
   CacheCounters monitors;      // (system, property, certify) → MonitorAutomaton
