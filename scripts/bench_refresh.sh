@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Regenerates the committed benchmarks:
-#   * BENCH_net.json     — the E25 one-shot query workload, followed by the
-#     E28 reactor saturation sweep (reactors=1,2,4 against fresh daemons);
+#   * BENCH_net.json     — the E25 one-shot query workload;
 #   * BENCH_monitor.json — the E26 streaming monitor workload;
 #   * BENCH_engine.json  — the E27 kernel medians (bench_inclusion +
 #     bench_engine, --benchmark_min_time=0.2, note: NO trailing "s" — the
@@ -41,45 +40,6 @@ sleep 1
 kill -TERM "$SERVER"
 wait "$SERVER"
 trap - EXIT
-
-# E28 reactor saturation sweep: one warm measured leg per reactor count,
-# each against a fresh daemon. Reactor scaling tracks physical cores — on
-# a single-core host the sweep documents per-loop overhead, not speedup —
-# so the record carries the core count for the reader to judge against.
-SWEEP_TMP="$(mktemp)"
-for R in 1 2 4; do
-  "$BUILD"/tools/rlvd --serve "$PORT" --jobs 2 --reactors "$R" &
-  SERVER=$!
-  trap 'kill -9 "$SERVER" 2>/dev/null || true' EXIT
-  sleep 1
-  # Warm-up leg pays the verdict-cache misses; the measured leg is all-hit.
-  "$BUILD"/tools/rlv_loadgen --port "$PORT" \
-    --connections 8 --requests 64 > /dev/null
-  printf '{"reactors":%s,"leg":' "$R" >> "$SWEEP_TMP"
-  "$BUILD"/tools/rlv_loadgen --port "$PORT" \
-    --connections 8 --requests 256 | tr -d '\n' >> "$SWEEP_TMP"
-  printf '}\n' >> "$SWEEP_TMP"
-  kill -TERM "$SERVER"
-  wait "$SERVER"
-  trap - EXIT
-done
-python3 - "$SWEEP_TMP" <<'PYEOF' >> BENCH_net.json
-import json, os, sys
-legs = []
-for line in open(sys.argv[1]):
-    if not line.strip():
-        continue
-    row = json.loads(line)
-    legs.append({"reactors": row["reactors"], **row["leg"]["loadgen"]})
-doc = {"reactor_sweep": {
-    "cores": os.cpu_count(),
-    "note": ("throughput scales with cores; on hosts with fewer cores "
-             "than reactors the extra loops only add handoff overhead"),
-    "legs": legs,
-}}
-print(json.dumps(doc))
-PYEOF
-rm -f "$SWEEP_TMP"
 
 cmake --build "$BUILD" --target bench_inclusion bench_engine -j
 

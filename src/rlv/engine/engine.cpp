@@ -467,15 +467,6 @@ struct Engine::Impl {
 
   using Clock = std::chrono::steady_clock;
 
-  /// What a query's request bytes determine: the system text's fingerprint
-  /// and, for the formula flavor, the parsed formula. The resident lookup
-  /// fills it in and the computing path reuses it, so a miss pays for
-  /// neither twice.
-  struct Lookup {
-    std::uint64_t system_text = 0;
-    std::optional<Formula> formula;  // unset: not parsed (or unparsable)
-  };
-
   static VerdictKey verdict_key(const ParsedSystem& sys,
                                 const std::optional<Formula>& f,
                                 const ParsedProperty* prop,
@@ -500,7 +491,8 @@ struct Engine::Impl {
   /// counts one hit in every cache it touched, exactly as the computing
   /// path would; anything not fully resident counts nothing and returns
   /// nullopt (an unparsable formula too: the computing path reports it).
-  std::optional<Verdict> answer_resident(const Query& query, Lookup& lookup,
+  std::optional<Verdict> answer_resident(const Query& query,
+                                         QueryLookup& lookup,
                                          Clock::time_point start) {
     Budget budget;
     std::shared_ptr<const ParsedSystem> sys;
@@ -540,7 +532,7 @@ struct Engine::Impl {
 
   /// The computing half of run_one: every cache through get_or_compute, so
   /// whatever is missing gets built (and counted) here.
-  Verdict compute(const Query& query, const Lookup& lookup,
+  Verdict compute(const Query& query, const QueryLookup& lookup,
                   Clock::time_point start) {
     queries_run.fetch_add(1, std::memory_order_relaxed);
 
@@ -599,7 +591,7 @@ struct Engine::Impl {
 
   Verdict run_one(const Query& query) {
     const auto start = Clock::now();
-    Lookup lookup;
+    QueryLookup lookup;
     if (auto verdict = answer_resident(query, lookup, start)) {
       return std::move(*verdict);
     }
@@ -782,28 +774,28 @@ Verdict Engine::run_one(const Query& query) { return impl_->run_one(query); }
 
 std::size_t Engine::workers() const { return impl_->pool.num_workers(); }
 
+std::optional<Verdict> Engine::lookup(const Query& query, QueryLookup& found) {
+  return impl_->answer_resident(query, found, Impl::Clock::now());
+}
+
+Verdict Engine::compute(const Query& query, const QueryLookup& found) {
+  return impl_->compute(query, found, Impl::Clock::now());
+}
+
 void Engine::submit(Query query, std::function<void(Verdict)> done) {
-  Impl::Lookup lookup;
-  if (auto verdict =
-          impl_->answer_resident(query, lookup, Impl::Clock::now())) {
+  QueryLookup found;
+  if (auto verdict = lookup(query, found)) {
     done(std::move(*verdict));
     return;
   }
   impl_->pool.submit([impl = impl_.get(), query = std::move(query),
-                      lookup = std::move(lookup), done = std::move(done)] {
-    done(impl->compute(query, lookup, Impl::Clock::now()));
+                      found = std::move(found), done = std::move(done)] {
+    done(impl->compute(query, found, Impl::Clock::now()));
   });
 }
 
 MonitorOpenResult Engine::open_monitor(const MonitorSpec& spec) {
   return impl_->open_monitor(spec);
-}
-
-void Engine::submit_monitor_open(MonitorSpec spec,
-                                 std::function<void(MonitorOpenResult)> done) {
-  impl_->pool.submit(
-      [impl = impl_.get(), spec = std::move(spec),
-       done = std::move(done)] { done(impl->open_monitor(spec)); });
 }
 
 MonitorStepResult Engine::step_monitor(std::uint64_t session,

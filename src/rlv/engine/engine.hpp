@@ -32,9 +32,11 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "rlv/engine/query.hpp"
+#include "rlv/ltl/ast.hpp"
 
 namespace rlv {
 
@@ -73,6 +75,14 @@ struct EngineOptions {
   std::uint64_t max_session_events = 0;
 };
 
+/// What a query's request bytes determine: the system text's fingerprint
+/// and, for the formula flavor, the parsed formula. Engine::lookup fills it
+/// in and Engine::compute reuses it, so a miss pays for neither twice.
+struct QueryLookup {
+  std::uint64_t system_text = 0;
+  std::optional<Formula> formula;  // unset: not parsed (or unparsable)
+};
+
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -89,20 +99,25 @@ class Engine {
   /// Executes a single query through the same caches.
   [[nodiscard]] Verdict run_one(const Query& query);
 
-  /// Asynchronous single-query submission — the serving hook. A query
-  /// whose verdict is already resident is answered on the calling thread:
-  /// the lookup costs O(request bytes) (text fingerprints, the formula
-  /// parse, non-computing cache lookups — never a system parse, a
-  /// translation, or a kernel) and `done` runs inline before submit
-  /// returns. Every other query is enqueued on the engine pool and `done`
-  /// runs on the worker thread that executed it. Either way the verdict,
-  /// and every EngineStats counter, is what run_one would have produced.
-  /// With jobs <= 1 the pool has no workers, so misses (and their `done`)
-  /// also run inline on the caller — a resident server must therefore be
-  /// given an engine with jobs >= 2 or its event loop computes verdicts
-  /// itself. `done` must not throw. Every callback submitted before
-  /// ~Engine runs to completion before the destructor returns (the pool
-  /// drains its queue).
+  /// The resident half of run_one: answers the query on the calling
+  /// thread if its verdict is already cached, in O(request bytes) — text
+  /// fingerprints, the formula parse, non-computing cache lookups, never a
+  /// system parse, a translation or a kernel. Otherwise returns nullopt,
+  /// counts nothing, and leaves in `found` what compute() reuses.
+  [[nodiscard]] std::optional<Verdict> lookup(const Query& query,
+                                              QueryLookup& found);
+
+  /// The computing half of run_one, on the calling thread: builds (and
+  /// counts) whatever lookup() found missing. lookup() then compute() give
+  /// the verdict, and every EngineStats counter, that run_one gives.
+  [[nodiscard]] Verdict compute(const Query& query, const QueryLookup& found);
+
+  /// Asynchronous single-query submission built from the two halves above:
+  /// a resident verdict runs `done` inline before submit returns; any other
+  /// query is computed on the engine pool and `done` runs on that worker
+  /// (inline too when jobs <= 1). `done` must not throw. Every callback
+  /// submitted before ~Engine runs to completion before the destructor
+  /// returns (the pool drains its queue).
   void submit(Query query, std::function<void(Verdict)> done);
 
   // -------------------------------------------------------------------
@@ -111,17 +126,13 @@ class Engine {
   /// Compiles (or fetches from the monitor-automaton cache) the monitor
   /// for the spec and opens a session at its initial state. Compilation
   /// runs under the engine-wide Budget defaults — this is the expensive
-  /// call; route it through a worker (submit_monitor_open) in a server.
+  /// call; a server counts it as a computation, like a query miss.
   [[nodiscard]] MonitorOpenResult open_monitor(const MonitorSpec& spec);
 
-  /// Asynchronous open on the engine pool, mirroring submit(): with
-  /// jobs <= 1 the open (and `done`) run inline on the caller.
-  void submit_monitor_open(MonitorSpec spec,
-                           std::function<void(MonitorOpenResult)> done);
-
   /// Applies a batch of actions to a session — the O(1)-per-event hot
-  /// path; safe to call from an event loop. The batch is validated against
-  /// the alphabet and the event cap before any of it is applied.
+  /// path, cheap enough for a server to answer where it reads it. The
+  /// batch is validated against the alphabet and the event cap before any
+  /// of it is applied.
   [[nodiscard]] MonitorStepResult step_monitor(
       std::uint64_t session, const std::vector<std::string>& actions);
 
@@ -138,7 +149,9 @@ class Engine {
   /// counters summed — what every result record embeds.
   [[nodiscard]] CacheCounters cache_totals() const;
 
-  /// Pool worker threads (0 when jobs <= 1, i.e. inline execution).
+  /// Pool worker threads (0 when jobs <= 1, i.e. inline execution). The
+  /// pool starts them on the first run() or submit(), so an engine whose
+  /// caller computes every query itself (a server) never spawns them.
   [[nodiscard]] std::size_t workers() const;
 
  private:

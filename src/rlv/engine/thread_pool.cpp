@@ -4,13 +4,6 @@
 
 namespace rlv {
 
-ThreadPool::ThreadPool(std::size_t num_workers) {
-  workers_.reserve(num_workers);
-  for (std::size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard lock(mutex_);
@@ -21,12 +14,15 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {
+  if (size_ == 0) {
     task();
     return;
   }
   {
     std::lock_guard lock(mutex_);
+    while (workers_.size() < size_) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
     queue_.push_back(std::move(task));
   }
   work_available_.notify_one();

@@ -9,7 +9,8 @@
 // With zero workers the pool degrades to synchronous execution: submit()
 // runs the task inline. That mode is what makes `Engine` with jobs=1
 // bit-identical to a plain sequential loop and keeps single-threaded
-// callers free of any thread overhead.
+// callers free of any thread overhead. Workers start on the first submit(),
+// so a pool nobody submits to costs no threads.
 
 #include <condition_variable>
 #include <cstddef>
@@ -23,15 +24,16 @@ namespace rlv {
 
 class ThreadPool {
  public:
-  /// Spawns `num_workers` threads; 0 means run tasks inline on submit().
-  explicit ThreadPool(std::size_t num_workers);
+  /// `num_workers` threads, spawned by the first submit(); 0 means run
+  /// tasks inline on submit().
+  explicit ThreadPool(std::size_t num_workers) : size_(num_workers) {}
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   ~ThreadPool();
 
-  [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
+  [[nodiscard]] std::size_t num_workers() const { return size_; }
 
   /// Enqueues a task (runs it inline when the pool has no workers).
   void submit(std::function<void()> task);
@@ -48,6 +50,7 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
+  const std::size_t size_;
   std::vector<std::thread> workers_;
 };
 

@@ -15,8 +15,8 @@ bool is_atom_char(char c) {
 
 /// Bound on the parser's recursion: every prefix operator, parenthesis and
 /// right-nested U/R/B/-> operand is one level deeper. Far beyond any
-/// formula a person writes, far below what the threads that parse (an
-/// event loop among them) have stack for: past it the input is an
+/// formula a person writes, far below what the threads that parse (the
+/// serving threads among them) have stack for: past it the input is an
 /// LtlParseError, not a stack overflow.
 constexpr std::size_t kMaxDepth = 1000;
 

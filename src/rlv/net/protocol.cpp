@@ -176,7 +176,9 @@ std::string render_server_counters(const ServerCounters& c, bool draining) {
   field("bytes_written", c.bytes_written);
   field("inflight", c.inflight);
   field("accept_soft_errors", c.accept_soft_errors);
-  field("reactors", c.reactors);
+  field("computing", c.computing);
+  field("queued", c.queued);
+  field("queued_total", c.queued_total);
   out += ",\"draining\":";
   out += draining ? "true" : "false";
   out += "}";

@@ -60,10 +60,8 @@ struct ServerLimits {
   std::size_t max_steps_per_request = 8192;
 };
 
-/// Monotonic serving-layer counters, snapshot via Server::counters() (any
+/// Serving-layer counters and gauges, snapshot via Server::counters() (any
 /// thread) and serialized into the "server" object of a stats response.
-/// Shared across every reactor of a multi-reactor server — the fields are
-/// aggregates, not per-loop numbers.
 struct ServerCounters {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_open = 0;
@@ -76,11 +74,13 @@ struct ServerCounters {
   std::uint64_t bytes_written = 0;
   std::uint64_t inflight = 0;  // currently submitted, response not yet queued
   /// accept(2) failures from resource pressure (EMFILE/ENFILE/ENOMEM/
-  /// ENOBUFS). Each one pauses that reactor's listener instead of killing
-  /// the loop; a rising value under load means the fd limit is the
-  /// bottleneck (see docs/usage.md §12).
+  /// ENOBUFS). Each one pauses the listener instead of killing the server;
+  /// a rising value under load means the fd limit is the bottleneck (see
+  /// docs/usage.md §12).
   std::uint64_t accept_soft_errors = 0;
-  std::uint64_t reactors = 1;  // event loops serving this process
+  std::uint64_t computing = 0;     // busy compute slots (of --jobs)
+  std::uint64_t queued = 0;        // computations waiting for a slot
+  std::uint64_t queued_total = 0;  // computations that ever waited
 };
 
 /// The "server" JSON object of a stats response (including the trailing

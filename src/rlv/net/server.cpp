@@ -1,19 +1,22 @@
 #include "rlv/net/server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/timerfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -33,10 +36,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Backoff before a reactor re-polls a listener paused by fd exhaustion:
-/// even if none of this reactor's connections close, the process-wide fd
-/// table may have been relieved by another reactor (or by the kernel
-/// finishing TIME_WAIT teardown), so retry on a short period.
+/// Backoff before a listener paused by fd exhaustion is re-armed: even if
+/// no connection closes, the process-wide fd table may have been relieved
+/// (say, by the kernel finishing TIME_WAIT teardown), so retry on a short
+/// period.
 constexpr std::chrono::milliseconds kAcceptRetryBackoff{100};
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -49,25 +52,12 @@ constexpr std::chrono::milliseconds kAcceptRetryBackoff{100};
 // Listener
 
 std::uint16_t Listener::listen(const std::string& address, std::uint16_t port,
-                               int backlog, bool reuse_port) {
+                               int backlog) {
   close();
   fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd_ < 0) throw_errno("socket");
   const int one = 1;
   ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (reuse_port) {
-    // Must be set before bind on every socket sharing the port. Failure
-    // throws so Server::start() can fall back to the fd-handoff acceptor.
-#ifdef SO_REUSEPORT
-    if (::setsockopt(fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) < 0) {
-      close();
-      throw_errno("setsockopt(SO_REUSEPORT)");
-    }
-#else
-    close();
-    throw std::runtime_error("SO_REUSEPORT not supported on this platform");
-#endif
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -128,721 +118,702 @@ void Listener::close() {
 
 namespace {
 
-/// One client socket and its protocol state. Owned exclusively by the
-/// reactor that accepted (or was handed) it.
+/// One client socket and its protocol state, guarded by the server mutex.
 struct Connection {
-  int fd = -1;
+  int fd = -1;  // -1 once closed; a busy connection outlives its socket
   std::uint64_t id = 0;
-  std::string in;   // received bytes not yet forming a complete line
+  std::string in;   // received bytes not yet forming a complete line (busy)
   std::string out;  // rendered responses not yet written
-  std::size_t inflight = 0;  // queries submitted, response not yet queued
+  std::size_t inflight = 0;  // admitted requests whose reply is not queued
   bool closing = false;      // close once `out` drains (protocol error)
   bool read_closed = false;  // peer half-closed; flush and then close
+  /// A thread owns the connection: it reads, answers and writes with the
+  /// mutex released. Only the owner touches the socket, so nobody closes it
+  /// under the owner; others queue replies in `out` for the owner to send.
+  bool busy = false;
+  std::uint32_t armed = 0;  // epoll interest last armed; 0 = disarmed
   Clock::time_point last_activity{};
   /// Monitor sessions this connection owns: steps/closes are only honored
   /// for ids in here, and everything in here is closed with the socket.
   std::unordered_set<std::uint64_t> sessions;
-  /// monitor_opens submitted but not yet completed — counted against the
+  /// monitor_opens admitted but not yet completed — counted against the
   /// per-connection session cap so a pipelined burst cannot overshoot it.
   std::size_t pending_opens = 0;
 };
 
-struct Completion {
-  std::uint64_t conn_id = 0;
-  std::string line;
-  bool open = false;          // a monitor_open completion
-  std::uint64_t session = 0;  // the opened session (0 = open failed)
-  /// >= 0: not a query completion at all but an accepted client socket
-  /// handed off by the acceptor reactor for this reactor to adopt.
-  int handoff_fd = -1;
+/// A computation: a query miss or a monitor_open, for the connection that
+/// sent it.
+struct Job {
+  std::uint64_t conn = 0;
+  Request req;
+  QueryLookup lookup;  // what Engine::lookup learned, for Engine::compute
 };
 
-/// The worker→reactor handoff. Shared (via shared_ptr) between the reactor
-/// and every in-flight completion callback, so a callback finishing after
-/// the server is gone posts into a queue nobody reads instead of freed
-/// memory. Owns the write end of the reactor's wakeup pipe.
-struct CompletionSink {
-  std::mutex mutex;
-  std::vector<Completion> items;
-  int wake_fd = -1;
-  /// The reactor thread draining this sink. A post from it (a resident
-  /// verdict answered inline) needs no wake: the reactor drains the sink
-  /// at the top of every loop pass, before it polls again.
-  std::atomic<std::thread::id> owner{};
+// epoll data of the server's own fds; connection ids start above them.
+constexpr std::uint64_t kWakeId = 0;
+constexpr std::uint64_t kTimerId = 1;
+constexpr std::uint64_t kListenerId = 2;
 
-  ~CompletionSink() {
-    // Handed-off sockets nobody adopted must not leak past the server.
-    for (const Completion& completion : items) {
-      if (completion.handoff_fd >= 0) ::close(completion.handoff_fd);
-    }
-    if (wake_fd >= 0) ::close(wake_fd);
-  }
+constexpr std::size_t kReadChunk = 65536;
 
-  void post(std::uint64_t conn_id, std::string line, bool open = false,
-            std::uint64_t session = 0) {
-    {
-      std::lock_guard lock(mutex);
-      items.push_back({conn_id, std::move(line), open, session, -1});
-    }
-    if (owner.load(std::memory_order_relaxed) != std::this_thread::get_id()) {
-      wake();
-    }
-  }
+void add_line(std::string& out, std::string_view line) {
+  out += line;
+  out += '\n';
+}
 
-  void post_fd(int fd) {
-    {
-      std::lock_guard lock(mutex);
-      items.push_back({0, {}, false, 0, fd});
-    }
-    wake();
+/// An owned file descriptor: the epoll set, the wake eventfd, the timerfd.
+class OwnedFd {
+ public:
+  OwnedFd(int fd, const char* what) : fd_(fd) {
+    if (fd_ < 0) throw_errno(what);
   }
+  ~OwnedFd() { ::close(fd_); }
+  OwnedFd(const OwnedFd&) = delete;
+  OwnedFd& operator=(const OwnedFd&) = delete;
+  [[nodiscard]] int get() const { return fd_; }
 
-  void wake() {
-    const char byte = 'c';
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-    // A full pipe means the reactor has wakeups pending already.
-  }
+ private:
+  const int fd_;
 };
+
+/// What one turn of reading a socket found.
+struct ReadResult {
+  std::uint64_t bytes = 0;
+  bool eof = false;        // the peer half-closed
+  bool failed = false;     // the socket broke
+  bool too_large = false;  // an unterminated line passed the request cap
+};
+
+/// Reads `fd` until EAGAIN, EOF, a chunk's worth of complete lines (the
+/// re-arm brings the rest), or an unterminated line over `cap`. Complete
+/// lines move from `in` to `lines`.
+ReadResult read_lines(int fd, std::string& in, std::string& lines,
+                      std::size_t cap) {
+  ReadResult result;
+  char buffer[kReadChunk];
+  while (true) {
+    const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+    if (n > 0) {
+      const auto size = static_cast<std::size_t>(n);
+      result.bytes += size;
+      const auto* nl = static_cast<const char*>(::memrchr(buffer, '\n', size));
+      if (nl != nullptr) {
+        const auto head = static_cast<std::size_t>(nl + 1 - buffer);
+        lines += in;
+        lines.append(buffer, head);
+        in.assign(nl + 1, size - head);
+      } else {
+        in.append(buffer, size);
+      }
+      if (in.size() > cap) {
+        in.clear();
+        result.too_large = true;
+        return result;
+      }
+      // A short read drained the socket; the re-arm catches later bytes.
+      if (size < sizeof buffer || lines.size() >= kReadChunk) return result;
+      continue;
+    }
+    if (n == 0) {
+      result.eof = true;
+    } else if (errno == EINTR) {
+      continue;
+    } else if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      result.failed = true;
+    }
+    return result;
+  }
+}
 
 }  // namespace
 
 struct Server::Impl {
-  // Owner sentinels for a reactor's pollfd table; connection ids start
-  // above them.
-  static constexpr std::uint64_t kWakeOwner = 0;
-  static constexpr std::uint64_t kListenerOwner = 1;
-
-  /// One event loop: listener, wake pipe, completion sink, connection map,
-  /// and (through each connection) a set of owned monitor sessions. No
-  /// reactor ever touches another reactor's state — the only cross-reactor
-  /// traffic is the acceptor's fd handoff through the completion sink.
-  struct Reactor {
-    Impl& impl;
-    const std::size_t index;
-    Listener listener;
-    int wake_read = -1;
-    std::shared_ptr<CompletionSink> sink;
-    std::unordered_map<std::uint64_t, Connection> connections;
-    std::uint64_t next_conn_id = kListenerOwner + 1;
-    /// Queries/opens this reactor submitted that have not completed; the
-    /// reactor's drain exit condition (the global gauge cannot tell whose
-    /// in-flight work is whose).
-    std::size_t local_inflight = 0;
-    /// fd-exhaustion state: while paused the listener is left out of the
-    /// poll set; cleared when one of this reactor's connections closes or
-    /// the retry backoff elapses.
-    bool accept_paused = false;
-    Clock::time_point accept_retry_at{};
-    std::uint64_t rr_next = 0;  // acceptor reactor's round-robin cursor
-
-    Reactor(Impl& owner, std::size_t idx) : impl(owner), index(idx) {
-      int pipe_fds[2];
-      if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) < 0) throw_errno("pipe2");
-      wake_read = pipe_fds[0];
-      sink = std::make_shared<CompletionSink>();
-      sink->wake_fd = pipe_fds[1];
-    }
-
-    ~Reactor() {
-      for (auto& [id, conn] : connections) close_fd(conn);
-      if (wake_read >= 0) ::close(wake_read);
-      // The sink closes the write end when the last callback releases it.
-    }
-
-    void close_fd(Connection& conn) {
-      if (conn.fd < 0) return;
-      ::close(conn.fd);
-      conn.fd = -1;
-      impl.c_open.fetch_sub(1, std::memory_order_relaxed);
-      // Session lifetime is tied to the connection: RST, idle close,
-      // drain — every path through here reclaims the connection's monitor
-      // sessions, whichever reactor owns it.
-      for (const std::uint64_t session : conn.sessions) {
-        (void)impl.engine.close_monitor(session);
-      }
-      conn.sessions.clear();
-      // An fd just freed up; if the listener was paused on exhaustion it
-      // can accept again.
-      accept_paused = false;
-    }
-
-    void flush_writes(Connection& conn) {
-      while (!conn.out.empty() && conn.fd >= 0) {
-        const ssize_t n =
-            ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
-        if (n > 0) {
-          impl.c_bytes_written.fetch_add(static_cast<std::uint64_t>(n),
-                                         std::memory_order_relaxed);
-          conn.out.erase(0, static_cast<std::size_t>(n));
-          conn.last_activity = Clock::now();
-          continue;
-        }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-        if (n < 0 && errno == EINTR) continue;
-        // EPIPE/ECONNRESET: the client vanished mid-response. MSG_NOSIGNAL
-        // (plus the SIG_IGN installed at start) keeps the daemon alive; the
-        // connection is reaped, its in-flight completions dropped on
-        // arrival.
-        close_fd(conn);
-        conn.out.clear();
-      }
-    }
-
-    void send_line(Connection& conn, std::string line) {
-      conn.out += line;
-      conn.out += '\n';
-      flush_writes(conn);
-    }
-
-    void submit_query(Connection& conn, Request req) {
-      if (impl.global_inflight.load(std::memory_order_relaxed) >=
-          impl.options.max_inflight) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "server"));
-        return;
-      }
-      if (conn.inflight >= impl.options.max_inflight_per_connection) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "connection"));
-        return;
-      }
-      apply_limits(req.query, impl.options.limits);
-      impl.global_inflight.fetch_add(1, std::memory_order_relaxed);
-      ++local_inflight;
-      ++conn.inflight;
-      impl.c_queries.fetch_add(1, std::memory_order_relaxed);
-
-      Query to_run = req.query;
-      std::string label = req.label.empty() ? "inline" : std::move(req.label);
-      std::string property_label =
-          req.query.property_automaton.empty() ? std::string() : label;
-      // A resident verdict is answered right here, inside submit(): the
-      // callback runs on this reactor and posts to its own sink without a
-      // wake, and the next loop pass drains it before polling. Anything
-      // else runs (and renders) on an engine worker. Engine outlives every
-      // callback (its destructor drains the pool), and the shared sink
-      // outlives the server.
-      engine().submit(
-          std::move(to_run),
-          [sink = sink, engine = &engine(), conn_id = conn.id, id = req.id,
-           query = std::move(req.query), label = std::move(label),
-           property_label = std::move(property_label)](Verdict verdict) {
-            std::string record =
-                render_query_record(id, query, verdict, label, property_label,
-                                    engine->cache_totals());
-            sink->post(conn_id, std::move(record));
-          });
-    }
-
-    void submit_monitor_open(Connection& conn, Request req) {
-      // The per-connection session cap counts opens still in flight, so a
-      // pipelined burst of opens is rejected deterministically at the cap.
-      if (conn.sessions.size() + conn.pending_opens >=
-          impl.options.limits.max_sessions_per_connection) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "connection_sessions"));
-        return;
-      }
-      if (impl.global_inflight.load(std::memory_order_relaxed) >=
-          impl.options.max_inflight) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "server"));
-        return;
-      }
-      if (conn.inflight >= impl.options.max_inflight_per_connection) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_overloaded(req.id, "connection"));
-        return;
-      }
-      impl.global_inflight.fetch_add(1, std::memory_order_relaxed);
-      ++local_inflight;
-      ++conn.inflight;
-      ++conn.pending_opens;
-      impl.c_queries.fetch_add(1, std::memory_order_relaxed);
-      // Compilation is the expensive half of a monitor's life — run it on
-      // a worker like any query; stepping stays on the loop (O(1)/event).
-      engine().submit_monitor_open(
-          std::move(req.monitor),
-          [sink = sink, conn_id = conn.id, id = req.id](MonitorOpenResult r) {
-            sink->post(conn_id, render_monitor_open(id, r), /*open=*/true,
-                       r.session);
-          });
-    }
-
-    void handle_monitor_step(Connection& conn, const Request& req) {
-      if (req.actions.size() > impl.options.limits.max_steps_per_request) {
-        impl.c_overload.fetch_add(1, std::memory_order_relaxed);
-        send_line(
-            conn,
-            render_error(req.id, "too_many_steps",
-                         "batch cap is " +
-                             std::to_string(
-                                 impl.options.limits.max_steps_per_request)));
-        return;
-      }
-      // A connection may only step sessions it opened; a foreign (or
-      // already-closed) id is indistinguishable from an unknown one.
-      if (conn.sessions.count(req.session) == 0) {
-        send_line(conn, render_error(req.id, "unknown_session", {}));
-        return;
-      }
-      MonitorStepResult r = engine().step_monitor(req.session, req.actions);
-      if (r.error == "unknown_session") {
-        conn.sessions.erase(req.session);  // idle-swept under us
-      }
-      send_line(conn, render_monitor_step(req.id, r));
-    }
-
-    void handle_monitor_close(Connection& conn, const Request& req) {
-      if (conn.sessions.erase(req.session) == 0) {
-        send_line(conn, render_error(req.id, "unknown_session", {}));
-        return;
-      }
-      send_line(conn, render_monitor_close(
-                          req.id, engine().close_monitor(req.session)));
-    }
-
-    void handle_line(Connection& conn, std::string_view line, bool stopping) {
-      impl.c_requests.fetch_add(1, std::memory_order_relaxed);
-      Request req;
-      try {
-        req = parse_request(line);
-      } catch (const std::exception& e) {
-        // The stream may be desynced (a partial or non-protocol line), so
-        // answer once and close rather than misinterpret what follows.
-        impl.c_proto_err.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_error(std::nullopt, "bad_request", e.what()));
-        conn.closing = true;
-        return;
-      }
-      switch (req.op) {
-        case RequestOp::kPing:
-          send_line(conn, "{\"id\":" + std::to_string(req.id) +
-                              ",\"ok\":true,\"pong\":true}");
-          break;
-        case RequestOp::kStats:
-          send_line(conn, impl.render_server_stats(req.id, stopping));
-          break;
-        case RequestOp::kQuery:
-          submit_query(conn, std::move(req));
-          break;
-        case RequestOp::kMonitorOpen:
-          submit_monitor_open(conn, std::move(req));
-          break;
-        case RequestOp::kMonitorStep:
-          handle_monitor_step(conn, req);
-          break;
-        case RequestOp::kMonitorClose:
-          handle_monitor_close(conn, req);
-          break;
-      }
-    }
-
-    void process_lines(Connection& conn, bool stopping) {
-      std::size_t start = 0;
-      while (conn.fd >= 0 && !conn.closing) {
-        const std::size_t nl = conn.in.find('\n', start);
-        if (nl == std::string::npos) break;
-        const std::string_view line =
-            strip_cr(std::string_view(conn.in).substr(start, nl - start));
-        start = nl + 1;
-        if (!line.empty()) handle_line(conn, line, stopping);
-      }
-      conn.in.erase(0, start);
-      if (conn.in.size() > impl.options.max_request_bytes && !conn.closing) {
-        impl.c_proto_err.fetch_add(1, std::memory_order_relaxed);
-        send_line(conn, render_error(std::nullopt, "bad_request",
-                                     "request line too large"));
-        conn.closing = true;
-        conn.in.clear();
-      }
-    }
-
-    void read_from(Connection& conn, Clock::time_point now, bool stopping) {
-      char buffer[65536];
-      while (conn.fd >= 0) {
-        const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-        if (n > 0) {
-          impl.c_bytes_read.fetch_add(static_cast<std::uint64_t>(n),
-                                      std::memory_order_relaxed);
-          conn.in.append(buffer, static_cast<std::size_t>(n));
-          conn.last_activity = now;
-          continue;
-        }
-        if (n == 0) {
-          conn.read_closed = true;
-          break;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == EINTR) continue;
-        close_fd(conn);
-        return;
-      }
-      process_lines(conn, stopping);
-    }
-
-    void adopt(int cfd, Clock::time_point now) {
-      const std::uint64_t id = next_conn_id++;
-      Connection conn;
-      conn.fd = cfd;
-      conn.id = id;
-      conn.last_activity = now;
-      connections.emplace(id, std::move(conn));
-    }
-
-    void accept_clients(Clock::time_point now) {
-      // The connection cap is global: with reuseport listeners each
-      // reactor accepts its own kernel-routed share; in handoff mode only
-      // this (acceptor) reactor runs the loop and deals the fds out.
-      while (impl.c_open.load(std::memory_order_relaxed) <
-             impl.options.max_connections) {
-        bool soft_error = false;
-        const int cfd = listener.accept_client(&soft_error);
-        if (cfd < 0) {
-          if (soft_error) {
-            impl.c_accept_soft.fetch_add(1, std::memory_order_relaxed);
-            if (!impl.accept_error_logged.exchange(
-                    true, std::memory_order_relaxed)) {
-              // Once per exhaustion episode, not per retry: the counter
-              // carries the rate, the log line carries the diagnosis.
-              std::fprintf(stderr,
-                           "rlv::net: accept: %s — pausing listener until a "
-                           "connection closes\n",
-                           std::strerror(errno));
-            }
-            accept_paused = true;
-            accept_retry_at = now + kAcceptRetryBackoff;
-          }
-          return;
-        }
-        impl.accept_error_logged.store(false, std::memory_order_relaxed);
-        impl.c_accepted.fetch_add(1, std::memory_order_relaxed);
-        impl.c_open.fetch_add(1, std::memory_order_relaxed);
-        if (impl.handoff_mode && impl.reactors.size() > 1) {
-          const std::size_t target = rr_next++ % impl.reactors.size();
-          if (target != index) {
-            impl.reactors[target]->sink->post_fd(cfd);
-            continue;
-          }
-        }
-        adopt(cfd, now);
-      }
-    }
-
-    void drain_completions(Clock::time_point now) {
-      std::vector<Completion> items;
-      {
-        std::lock_guard lock(sink->mutex);
-        items.swap(sink->items);
-      }
-      const bool stopping = impl.stop.load(std::memory_order_acquire);
-      for (Completion& completion : items) {
-        if (completion.handoff_fd >= 0) {
-          // A socket the acceptor dealt to this reactor. During drain
-          // nobody should adopt new clients — close it (the acceptor
-          // already counted it open).
-          if (stopping) {
-            ::close(completion.handoff_fd);
-            impl.c_open.fetch_sub(1, std::memory_order_relaxed);
-          } else {
-            adopt(completion.handoff_fd, now);
-          }
-          continue;
-        }
-        impl.global_inflight.fetch_sub(1, std::memory_order_relaxed);
-        if (local_inflight > 0) --local_inflight;
-        const auto it = connections.find(completion.conn_id);
-        Connection* conn = it == connections.end() ? nullptr : &it->second;
-        if (conn && completion.open && conn->pending_opens > 0) {
-          --conn->pending_opens;
-        }
-        if (conn && conn->inflight > 0) --conn->inflight;
-        if (!conn || conn->fd < 0) {
-          // Client left before the open finished: the session would leak
-          // in the engine table with nobody able to step or close it.
-          if (completion.open && completion.session != 0) {
-            (void)engine().close_monitor(completion.session);
-          }
-          continue;
-        }
-        if (completion.open && completion.session != 0) {
-          conn->sessions.insert(completion.session);
-        }
-        conn->out += completion.line;
-        conn->out += '\n';
-        flush_writes(*conn);
-      }
-    }
-
-    int poll_timeout(bool stopping,
-                     const std::optional<Clock::time_point>& drain_deadline,
-                     Clock::time_point now) const {
-      std::int64_t timeout = -1;
-      const auto consider = [&](Clock::time_point deadline) {
-        const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            deadline - now)
-                            .count();
-        const std::int64_t clamped = ms < 0 ? 0 : ms + 1;
-        if (timeout < 0 || clamped < timeout) timeout = clamped;
-      };
-      if (stopping && drain_deadline) consider(*drain_deadline);
-      if (!stopping && accept_paused) consider(accept_retry_at);
-      if (!stopping && impl.options.session_idle_timeout_ms > 0) {
-        // Idle-session GC runs on loop passes; wake at least once per
-        // timeout interval so sessions expire without client traffic.
-        consider(now + std::chrono::milliseconds(
-                           impl.options.session_idle_timeout_ms));
-      }
-      if (!stopping && impl.options.idle_timeout_ms > 0) {
-        for (const auto& [id, conn] : connections) {
-          if (conn.fd < 0 || conn.inflight > 0 || !conn.out.empty()) continue;
-          consider(conn.last_activity +
-                   std::chrono::milliseconds(impl.options.idle_timeout_ms));
-        }
-      }
-      if (timeout > 60000) timeout = 60000;
-      return static_cast<int>(timeout);
-    }
-
-    void run() {
-      sink->owner.store(std::this_thread::get_id(), std::memory_order_relaxed);
-      std::optional<Clock::time_point> drain_deadline;
-      std::vector<pollfd> fds;
-      std::vector<std::uint64_t> owners;  // sentinels above, or conn id
-      while (true) {
-        drain_completions(Clock::now());
-        const bool stopping = impl.stop.load(std::memory_order_acquire);
-        Clock::time_point now = Clock::now();
-        if (stopping) {
-          listener.close();
-          if (!drain_deadline) {
-            drain_deadline =
-                now + std::chrono::milliseconds(impl.options.drain_timeout_ms);
-          }
-        }
-        // Reap: broken sockets, protocol-error closes whose responses have
-        // flushed, half-closed clients with nothing pending, and — during
-        // drain — every connection that is fully answered.
-        for (auto it = connections.begin(); it != connections.end();) {
-          Connection& conn = it->second;
-          const bool answered = conn.inflight == 0 && conn.out.empty();
-          if (conn.fd < 0 || (conn.closing && conn.out.empty()) ||
-              ((conn.read_closed || stopping) && answered)) {
-            close_fd(conn);
-            it = connections.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        if (stopping) {
-          if (local_inflight == 0 && connections.empty()) break;
-          if (now >= *drain_deadline) break;  // give up on stragglers
-        }
-
-        fds.clear();
-        owners.clear();
-        fds.push_back({wake_read, POLLIN, 0});
-        owners.push_back(kWakeOwner);
-        if (!stopping && listener.open() &&
-            impl.c_open.load(std::memory_order_relaxed) <
-                impl.options.max_connections) {
-          if (accept_paused && now < accept_retry_at) {
-            // fd pressure: leave the listener out of the poll set; the
-            // pending backlog is re-examined when a connection closes or
-            // the backoff elapses (poll_timeout covers the wake-up).
-          } else {
-            accept_paused = false;
-            fds.push_back({listener.fd(), POLLIN, 0});
-            owners.push_back(kListenerOwner);
-          }
-        }
-        for (auto& [id, conn] : connections) {
-          short events = 0;
-          if (!stopping && !conn.closing && !conn.read_closed &&
-              conn.out.size() <= impl.options.max_write_buffer) {
-            events |= POLLIN;
-          }
-          if (!conn.out.empty()) events |= POLLOUT;
-          if (events == 0) continue;  // waiting only on completions
-          fds.push_back({conn.fd, events, 0});
-          owners.push_back(id);
-        }
-
-        const int n = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
-                             poll_timeout(stopping, drain_deadline, now));
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          throw_errno("poll");
-        }
-        now = Clock::now();
-        if (fds[0].revents & POLLIN) {
-          char buffer[256];
-          while (::read(wake_read, buffer, sizeof buffer) > 0) {
-          }
-        }
-        for (std::size_t i = 1; i < fds.size(); ++i) {
-          if (owners[i] == kListenerOwner) {
-            if (fds[i].revents & POLLIN) accept_clients(now);
-            continue;
-          }
-          const auto it = connections.find(owners[i]);
-          if (it == connections.end()) continue;
-          Connection& conn = it->second;
-          if (fds[i].revents & POLLOUT) flush_writes(conn);
-          if (conn.fd >= 0 && (fds[i].revents & POLLIN)) {
-            read_from(conn, now, stopping);
-          }
-          if (conn.fd >= 0 && (fds[i].revents & (POLLERR | POLLNVAL))) {
-            close_fd(conn);
-          }
-          // POLLHUP with no POLLIN: nothing left to read, peer is gone.
-          if (conn.fd >= 0 && (fds[i].revents & POLLHUP) &&
-              !(fds[i].revents & POLLIN)) {
-            conn.read_closed = true;
-          }
-        }
-        if (!stopping && impl.options.idle_timeout_ms > 0) {
-          for (auto& [id, conn] : connections) {
-            if (conn.fd < 0 || conn.inflight > 0 || !conn.out.empty()) {
-              continue;
-            }
-            if (now - conn.last_activity >=
-                std::chrono::milliseconds(impl.options.idle_timeout_ms)) {
-              impl.c_idle.fetch_add(1, std::memory_order_relaxed);
-              close_fd(conn);
-            }
-          }
-        }
-        if (!stopping && index == 0 &&
-            impl.options.session_idle_timeout_ms > 0) {
-          // One sweeper is enough: the engine's table is shared, and
-          // sessions reclaimed here linger in their owning connection's
-          // set until the next step reports unknown_session — the
-          // generation counter makes the stale ids inert on any reactor.
-          (void)engine().sweep_idle_sessions(
-              impl.options.session_idle_timeout_ms);
-        }
-      }
-      for (auto& [id, conn] : connections) close_fd(conn);
-      connections.clear();
-      // Completions that raced the drain deadline (and handed-off fds
-      // nobody will adopt) are dealt with once more; anything arriving
-      // later hits the sink's destructor or the orphan path next drain.
-      drain_completions(Clock::now());
-    }
-
-    [[nodiscard]] Engine& engine() const { return impl.engine; }
-  };
-
   Impl(Engine& eng, ServerOptions opts)
-      : engine(eng), options(std::move(opts)) {
-    const std::size_t n = options.reactors == 0 ? 1 : options.reactors;
-    reactors.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      reactors.push_back(std::make_unique<Reactor>(*this, i));
-    }
-    wake_fds.reserve(n);
-    for (const auto& reactor : reactors) {
-      wake_fds.push_back(reactor->sink->wake_fd);
-    }
+      : engine(eng),
+        options(std::move(opts)),
+        slots(std::max<std::size_t>(1, eng.workers())) {
+    // Edge-triggered: each write or expiry wakes one waiting thread.
+    watch(EPOLL_CTL_ADD, wake_fd.get(), kWakeId, EPOLLIN | EPOLLET);
+    watch(EPOLL_CTL_ADD, timer_fd.get(), kTimerId, EPOLLIN | EPOLLET);
   }
 
   Engine& engine;
-  ServerOptions options;
+  const ServerOptions options;
+  const std::size_t slots;  // concurrent computations: the engine's jobs
+  const OwnedFd epoll_fd{::epoll_create1(EPOLL_CLOEXEC), "epoll_create1"};
+  const OwnedFd wake_fd{::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC), "eventfd"};
+  const OwnedFd timer_fd{
+      ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC),
+      "timerfd_create"};
+  Listener listener;  // closed under `mutex` once serving starts
   std::uint16_t bound_port = 0;
   bool started = false;
-  bool handoff_mode = false;  // single acceptor + round-robin fd handoff
-  std::atomic<bool> stop{false};
+  std::atomic<bool> stop{false};     // request_stop() was called
+  std::atomic<bool> exiting{false};  // every thread leaves its loop
 
-  /// In-flight queries/opens across all reactors — the "server" overload
-  /// scope. Relaxed is enough: the cap is advisory backpressure, and each
-  /// reactor's own submissions are sequenced on its thread.
-  std::atomic<std::size_t> global_inflight{0};
+  // Guarded by `mutex`.
+  std::mutex mutex;
+  std::unordered_map<std::uint64_t, Connection> connections;
+  std::uint64_t next_conn_id = kListenerId + 1;
+  std::deque<Job> queue;  // computations waiting for a slot
+  /// Everything a stats request reports but `queued`, the gauges too:
+  /// inflight (admitted across all connections), computing (busy slots).
+  ServerCounters counters;
+  bool draining = false;
+  Clock::time_point drain_deadline{};
+  /// The listener is left disarmed: at the connection cap, or (with a
+  /// retry time) on fd exhaustion. A connection closing re-arms it.
+  bool accept_paused = false;
+  Clock::time_point accept_retry_at = Clock::time_point::max();
+  Clock::time_point timer_at = Clock::time_point::max();
+  bool accept_error_logged = false;
 
-  // Counters are shared across reactors and aggregated on demand; every
-  // reactor bumps them with relaxed fetch_adds.
-  std::atomic<std::uint64_t> c_accepted{0};
-  std::atomic<std::uint64_t> c_open{0};
-  std::atomic<std::uint64_t> c_requests{0};
-  std::atomic<std::uint64_t> c_queries{0};
-  std::atomic<std::uint64_t> c_overload{0};
-  std::atomic<std::uint64_t> c_proto_err{0};
-  std::atomic<std::uint64_t> c_idle{0};
-  std::atomic<std::uint64_t> c_bytes_read{0};
-  std::atomic<std::uint64_t> c_bytes_written{0};
-  std::atomic<std::uint64_t> c_accept_soft{0};
-  std::atomic<bool> accept_error_logged{false};
-
-  /// Declared LAST: reactor destructors (close_fd on leftover connections)
-  /// still touch the counters and the engine reference above.
-  std::vector<std::unique_ptr<Reactor>> reactors;
-  /// The write ends of every reactor's wake pipe, frozen after
-  /// construction so request_stop() can walk it from a signal handler.
-  std::vector<int> wake_fds;
-
-  [[nodiscard]] ServerCounters snapshot_counters() const {
-    ServerCounters counters;
-    counters.connections_accepted = c_accepted.load();
-    counters.connections_open = c_open.load();
-    counters.requests = c_requests.load();
-    counters.queries = c_queries.load();
-    counters.overload_rejects = c_overload.load();
-    counters.protocol_errors = c_proto_err.load();
-    counters.idle_closed = c_idle.load();
-    counters.bytes_read = c_bytes_read.load();
-    counters.bytes_written = c_bytes_written.load();
-    counters.inflight = global_inflight.load();
-    counters.accept_soft_errors = c_accept_soft.load();
-    counters.reactors = reactors.size();
-    return counters;
+  void watch(int op, int fd, std::uint64_t id, std::uint32_t events) const {
+    epoll_event event{};
+    event.events = events;
+    event.data.u64 = id;
+    if (::epoll_ctl(epoll_fd.get(), op, fd, &event) < 0) throw_errno("epoll_ctl");
   }
 
-  std::string render_server_stats(std::uint64_t id, bool stopping) {
-    std::ostringstream out;
-    out << "{\"id\":" << id
-        << ",\"ok\":true,\"stats\":" << render_stats(engine.stats())
-        << ",\"server\":" << render_server_counters(snapshot_counters(),
-                                                    stopping)
-        << "}";
-    return out.str();
+  /// Async-signal-safe: one eventfd write.
+  void wake() const {
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wake_fd.get(), &one, sizeof one);
   }
 
-  void start_listeners() {
-    const std::size_t n = reactors.size();
-    handoff_mode = options.force_acceptor_handoff || n == 1;
-    if (n > 1 && !handoff_mode) {
-      try {
-        bound_port = reactors[0]->listener.listen(
-            options.bind_address, options.port, options.backlog,
-            /*reuse_port=*/true);
-        for (std::size_t i = 1; i < n; ++i) {
-          reactors[i]->listener.listen(options.bind_address, bound_port,
-                                       options.backlog, /*reuse_port=*/true);
+  /// Every thread leaves its loop: the wake reaches one, and each thread
+  /// wakes the next as it leaves.
+  void finish() {
+    exiting.store(true, std::memory_order_release);
+    wake();
+  }
+
+  // --- connections (mutex held) ----------------------------------------
+
+  /// Closes the socket and reclaims the connection's monitor sessions.
+  /// Replies still being computed for it are dropped on arrival.
+  void close_fd_locked(Connection& conn) {
+    if (conn.fd < 0) return;
+    ::close(conn.fd);
+    conn.fd = -1;
+    conn.out.clear();
+    --counters.connections_open;
+    for (const std::uint64_t session : conn.sessions) {
+      (void)engine.close_monitor(session);
+    }
+    conn.sessions.clear();
+    // An fd just freed up: a listener paused on exhaustion or on the
+    // connection cap can accept again.
+    resume_accepting_locked();
+  }
+
+  /// Sends `out` with the mutex released; the caller owns the connection
+  /// (busy), so the socket stays open. Replies queued meanwhile go too.
+  void flush(Connection& conn, std::unique_lock<std::mutex>& lock) {
+    // Per-thread buffers trade places with `out`, so steady-state replies
+    // allocate nothing.
+    thread_local std::string pending;
+    while (!conn.out.empty() && conn.fd >= 0) {
+      pending.clear();
+      pending.swap(conn.out);
+      const int fd = conn.fd;
+      lock.unlock();
+      std::size_t sent = 0;
+      bool failed = false;
+      while (sent < pending.size()) {
+        const ssize_t n = ::send(fd, pending.data() + sent,
+                                 pending.size() - sent, MSG_NOSIGNAL);
+        if (n > 0) {
+          sent += static_cast<std::size_t>(n);
+        } else if (n < 0 && errno == EINTR) {
+          continue;
+        } else {
+          // EPIPE/ECONNRESET: the client vanished mid-response.
+          // MSG_NOSIGNAL (plus the SIG_IGN installed at start) keeps the
+          // daemon alive.
+          failed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+          break;
         }
+      }
+      lock.lock();
+      counters.bytes_written += sent;
+      if (sent > 0) conn.last_activity = Clock::now();
+      if (failed) {
+        close_fd_locked(conn);
+      } else if (sent < pending.size()) {
+        conn.out.insert(0, pending, sent);  // EPOLLOUT brings the rest
         return;
-      } catch (const std::exception&) {
-        // No SO_REUSEPORT (or it was refused): one listener on reactor 0,
-        // accepted fds dealt round-robin through the completion sinks.
-        for (auto& reactor : reactors) reactor->listener.close();
-        handoff_mode = true;
       }
     }
-    bound_port = reactors[0]->listener.listen(options.bind_address,
-                                              options.port, options.backlog);
   }
 
-  void stop_all() {
-    // Async-signal-safe: one atomic store plus one write(2) per reactor on
-    // pipe fds that stay valid for the server's lifetime.
-    stop.store(true, std::memory_order_release);
-    const char byte = 's';
-    for (const int fd : wake_fds) {
-      [[maybe_unused]] const ssize_t n = ::write(fd, &byte, 1);
+  /// Once nobody owns it: forgets a connection that is done —
+  /// socket failed, protocol error flushed, peer gone or drain with nothing
+  /// left to answer — or arms epoll for what it waits on. May erase `conn`.
+  void settle_locked(Connection& conn) {
+    if (conn.busy) return;  // its owner settles it
+    const bool answered = conn.inflight == 0 && conn.out.empty();
+    if (conn.fd < 0 || (conn.closing && conn.out.empty()) ||
+        ((conn.read_closed || draining) && answered)) {
+      const std::uint64_t id = conn.id;
+      close_fd_locked(conn);
+      connections.erase(id);
+      check_drained_locked();
+      return;
     }
+    std::uint32_t want = 0;
+    if (!draining && !conn.closing && !conn.read_closed &&
+        conn.out.size() <= options.max_write_buffer) {
+      want |= EPOLLIN;
+    }
+    if (!conn.out.empty()) want |= EPOLLOUT;
+    if (want != conn.armed) {
+      watch(EPOLL_CTL_MOD, conn.fd, conn.id, want | EPOLLONESHOT);
+      conn.armed = want;
+    }
+  }
+
+  /// Reserves an in-flight slot for a query or monitor_open, or names the
+  /// overload scope that refuses it.
+  const char* admit(Connection& conn, bool open) {
+    std::lock_guard lock(mutex);
+    // The per-connection session cap counts opens still in flight, so a
+    // pipelined burst of opens is rejected deterministically at the cap.
+    const char* scope = nullptr;
+    if (open && conn.sessions.size() + conn.pending_opens >=
+                    options.limits.max_sessions_per_connection) {
+      scope = "connection_sessions";
+    } else if (counters.inflight >= options.max_inflight) {
+      scope = "server";
+    } else if (conn.inflight >= options.max_inflight_per_connection) {
+      scope = "connection";
+    }
+    if (scope != nullptr) {
+      ++counters.overload_rejects;
+      return scope;
+    }
+    ++counters.queries;
+    ++counters.inflight;
+    ++conn.inflight;
+    if (open) ++conn.pending_opens;
+    return nullptr;
+  }
+
+  std::string render_record(const Request& req, const Verdict& verdict) {
+    const std::string& label = req.label.empty() ? "inline" : req.label;
+    return render_query_record(
+        req.id, req.query, verdict, label,
+        req.query.property_automaton.empty() ? std::string() : label,
+        engine.cache_totals());
+  }
+
+  // --- requests (mutex released) ----------------------------------------
+
+  /// Answers one request line into `replies`, or adds it to `misses` to be
+  /// computed. Returns false on a protocol error: the stream may be
+  /// desynced, so the connection answers once and closes.
+  bool answer_line(Connection& conn, std::string_view line,
+                   std::string& replies, std::vector<Job>& misses) {
+    Request req;
+    try {
+      req = parse_request(line);
+    } catch (const std::exception& e) {
+      add_line(replies, render_error(std::nullopt, "bad_request", e.what()));
+      return false;
+    }
+    const bool open = req.op == RequestOp::kMonitorOpen;
+    switch (req.op) {
+      case RequestOp::kPing:
+        add_line(replies, "{\"id\":" + std::to_string(req.id) +
+                              ",\"ok\":true,\"pong\":true}");
+        break;
+      case RequestOp::kStats:
+        add_line(replies, render_server_stats(req.id));
+        break;
+      case RequestOp::kQuery:
+      case RequestOp::kMonitorOpen: {
+        if (const char* scope = admit(conn, open)) {
+          add_line(replies, render_overloaded(req.id, scope));
+          break;
+        }
+        Job job{conn.id, std::move(req), {}};
+        if (!open) {
+          apply_limits(job.req.query, options.limits);
+          if (auto verdict = engine.lookup(job.req.query, job.lookup)) {
+            add_line(replies, render_record(job.req, *verdict));
+            std::lock_guard lock(mutex);
+            --counters.inflight;
+            --conn.inflight;
+            break;
+          }
+        }
+        misses.push_back(std::move(job));
+        break;
+      }
+      case RequestOp::kMonitorStep:
+        add_line(replies, step_monitor(conn, req));
+        break;
+      case RequestOp::kMonitorClose: {
+        bool owned = false;
+        {
+          std::lock_guard lock(mutex);
+          owned = conn.sessions.erase(req.session) != 0;
+        }
+        add_line(replies,
+                 owned ? render_monitor_close(
+                             req.id, engine.close_monitor(req.session))
+                       : render_error(req.id, "unknown_session", {}));
+        break;
+      }
+    }
+    return true;
+  }
+
+  std::string step_monitor(Connection& conn, const Request& req) {
+    const bool capped =
+        req.actions.size() > options.limits.max_steps_per_request;
+    bool owned = false;
+    {
+      std::lock_guard lock(mutex);
+      if (capped) ++counters.overload_rejects;
+      owned = conn.sessions.count(req.session) != 0;
+    }
+    if (capped) {
+      return render_error(
+          req.id, "too_many_steps",
+          "batch cap is " +
+              std::to_string(options.limits.max_steps_per_request));
+    }
+    // A connection may only step sessions it opened; a foreign (or
+    // already-closed) id is indistinguishable from an unknown one.
+    if (!owned) return render_error(req.id, "unknown_session", {});
+    MonitorStepResult r = engine.step_monitor(req.session, req.actions);
+    if (r.error == "unknown_session") {
+      std::lock_guard lock(mutex);
+      conn.sessions.erase(req.session);  // idle-swept under us
+    }
+    return render_monitor_step(req.id, r);
+  }
+
+  // --- events ------------------------------------------------------------
+
+  /// A connection is ready: read it, answer what is cheap, re-arm it, and
+  /// return the first miss it brought if a compute slot is free.
+  std::optional<Job> on_connection(std::uint64_t id, std::uint32_t events) {
+    std::unique_lock lock(mutex);
+    const auto it = connections.find(id);
+    if (it == connections.end()) return std::nullopt;
+    Connection& conn = it->second;  // stays put while busy
+    conn.armed = 0;  // EPOLLONESHOT disarmed it
+    // A busy connection's owner re-arms it, and the re-arm reports
+    // whatever this event saw.
+    if (conn.busy) return std::nullopt;
+    conn.busy = true;
+    if (events & EPOLLERR) close_fd_locked(conn);
+    const bool readable = conn.fd >= 0 && !draining && !conn.closing &&
+                          !conn.read_closed &&
+                          (events & (EPOLLIN | EPOLLHUP)) != 0;
+    const int fd = conn.fd;
+    lock.unlock();
+
+    thread_local std::string lines;
+    thread_local std::string replies;
+    lines.clear();
+    replies.clear();
+    ReadResult got;
+    if (readable) {
+      got = read_lines(fd, conn.in, lines, options.max_request_bytes);
+    }
+    std::vector<Job> misses;
+    std::uint64_t requests = 0;
+    bool protocol_error = false;
+    std::size_t start = 0;
+    while (start < lines.size()) {
+      const std::size_t nl = lines.find('\n', start);
+      const std::string_view line =
+          strip_cr(std::string_view(lines).substr(start, nl - start));
+      start = nl + 1;
+      if (line.empty()) continue;
+      ++requests;
+      if (!answer_line(conn, line, replies, misses)) {
+        protocol_error = true;
+        break;
+      }
+    }
+    if (got.too_large && !protocol_error) {
+      add_line(replies, render_error(std::nullopt, "bad_request",
+                                     "request line too large"));
+    }
+
+    lock.lock();
+    counters.requests += requests;
+    counters.bytes_read += got.bytes;
+    if (protocol_error || got.too_large) ++counters.protocol_errors;
+    if (got.bytes > 0) conn.last_activity = Clock::now();
+    if (got.eof) conn.read_closed = true;
+    if (got.failed) close_fd_locked(conn);
+    if (protocol_error || got.too_large) conn.closing = true;
+    if (conn.fd >= 0) conn.out += replies;
+    std::optional<Job> mine;
+    for (Job& job : misses) {
+      if (!mine && counters.computing < slots) {
+        ++counters.computing;
+        mine = std::move(job);
+      } else {
+        queue.push_back(std::move(job));
+        ++counters.queued_total;
+      }
+    }
+    if (!queue.empty() && counters.computing < slots) wake();
+    flush(conn, lock);
+    conn.busy = false;
+    settle_locked(conn);  // before computing: later requests flow elsewhere
+    return mine;
+  }
+
+  /// Computes one job on this thread and queues its reply; returns the next
+  /// queued job, which keeps this thread's compute slot.
+  std::optional<Job> run_job(Job job) {
+    const bool open = job.req.op == RequestOp::kMonitorOpen;
+    std::string reply;
+    std::uint64_t session = 0;
+    if (open) {
+      const MonitorOpenResult result = engine.open_monitor(job.req.monitor);
+      session = result.session;
+      reply = render_monitor_open(job.req.id, result);
+    } else {
+      reply = render_record(job.req, engine.compute(job.req.query, job.lookup));
+    }
+
+    std::unique_lock lock(mutex);
+    --counters.inflight;
+    const auto it = connections.find(job.conn);
+    Connection* conn = it == connections.end() ? nullptr : &it->second;
+    if (conn != nullptr) {
+      --conn->inflight;
+      if (open) --conn->pending_opens;
+    }
+    if (conn == nullptr || conn->fd < 0) {
+      // The client left first: a session opened for it would leak in the
+      // engine table with nobody able to step or close it.
+      if (session != 0) (void)engine.close_monitor(session);
+    } else {
+      if (session != 0) conn->sessions.insert(session);
+      add_line(conn->out, reply);
+      if (!conn->busy) {  // else its owner sends the reply
+        conn->busy = true;
+        flush(*conn, lock);
+        conn->busy = false;
+      }
+    }
+    if (conn != nullptr) settle_locked(*conn);
+    if (!queue.empty() && !exiting.load(std::memory_order_relaxed)) {
+      Job next = std::move(queue.front());
+      queue.pop_front();
+      return next;
+    }
+    --counters.computing;
+    check_drained_locked();
+    return std::nullopt;
+  }
+
+  /// Queued work found a free slot.
+  std::optional<Job> on_wake() {
+    std::uint64_t count = 0;
+    [[maybe_unused]] const ssize_t n = ::read(wake_fd.get(), &count, sizeof count);
+    std::lock_guard lock(mutex);
+    if (exiting.load(std::memory_order_relaxed) || queue.empty() ||
+        counters.computing >= slots) {
+      return std::nullopt;
+    }
+    ++counters.computing;
+    Job job = std::move(queue.front());
+    queue.pop_front();
+    if (!queue.empty() && counters.computing < slots) wake();  // pass it on
+    return job;
+  }
+
+  void on_listener() {
+    std::lock_guard lock(mutex);
+    if (!listener.open()) return;
+    const Clock::time_point now = Clock::now();
+    while (true) {
+      if (counters.connections_open >= options.max_connections) {
+        accept_paused = true;  // re-armed when a connection closes
+        return;
+      }
+      bool soft_error = false;
+      const int cfd = listener.accept_client(&soft_error);
+      if (cfd < 0) {
+        if (!soft_error) break;
+        ++counters.accept_soft_errors;
+        if (!accept_error_logged) {
+          // Once per exhaustion episode, not per retry: the counter
+          // carries the rate, the log line carries the diagnosis.
+          std::fprintf(stderr,
+                       "rlv::net: accept: %s — pausing listener until a "
+                       "connection closes\n",
+                       std::strerror(errno));
+          accept_error_logged = true;
+        }
+        accept_paused = true;
+        accept_retry_at = now + kAcceptRetryBackoff;
+        schedule_locked(accept_retry_at);
+        return;
+      }
+      accept_error_logged = false;
+      ++counters.connections_accepted;
+      ++counters.connections_open;
+      const std::uint64_t id = next_conn_id++;
+      Connection& conn = connections[id];
+      conn.fd = cfd;
+      conn.id = id;
+      conn.last_activity = now;
+      conn.armed = EPOLLIN;
+      watch(EPOLL_CTL_ADD, cfd, id, EPOLLIN | EPOLLONESHOT);
+      if (options.idle_timeout_ms > 0) {
+        schedule_locked(now +
+                        std::chrono::milliseconds(options.idle_timeout_ms));
+      }
+    }
+    watch(EPOLL_CTL_MOD, listener.fd(), kListenerId, EPOLLIN | EPOLLONESHOT);
+  }
+
+  void resume_accepting_locked() {
+    if (!accept_paused || !listener.open()) return;
+    accept_paused = false;
+    accept_retry_at = Clock::time_point::max();
+    watch(EPOLL_CTL_MOD, listener.fd(), kListenerId, EPOLLIN | EPOLLONESHOT);
+  }
+
+  /// Housekeeping on the timerfd: drain deadline, accept retry, idle
+  /// connections and idle monitor sessions.
+  void on_timer() {
+    std::uint64_t expirations = 0;
+    [[maybe_unused]] const ssize_t n =
+        ::read(timer_fd.get(), &expirations, sizeof expirations);
+    const Clock::time_point now = Clock::now();
+    {
+      std::lock_guard lock(mutex);
+      timer_at = Clock::time_point::max();
+      if (draining) {
+        if (now >= drain_deadline) {
+          finish();  // give up on stragglers
+        } else {
+          schedule_locked(drain_deadline);
+        }
+        return;
+      }
+      if (accept_paused && now >= accept_retry_at) resume_accepting_locked();
+      if (accept_paused) schedule_locked(accept_retry_at);
+      if (options.idle_timeout_ms > 0) close_idle_locked(now);
+      if (options.session_idle_timeout_ms > 0) {
+        // Sessions idle past the timeout go within 1.5 timeouts.
+        schedule_locked(now + std::chrono::milliseconds(
+                                  options.session_idle_timeout_ms / 2 + 1));
+      }
+    }
+    if (options.session_idle_timeout_ms > 0) {
+      (void)engine.sweep_idle_sessions(options.session_idle_timeout_ms);
+    }
+  }
+
+  void close_idle_locked(Clock::time_point now) {
+    const auto timeout = std::chrono::milliseconds(options.idle_timeout_ms);
+    for (auto it = connections.begin(); it != connections.end();) {
+      Connection& conn = it->second;
+      if (conn.busy || conn.fd < 0 || conn.inflight > 0 || !conn.out.empty()) {
+        schedule_locked(now + timeout);  // look again once it may be idle
+        ++it;
+        continue;
+      }
+      if (now - conn.last_activity >= timeout) {
+        ++counters.idle_closed;
+        close_fd_locked(conn);
+        it = connections.erase(it);
+      } else {
+        schedule_locked(conn.last_activity + timeout);
+        ++it;
+      }
+    }
+  }
+
+  /// Makes the timer fire by `at` (it may fire earlier for another reason).
+  void schedule_locked(Clock::time_point at) {
+    if (at >= timer_at) return;
+    timer_at = at;
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        at.time_since_epoch())
+                        .count();
+    itimerspec spec{};
+    spec.it_value.tv_sec = static_cast<time_t>(ns / 1000000000);
+    spec.it_value.tv_nsec = static_cast<long>(ns % 1000000000);
+    if (spec.it_value.tv_sec == 0 && spec.it_value.tv_nsec == 0) {
+      spec.it_value.tv_nsec = 1;  // zero would disarm the timer
+    }
+    if (::timerfd_settime(timer_fd.get(), TFD_TIMER_ABSTIME, &spec, nullptr) < 0) {
+      throw_errno("timerfd_settime");
+    }
+  }
+
+  void check_drained_locked() {
+    if (draining && connections.empty() && counters.computing == 0 &&
+        queue.empty()) {
+      finish();
+    }
+  }
+
+  void begin_drain() {
+    std::lock_guard lock(mutex);
+    if (draining) return;
+    draining = true;
+    drain_deadline =
+        Clock::now() + std::chrono::milliseconds(options.drain_timeout_ms);
+    listener.close();  // closing the fd also drops it from the epoll set
+    for (auto it = connections.begin(); it != connections.end();) {
+      settle_locked((it++)->second);  // may erase the connection just passed
+    }
+    schedule_locked(drain_deadline);
+    check_drained_locked();
+  }
+
+  // --- threads -----------------------------------------------------------
+
+  void serve() {
+    epoll_event event{};
+    while (!exiting.load(std::memory_order_acquire)) {
+      if (stop.load(std::memory_order_acquire)) begin_drain();
+      // One event per wait: a thread that computes holds no other ready
+      // connection back.
+      const int n = ::epoll_wait(epoll_fd.get(), &event, 1, -1);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        throw_errno("epoll_wait");
+      }
+      if (n == 0) continue;
+      std::optional<Job> job;
+      switch (event.data.u64) {
+        case kWakeId:
+          job = on_wake();
+          break;
+        case kTimerId:
+          on_timer();
+          break;
+        case kListenerId:
+          on_listener();
+          break;
+        default:
+          job = on_connection(event.data.u64, event.events);
+          break;
+      }
+      while (job) job = run_job(std::move(*job));
+    }
+    wake();  // pass the exit on to the next waiting thread
   }
 
   void run_all() {
     if (!started) throw std::runtime_error("Server::run() before start()");
+    on_timer();  // the first housekeeping pass plans the next ones
     std::mutex error_mutex;
     std::exception_ptr error;
     const auto record_error = [&] {
@@ -850,38 +821,57 @@ struct Server::Impl {
         std::lock_guard lock(error_mutex);
         if (!error) error = std::current_exception();
       }
-      stop_all();  // one reactor failing must not strand the others
+      finish();  // one thread failing must not strand the others
+    };
+    const auto serve_or_record = [&] {
+      try {
+        serve();
+      } catch (...) {
+        record_error();
+      }
     };
     std::vector<std::thread> threads;
-    threads.reserve(reactors.size() > 0 ? reactors.size() - 1 : 0);
-    for (std::size_t i = 1; i < reactors.size(); ++i) {
-      threads.emplace_back([this, i, &record_error] {
-        try {
-          reactors[i]->run();
-        } catch (...) {
-          record_error();
-        }
-      });
-    }
     try {
-      reactors[0]->run();
+      for (std::size_t i = 0; i < slots; ++i) {
+        threads.emplace_back(serve_or_record);
+      }
     } catch (...) {
-      record_error();
+      record_error();  // the threads that did start wind down
     }
+    serve_or_record();
     for (std::thread& thread : threads) thread.join();
+    {
+      // Past the drain deadline: close what is left, drop what never ran.
+      std::lock_guard lock(mutex);
+      for (auto& [id, conn] : connections) close_fd_locked(conn);
+      connections.clear();
+      counters.inflight -= queue.size();
+      queue.clear();
+    }
     if (error) std::rethrow_exception(error);
+  }
+
+  [[nodiscard]] ServerCounters snapshot_counters() {
+    std::lock_guard lock(mutex);
+    ServerCounters snapshot = counters;
+    snapshot.queued = queue.size();
+    return snapshot;
+  }
+
+  std::string render_server_stats(std::uint64_t id) {
+    std::ostringstream out;
+    out << "{\"id\":" << id
+        << ",\"ok\":true,\"stats\":" << render_stats(engine.stats())
+        << ",\"server\":"
+        << render_server_counters(snapshot_counters(),
+                                  stop.load(std::memory_order_acquire))
+        << "}";
+    return out.str();
   }
 };
 
 Server::Server(Engine& engine, ServerOptions options)
-    : impl_(std::make_unique<Impl>(engine, std::move(options))) {
-  if (engine.workers() == 0) {
-    // With jobs <= 1 Engine::submit runs the query inline on the caller —
-    // which here would be an event loop, freezing every other client.
-    throw std::invalid_argument(
-        "net::Server requires an Engine with jobs >= 2 (a real worker pool)");
-  }
-}
+    : impl_(std::make_unique<Impl>(engine, std::move(options))) {}
 
 Server::~Server() = default;
 
@@ -890,14 +880,22 @@ std::uint16_t Server::start() {
   // send() also passes MSG_NOSIGNAL, but third-party code (and the client
   // library, when used in-process) writes to sockets too.
   std::signal(SIGPIPE, SIG_IGN);
-  impl_->start_listeners();
-  impl_->started = true;
-  return impl_->bound_port;
+  Impl& impl = *impl_;
+  impl.bound_port = impl.listener.listen(impl.options.bind_address,
+                                         impl.options.port,
+                                         impl.options.backlog);
+  impl.watch(EPOLL_CTL_ADD, impl.listener.fd(), kListenerId,
+             EPOLLIN | EPOLLONESHOT);
+  impl.started = true;
+  return impl.bound_port;
 }
 
 void Server::run() { impl_->run_all(); }
 
-void Server::request_stop() { impl_->stop_all(); }
+void Server::request_stop() {
+  impl_->stop.store(true, std::memory_order_release);
+  impl_->wake();
+}
 
 std::uint16_t Server::port() const { return impl_->bound_port; }
 

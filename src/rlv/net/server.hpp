@@ -5,24 +5,24 @@
 // newline-delimited JSON protocol of protocol.hpp to any number of
 // concurrent TCP clients.
 //
-// Threading model: N reactor threads (options.reactors; run() spawns
-// N-1 and becomes reactor 0), each a self-contained poll(2) event loop
-// owning its own listener fd, pollfd table, connection map, wake pipe,
-// completion sink, and monitor-session-ownership sets — no connection
-// state is ever shared across reactors, so the loops need no locks
-// between them. Incoming connections are spread by the kernel via
-// SO_REUSEPORT (every reactor listens on the same address); when that
-// is unavailable (or force_acceptor_handoff is set), reactor 0 keeps
-// the only listener and hands accepted fds round-robin to the other
-// reactors through their completion sinks. A reactor answers a query
-// whose verdict is already resident itself, inside Engine::submit, in
-// O(request bytes) — the record goes into its own completion sink with no
-// self-pipe wake and out before the next poll. Everything that parses a
-// system, translates, or runs a kernel happens on the Engine's worker
-// pool; those results are rendered on the worker thread and handed back
-// through the owning reactor's mutex-protected completion queue plus a
-// self-pipe wakeup. Because the engine runs misses inline when built
-// with jobs <= 1, a Server requires an Engine with jobs >= 2.
+// Threading model: jobs + 1 symmetric threads (jobs = the engine's
+// EngineOptions::jobs, at least 1; run() spawns jobs of them and becomes
+// the last), all blocked in epoll_wait on one epoll set. Connections are
+// registered EPOLLONESHOT, so the kernel hands each ready connection to one
+// idle thread, which reads it and answers pings, stats, monitor steps and
+// resident verdicts (Engine::lookup, O(request bytes)) itself. It re-arms
+// the connection and then computes any miss it read (Engine::compute, or
+// Engine::open_monitor for a monitor_open) on its own thread, when one of
+// the jobs compute slots is free. Otherwise the miss is queued: a thread
+// that finishes a computation takes queued work before it waits again,
+// and queued work that finds a free slot wakes one idle thread through an
+// eventfd. At most jobs threads compute, so one thread always waits on
+// the epoll set and hits never queue behind a kernel. Connection state
+// (buffers, in-flight counts, owned monitor sessions) sits under one
+// server mutex, held only while that state changes — never while
+// parsing, computing or rendering. A computing thread writes its own
+// reply under the mutex, and an fd is closed only under it, so a reply
+// can never reach a reused fd. The engine's own pool is never used.
 //
 // Backpressure: in-flight queries are bounded per connection and globally;
 // a request over either bound is answered immediately with the structured
@@ -31,20 +31,20 @@
 // buffer exceeds max_write_buffer stops being read until the client
 // drains it (TCP backpressure).
 //
-// Shutdown: request_stop() is async-signal-safe (an atomic store plus a
-// write to every reactor's self-pipe) so a SIGINT/SIGTERM handler can
-// call it directly. Each reactor then stops accepting and reading, lets
-// its in-flight queries finish under their Budget deadlines
-// (apply_limits gives every served query one), flushes buffered
-// responses, reclaims its connections' monitor sessions, and returns;
-// a drain deadline bounds the wait against budget-less stragglers.
-// run() returns once every reactor has drained.
+// Shutdown: request_stop() is async-signal-safe (an atomic store plus an
+// eventfd write) so a SIGINT/SIGTERM handler can call it directly. The
+// server then stops accepting and reading, lets its in-flight queries
+// finish under their Budget deadlines (apply_limits gives every served
+// query one), flushes buffered responses, reclaims its connections'
+// monitor sessions, and returns. A drain deadline bounds the wait: past
+// it, queued work is dropped and run() returns as soon as the
+// computations already running end.
 //
 // fd exhaustion: accept(2) failing with EMFILE/ENFILE/ENOMEM/ENOBUFS is
-// an overload signal, not a crash — the reactor logs once, bumps
-// accept_soft_errors, and stops polling its listener until one of its
-// connections closes (or a short retry backoff elapses). Established
-// connections keep being served the whole time.
+// an overload signal, not a crash — the server logs once, bumps
+// accept_soft_errors, and stops accepting until a connection closes (or a
+// short retry backoff elapses). Established connections keep being served
+// the whole time.
 
 #include <cstdint>
 #include <memory>
@@ -74,15 +74,6 @@ struct ServerOptions {
   /// (idle-session GC, independent of connection idle close); 0 = never.
   /// A later step on a reclaimed session reports "unknown_session".
   std::uint64_t session_idle_timeout_ms = 0;
-  /// Event-loop reactors. 1 keeps the classic single-loop server; N > 1
-  /// runs N independent loops (run() spawns N-1 threads), sharing only the
-  /// engine, the global in-flight gauge, and the stats counters.
-  std::size_t reactors = 1;
-  /// Forces the single-acceptor round-robin fd-handoff path even where
-  /// SO_REUSEPORT is available. Deterministic connection placement —
-  /// client k lands on reactor k mod N — which the multi-reactor tests
-  /// rely on; also the automatic fallback when a reuseport bind fails.
-  bool force_acceptor_handoff = false;
   ServerLimits limits;  // caps/defaults for per-request overrides
 };
 
@@ -97,12 +88,10 @@ class Listener {
   Listener& operator=(const Listener&) = delete;
 
   /// Binds address:port (dotted IPv4; port 0 picks an ephemeral port) with
-  /// SO_REUSEADDR (plus SO_REUSEPORT when `reuse_port` — the multi-reactor
-  /// mode, where every reactor binds the same port and the kernel spreads
-  /// connections) and starts listening. Returns the bound port. Throws
+  /// SO_REUSEADDR and starts listening. Returns the bound port. Throws
   /// std::runtime_error on failure.
   std::uint16_t listen(const std::string& address, std::uint16_t port,
-                       int backlog, bool reuse_port = false);
+                       int backlog);
 
   /// Accepts one pending client as a non-blocking fd; -1 when none pending.
   /// fd exhaustion (EMFILE/ENFILE/ENOMEM/ENOBUFS) is reported by setting
@@ -120,8 +109,8 @@ class Listener {
 
 class Server {
  public:
-  /// The engine must outlive the server AND be built with jobs >= 2 (see
-  /// the threading model above); the constructor enforces the latter.
+  /// The engine must outlive the server. Its jobs option sets how many
+  /// computations run at once (see the threading model above).
   Server(Engine& engine, ServerOptions options = {});
   ~Server();
 
@@ -132,8 +121,8 @@ class Server {
   /// port (== options.port unless that was 0). Throws on bind failure.
   std::uint16_t start();
 
-  /// The event loop. Blocks until request_stop() completes the drain.
-  /// start() must have been called.
+  /// Serves on jobs + 1 threads, the caller's among them. Blocks until
+  /// request_stop() completes the drain. start() must have been called.
   void run();
 
   /// Begins graceful drain. Async-signal-safe; callable from any thread

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <future>
 #include <set>
 #include <thread>
@@ -442,6 +444,34 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
   pool.submit([&] { ran_on = std::this_thread::get_id(); });
   EXPECT_EQ(ran_on, caller);
   pool.wait_idle();  // must not block with an empty queue
+}
+
+/// Threads of this process, from /proc/self/status.
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      std::size_t threads = 0;
+      status >> threads;
+      return threads;
+    }
+  }
+  return 0;
+}
+
+TEST(ThreadPool, StartsWorkersOnFirstSubmit) {
+  // Threads joined by earlier tests finish exiting first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const std::size_t before = process_threads();
+  ASSERT_GT(before, 0u);
+  ThreadPool pool(3);
+  EXPECT_EQ(pool.num_workers(), 3u);
+  // A serving engine never submits, so its pool costs no threads.
+  EXPECT_EQ(process_threads(), before);
+  pool.submit([] {});
+  pool.wait_idle();
+  EXPECT_EQ(process_threads(), before + 3);
 }
 
 TEST(ThreadPool, DestructorDrainsQueue) {

@@ -1,5 +1,5 @@
 // Tests for rlv::net — the serving layer: the strict JSON reader, the
-// request/response protocol, server-side limit clamping, and the poll-based
+// request/response protocol, server-side limit clamping, and the epoll
 // Server end to end over real sockets (concurrent clients, verdict parity
 // with a direct Engine, backpressure rejections, protocol-error handling,
 // idle timeouts, mid-response disconnects, graceful drain). The sockets are
@@ -16,9 +16,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -234,7 +236,7 @@ TEST(NetProtocol, RenderStatsRoundTripsThroughJsonParser) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine::submit (the serving hook).
+// Engine::submit.
 
 TEST(NetEngineSubmit, CallbacksDeliverSameVerdictsAsRun) {
   EngineOptions options;
@@ -272,8 +274,9 @@ TEST(NetEngineSubmit, CallbacksDeliverSameVerdictsAsRun) {
 // ---------------------------------------------------------------------------
 // Server integration over real sockets.
 
-/// An Engine + Server on an ephemeral loopback port with the event loop on
-/// its own thread; tears down via the same graceful drain the daemon uses.
+/// An Engine + Server on an ephemeral loopback port, run() on its own
+/// thread; tears down via the same graceful drain the daemon uses. The
+/// engine has two jobs: two compute slots on three serving threads.
 class TestServer {
  public:
   explicit TestServer(net::ServerOptions server_options = {},
@@ -545,7 +548,7 @@ TEST(NetServer, DeeplyNestedFormulaIsAParseErrorNotACrash) {
   const std::string fig2 = serialize_system(figure2_system());
   {
     net::Client client = ts.connect_client();
-    // Resident system: the reactor itself parses the next formula while
+    // Resident system: the reading thread parses the next formula while
     // looking for a resident verdict.
     ASSERT_TRUE(net::parse_response(
                     client.call(net::render_query_request(
@@ -567,7 +570,7 @@ TEST(NetServer, DeeplyNestedFormulaIsAParseErrorNotACrash) {
 }
 
 TEST(NetServer, ResidentVerdictAnsweredWhileWorkersAreBusy) {
-  TestServer ts;  // two pool workers
+  TestServer ts;  // two compute slots
   const std::string fig2 = serialize_system(figure2_system());
   const Query warm{fig2, "G F result", CheckKind::kRelativeLiveness};
   net::Client fast = ts.connect_client();
@@ -575,8 +578,8 @@ TEST(NetServer, ResidentVerdictAnsweredWhileWorkersAreBusy) {
       net::parse_response(fast.call(net::render_query_request(warm, 1))).ok);
 
   // Two slow queries (rank-based complementation of the dense property)
-  // occupy both workers; the state cap bounds their memory, the generous
-  // deadline never trips first.
+  // occupy both compute slots; the state cap bounds their memory, the
+  // generous deadline never trips first.
   std::vector<net::Client> slow;
   for (const CheckKind kind :
        {CheckKind::kRelativeSafety, CheckKind::kSatisfaction}) {
@@ -591,8 +594,8 @@ TEST(NetServer, ResidentVerdictAnsweredWhileWorkersAreBusy) {
   }
   while (ts.server().counters().queries < 3) std::this_thread::yield();
 
-  // The warm query's verdict is resident: the reactor answers it without
-  // waiting for a worker, so no slow reply can have arrived first.
+  // The warm query's verdict is resident: the free thread answers it
+  // without waiting for a slot, so no slow reply can have arrived first.
   const net::Response hit =
       net::parse_response(fast.call(net::render_query_request(warm, 2)));
   EXPECT_TRUE(hit.ok);
@@ -635,117 +638,163 @@ TEST(NetServer, GracefulDrainAnswersInFlightThenCloses) {
   EXPECT_THROW(late.connect("127.0.0.1", ts.port()), std::runtime_error);
 }
 
-// ---------------------------------------------------------------------------
-// Multi-reactor serving.
-
-TEST(NetServerMultiReactor, ReuseportReactorsServeQueries) {
-  // The default multi-reactor mode: every reactor binds the same port with
-  // SO_REUSEPORT and the kernel spreads connections. Placement is not
-  // deterministic, so this test only checks serving correctness and the
-  // aggregated counters.
+TEST(NetServer, UnterminatedStreamIsRejectedAtTheRequestCap) {
   net::ServerOptions options;
-  options.reactors = 2;
+  options.max_request_bytes = 4096;
   TestServer ts(options);
-  EXPECT_EQ(ts.server().counters().reactors, 2u);
-
-  Query query{serialize_system(figure2_system()), "G F result",
-              CheckKind::kRelativeLiveness};
-  for (int c = 0; c < 4; ++c) {
-    net::Client client = ts.connect_client();
-    const net::Response response = net::parse_response(
-        client.call(net::render_query_request(query, 100 + c)));
-    EXPECT_TRUE(response.ok) << response.raw;
-    EXPECT_TRUE(response.has_holds);
-  }
-  const net::ServerCounters counters = ts.server().counters();
-  EXPECT_EQ(counters.connections_accepted, 4u);
-  EXPECT_EQ(counters.queries, 4u);
-  EXPECT_EQ(counters.accept_soft_errors, 0u);
-}
-
-TEST(NetServerMultiReactor, EightClientsOnFourReactorsMatchDirectEngine) {
-  net::ServerOptions options;
-  options.reactors = 4;
-  // Deterministic placement (client k lands on reactor k mod 4) and covers
-  // the fd-handoff fallback that non-reuseport platforms always take.
-  options.force_acceptor_handoff = true;
-  TestServer ts(options);
-  EXPECT_EQ(ts.server().counters().reactors, 4u);
-
-  std::vector<Query> queries;
-  const std::string fig2 = serialize_system(figure2_system());
-  const std::string fig3 = serialize_system(figure3_system());
-  for (const std::string& system : {fig2, fig3}) {
-    for (const CheckKind kind :
-         {CheckKind::kRelativeLiveness, CheckKind::kRelativeSafety,
-          CheckKind::kSatisfaction}) {
-      queries.push_back({system, "G F result", kind});
-      queries.push_back({system, "G(request -> F(result || reject))", kind});
-    }
-  }
-  Engine reference;
-  const std::vector<Verdict> expected = reference.run(queries);
-
-  constexpr std::size_t kClients = 8;  // two connections per reactor
-  std::vector<std::string> failures(kClients);
-  std::vector<std::thread> clients;
-  for (std::size_t c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      try {
-        net::Client client;
-        client.connect("127.0.0.1", ts.port());
-        for (std::size_t i = 0; i < queries.size(); ++i) {
-          const std::size_t k = (i + c * 3) % queries.size();
-          const std::uint64_t id = c * 1000 + k;
-          const net::Response response = net::parse_response(
-              client.call(net::render_query_request(queries[k], id)));
-          if (!response.ok || !response.has_holds || response.id != id ||
-              response.holds != expected[k].holds) {
-            failures[c] = "query " + std::to_string(k) + " diverged: " +
-                          response.raw;
-            return;
-          }
-        }
-      } catch (const std::exception& e) {
-        failures[c] = e.what();
-      }
-    });
-  }
-  for (std::thread& thread : clients) thread.join();
-  for (std::size_t c = 0; c < kClients; ++c) {
-    EXPECT_EQ(failures[c], "") << "client " << c;
-  }
-
-  // The sharded verdict cache must account for every lookup exactly once
-  // even with four loops submitting concurrently: resident hit, coalesced
-  // join, or miss — never a double count, never a lost one.
   net::Client client = ts.connect_client();
-  const JsonValue stats = parse_json(client.call(R"({"op":"stats"})"));
-  const JsonValue* verdicts =
-      stats.find("stats")->find("caches")->find("verdicts");
-  ASSERT_NE(verdicts, nullptr);
-  EXPECT_EQ(verdicts->find("hits")->as_uint() +
-                verdicts->find("coalesced")->as_uint() +
-                verdicts->find("misses")->as_uint(),
-            kClients * queries.size());
-  EXPECT_GE(verdicts->find("hits")->as_uint() +
-                verdicts->find("coalesced")->as_uint(),
-            2u * queries.size());
-  const JsonValue* server = stats.find("server");
-  EXPECT_EQ(server->find("overload_rejects")->as_uint(), 0u);
-  EXPECT_EQ(server->find("reactors")->as_uint(), 4u);
+  // 1 MiB without a newline, from another thread: the server stops
+  // reading, so this send may block until the server closes the socket.
+  std::thread sender([fd = client.fd()] {
+    const std::string junk(1 << 20, 'a');
+    std::size_t sent = 0;
+    while (sent < junk.size()) {
+      const ssize_t n =
+          ::send(fd, junk.data() + sent, junk.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+  const net::Response response = net::parse_response(client.read_line());
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.error, "bad_request");
+  EXPECT_NE(response.raw.find("request line too large"), std::string::npos);
+  EXPECT_THROW((void)client.read_line(), std::runtime_error);
+  sender.join();
+  // One read past the cap, not the whole stream.
+  EXPECT_LT(ts.server().counters().bytes_read, 4096u + 65536u);
 }
 
-TEST(NetServerMultiReactor, MonitorSessionsReclaimedOnRstOnEveryReactor) {
-  net::ServerOptions options;
-  options.reactors = 4;
-  options.force_acceptor_handoff = true;  // client k -> reactor k mod 4
-  TestServer ts(options);
+TEST(NetServer, ClosedLoopMissesAreComputedWithoutQueueing) {
+  TestServer ts;
+  net::Client client = ts.connect_client();
+  const std::string fig2 = serialize_system(figure2_system());
+  for (std::uint64_t k = 0; k < 50; ++k) {
+    // Fifty distinct formulas: F X^k result. Each one is a miss.
+    std::string formula = "F ";
+    for (std::uint64_t i = 0; i < k; ++i) formula += "X ";
+    formula += "result";
+    const net::Response response = net::parse_response(client.call(
+        net::render_query_request({fig2, formula, CheckKind::kRelativeLiveness},
+                                  k)));
+    ASSERT_TRUE(response.ok && response.has_holds) << response.raw;
+  }
+  const JsonValue stats = parse_json(client.call(R"({"op":"stats"})"));
+  EXPECT_EQ(stats.find("stats")->find("caches")->find("verdicts")->find(
+                "misses")->as_uint(),
+            50u);
+  // The reading thread computed every miss itself.
+  EXPECT_EQ(stats.find("server")->find("queued_total")->as_uint(), 0u);
+}
 
+/// A query whose rank-based complementation outlives small budgets; the
+/// state cap bounds its memory and the generous deadline never trips first.
+Query slow_query(CheckKind kind, InclusionAlgorithm algorithm) {
+  Query hard;
+  hard.system = serialize_system(figure2_system());
+  hard.property_automaton = dense_property_text();
+  hard.kind = kind;
+  hard.algorithm = algorithm;
+  hard.timeout_ms = 20000;
+  hard.max_states = 150000;
+  return hard;
+}
+
+/// Polls `stats` over `client` until `done` accepts its "server" object;
+/// returns that object's last reading.
+JsonValue poll_server_stats(net::Client& client,
+                            const std::function<bool(const JsonValue&)>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (true) {
+    JsonValue stats = parse_json(client.call(R"({"op":"stats"})"));
+    JsonValue server = *stats.find("server");
+    if (done(server) || std::chrono::steady_clock::now() > deadline) {
+      return server;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(NetServer, PipelinedMissesFillEverySlotThenQueue) {
+  TestServer ts;  // two compute slots
+  net::Client pipelined = ts.connect_client();
+  net::Client observer = ts.connect_client();
+  // Two slow misses in one send: the reading thread computes the first
+  // and wakes a second thread for the other.
+  const Query first =
+      slow_query(CheckKind::kRelativeSafety, InclusionAlgorithm::kAntichain);
+  const Query second =
+      slow_query(CheckKind::kSatisfaction, InclusionAlgorithm::kAntichain);
+  pipelined.send_line(net::render_query_request(first, 1, "dense") + "\n" +
+                      net::render_query_request(second, 2, "dense"));
+  const JsonValue busy = poll_server_stats(observer, [](const JsonValue& s) {
+    return s.find("computing")->as_uint() == 2;
+  });
+  EXPECT_EQ(busy.find("computing")->as_uint(), 2u);
+
+  // Both slots are taken: a third miss waits in the queue.
+  net::Client third = ts.connect_client();
+  third.send_line(net::render_query_request(
+      slow_query(CheckKind::kRelativeSafety, InclusionAlgorithm::kSubset), 3,
+      "dense"));
+  const JsonValue waiting = poll_server_stats(observer, [](const JsonValue& s) {
+    return s.find("queued")->as_uint() == 1;
+  });
+  EXPECT_EQ(waiting.find("queued")->as_uint(), 1u);
+  EXPECT_EQ(waiting.find("computing")->as_uint(), 2u);
+  EXPECT_GE(waiting.find("queued_total")->as_uint(), 1u);
+
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 2; ++i) {
+    const net::Response response = net::parse_response(pipelined.read_line());
+    EXPECT_TRUE(response.resource_exhausted) << response.raw;
+    ids.push_back(response.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 2}));
+  const net::Response queued = net::parse_response(third.read_line());
+  EXPECT_EQ(queued.id, 3u);
+  EXPECT_TRUE(queued.resource_exhausted) << queued.raw;
+}
+
+TEST(NetServer, ReplyNeverReachesAReusedFd) {
+  TestServer ts;
+  {
+    // A slow miss, then an RST: the reply is computed for a dead client.
+    net::Client gone = ts.connect_client();
+    gone.send_line(net::render_query_request(
+        slow_query(CheckKind::kRelativeSafety, InclusionAlgorithm::kAntichain),
+        7, "dense"));
+    while (ts.server().counters().queries < 1) std::this_thread::yield();
+    struct linger hard_close{1, 0};
+    ::setsockopt(gone.fd(), SOL_SOCKET, SO_LINGER, &hard_close,
+                 sizeof hard_close);
+    gone.close();
+  }
+  // Once the server has closed that socket, the next accept reuses its fd.
+  while (ts.server().counters().connections_open > 0) {
+    std::this_thread::yield();
+  }
+  net::Client next = ts.connect_client();
+  EXPECT_EQ(parse_json(next.call(R"({"op":"ping","id":100})"))
+                .find("id")
+                ->as_uint(),
+            100u);
+  while (ts.server().counters().inflight > 0) std::this_thread::yield();
+  // The slow reply is gone: the next line on this socket answers this ping.
+  EXPECT_EQ(parse_json(next.call(R"({"op":"ping","id":101})"))
+                .find("id")
+                ->as_uint(),
+            101u);
+}
+
+TEST(NetServer, MonitorSessionsReclaimedOnRst) {
+  TestServer ts;
   MonitorSpec spec;
   spec.system = serialize_system(figure2_system());
   spec.formula = "G F result";
-  constexpr std::size_t kClients = 4;  // one session per reactor
+  constexpr std::size_t kClients = 4;
   std::vector<net::Client> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
     net::Client client = ts.connect_client();
@@ -757,9 +806,8 @@ TEST(NetServerMultiReactor, MonitorSessionsReclaimedOnRstOnEveryReactor) {
   }
   EXPECT_EQ(ts.engine().stats().monitor.sessions_open, kClients);
 
-  // RST (not FIN) every connection: each reactor must notice the dead
-  // socket and reclaim the slab slot of the session its connection owned —
-  // there is no cross-reactor cleanup to fall back on.
+  // RST (not FIN) every connection: whichever thread sees the dead socket
+  // must reclaim the slab slot of the session its connection owned.
   for (net::Client& client : clients) {
     struct linger hard_close{1, 0};
     ::setsockopt(client.fd(), SOL_SOCKET, SO_LINGER, &hard_close,
@@ -776,17 +824,13 @@ TEST(NetServerMultiReactor, MonitorSessionsReclaimedOnRstOnEveryReactor) {
   EXPECT_EQ(ts.engine().stats().monitor.sessions_opened, kClients);
 }
 
-TEST(NetServerMultiReactor, GracefulDrainReclaimsSessionsOnEveryReactor) {
-  net::ServerOptions options;
-  options.reactors = 2;
-  options.force_acceptor_handoff = true;
-  TestServer ts(options);
-
+TEST(NetServer, GracefulDrainReclaimsSessions) {
+  TestServer ts;
   MonitorSpec spec;
   spec.system = serialize_system(figure3_system());
   spec.formula = "G F result";
   std::vector<net::Client> clients;
-  for (std::size_t c = 0; c < 4; ++c) {  // two sessions per reactor
+  for (std::size_t c = 0; c < 4; ++c) {
     net::Client client = ts.connect_client();
     const net::Response opened = net::parse_response(
         client.call(net::render_monitor_open_request(spec, c + 1)));
@@ -796,8 +840,8 @@ TEST(NetServerMultiReactor, GracefulDrainReclaimsSessionsOnEveryReactor) {
   ASSERT_EQ(ts.engine().stats().monitor.sessions_open, 4u);
 
   ts.server().request_stop();
-  // The drain closes every connection on every reactor; each close reclaims
-  // the sessions that connection owned before run() returns.
+  // The drain closes every connection; each close reclaims the sessions
+  // that connection owned before run() returns.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (ts.engine().stats().monitor.sessions_open > 0 &&

@@ -48,7 +48,7 @@
 // EngineStats breakdown goes to stderr.
 //
 // Options:
-//   --jobs N        worker threads (default 1: sequential)
+//   --jobs N        worker threads (default 1: sequential; 2 with --serve)
 //   --cache N       per-cache capacity in entries (default 256)
 //   --timeout-ms N  per-query wall-clock budget (default 0: unlimited)
 //   --max-states N  per-query constructed-state budget (default 0)
@@ -71,10 +71,11 @@
 //   --max-conn-sessions N  per-connection monitor-session cap (4096)
 //   --max-steps-per-request N  monitor_step batch cap (8192)
 //   --session-idle-timeout-ms N  reclaim idle monitor sessions (0 = never)
-//   --reactors N           event-loop threads (default 1); each reactor
-//                          owns its own listener (SO_REUSEPORT), pollfd
-//                          table, and connections — size to the cores you
-//                          can spare beyond the worker pool
+//
+// In serve mode --jobs N (default 2) is the number of computations that
+// run at once. The daemon serves on N + 1 threads: each computes the
+// misses it reads while a slot is free, and at least one is always free to
+// answer pings, stats, monitor steps and cached verdicts.
 //
 // Exit status: 0 = every line executed (whatever the verdicts) or clean
 // serve shutdown, 2 = bad invocation, unreadable batch file, or a
@@ -110,8 +111,7 @@ int usage() {
       "            [--max-inflight N] [--max-conn-inflight N]"
       " [--max-connections N] [--idle-timeout-ms N] [--drain-timeout-ms N]\n"
       "            [--max-sessions N] [--max-conn-sessions N]"
-      " [--max-steps-per-request N] [--session-idle-timeout-ms N]"
-      " [--reactors N]\n"
+      " [--max-steps-per-request N] [--session-idle-timeout-ms N]\n"
       "  batch line: <system-file> [--check rl|rs|sat|fair|fairweak]"
       " [--algorithm subset|antichain]"
       " [--property-aut <file>] [<formula...>]\n");
@@ -122,13 +122,11 @@ std::atomic<net::Server*> g_server{nullptr};
 
 void handle_stop_signal(int) {
   if (net::Server* server = g_server.load(std::memory_order_acquire)) {
-    server->request_stop();  // async-signal-safe: atomic store + pipe write
+    server->request_stop();  // async-signal-safe: atomic store + eventfd write
   }
 }
 
 int serve(EngineOptions engine_options, net::ServerOptions server_options) {
-  // The event loop answers only cached verdicts; misses need a worker pool.
-  if (engine_options.jobs < 2) engine_options.jobs = 2;
   // Serving without any per-query deadline would leave drain at the mercy
   // of the slowest query; default the cap (which also serves as the
   // per-request default) unless the operator chose one.
@@ -148,10 +146,10 @@ int serve(EngineOptions engine_options, net::ServerOptions server_options) {
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
   std::fprintf(stderr,
-               "rlvd: serving on %s:%u (jobs=%zu, reactors=%zu, "
+               "rlvd: serving on %s:%u (jobs=%zu, threads=%zu, "
                "timeout-ms=%llu)\n",
                server_options.bind_address.c_str(), server.port(),
-               engine_options.jobs, server_options.reactors,
+               engine_options.jobs, engine_options.jobs + 1,
                static_cast<unsigned long long>(engine_options.timeout_ms));
   server.run();
   g_server.store(nullptr, std::memory_order_release);
@@ -247,6 +245,7 @@ int main(int argc, char** argv) {
   bool have_path = false;
   bool metrics = false;
   bool serve_mode = false;
+  bool jobs_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -278,9 +277,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--session-idle-timeout-ms" && i + 1 < argc) {
       server_options.session_idle_timeout_ms =
           static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--reactors" && i + 1 < argc) {
-      server_options.reactors = static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (server_options.reactors == 0) return usage();
     } else if (arg == "--max-sessions" && i + 1 < argc) {
       options.max_sessions = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--max-conn-sessions" && i + 1 < argc) {
@@ -296,6 +292,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs" && i + 1 < argc) {
       options.jobs = static_cast<std::size_t>(std::atoi(argv[++i]));
       if (options.jobs == 0) return usage();
+      jobs_given = true;
     } else if (arg == "--cache" && i + 1 < argc) {
       options.cache_capacity = static_cast<std::size_t>(std::atoi(argv[++i]));
       if (options.cache_capacity == 0) return usage();
@@ -319,6 +316,7 @@ int main(int argc, char** argv) {
 
   if (serve_mode) {
     if (have_path || metrics) return usage();
+    if (!jobs_given) options.jobs = 2;
     try {
       return serve(options, server_options);
     } catch (const std::exception& e) {
