@@ -319,79 +319,36 @@ Validation check_violation_lasso(const Lasso& lasso, const Buchi& system,
   return ok_checked();
 }
 
-Validation validate(const RelativeLivenessResult& result, const Buchi& system,
-                    const Buchi& property) {
-  if (result.exhausted) {
-    return not_checked("budget exhausted; no verdict to certify");
-  }
+Validation validate(CheckKind kind, const CheckResult& result,
+                    const Buchi& behaviors, const Property& property) {
   if (result.holds) return not_checked("positive verdict carries no witness");
-  if (!result.violating_prefix) {
-    return fail("negative verdict without a violating prefix");
+  // P as an automaton: the caller's, or else f's translation.
+  std::optional<Buchi> translated;
+  const auto automaton = [&]() -> const Buchi& {
+    if (property.automaton) return *property.automaton;
+    return translated.emplace(
+        translate_ltl(*property.formula, *property.lambda));
+  };
+  if (kind == CheckKind::kRelativeLiveness) {
+    if (!result.violating_prefix) {
+      return fail("negative verdict without a violating prefix");
+    }
+    return check_doomed_prefix(*result.violating_prefix, behaviors,
+                               automaton());
   }
-  return check_doomed_prefix(*result.violating_prefix, system, property);
-}
-
-Validation validate(const RelativeLivenessResult& result, const Buchi& system,
-                    Formula f, const Labeling& lambda) {
-  if (result.exhausted) {
-    return not_checked("budget exhausted; no verdict to certify");
-  }
-  if (result.holds) return not_checked("positive verdict carries no witness");
-  if (!result.violating_prefix) {
-    return fail("negative verdict without a violating prefix");
-  }
-  const Buchi property = translate_ltl(f, lambda);
-  return check_doomed_prefix(*result.violating_prefix, system, property);
-}
-
-Validation validate(const RelativeSafetyResult& result, const Buchi& system,
-                    const Buchi& property) {
-  if (result.exhausted) {
-    return not_checked("budget exhausted; no verdict to certify");
-  }
-  if (result.holds) return not_checked("positive verdict carries no witness");
   if (!result.counterexample) {
     return fail("negative verdict without a counterexample lasso");
   }
-  return check_safety_lasso(*result.counterexample, system, property);
-}
-
-Validation validate(const RelativeSafetyResult& result, const Buchi& system,
-                    Formula f, const Labeling& lambda) {
-  if (result.exhausted) {
-    return not_checked("budget exhausted; no verdict to certify");
+  const Lasso& lasso = *result.counterexample;
+  const std::optional<Formula>& f = property.formula;
+  if (kind == CheckKind::kRelativeSafety) {
+    return f ? check_safety_lasso(lasso, behaviors, automaton(), *f,
+                                  *property.lambda)
+             : check_safety_lasso(lasso, behaviors, automaton());
   }
-  if (result.holds) return not_checked("positive verdict carries no witness");
-  if (!result.counterexample) {
-    return fail("negative verdict without a counterexample lasso");
-  }
-  const Buchi property = translate_ltl(f, lambda);
-  return check_safety_lasso(*result.counterexample, system, property, f,
-                            lambda);
-}
-
-Validation validate(const SatisfactionResult& result, const Buchi& system,
-                    const Buchi& property) {
-  if (result.exhausted) {
-    return not_checked("budget exhausted; no verdict to certify");
-  }
-  if (result.holds) return not_checked("positive verdict carries no witness");
-  if (!result.counterexample) {
-    return fail("negative verdict without a counterexample lasso");
-  }
-  return check_violation_lasso(*result.counterexample, system, property);
-}
-
-Validation validate(const SatisfactionResult& result, const Buchi& system,
-                    Formula f, const Labeling& lambda) {
-  if (result.exhausted) {
-    return not_checked("budget exhausted; no verdict to certify");
-  }
-  if (result.holds) return not_checked("positive verdict carries no witness");
-  if (!result.counterexample) {
-    return fail("negative verdict without a counterexample lasso");
-  }
-  return check_violation_lasso(*result.counterexample, system, f, lambda);
+  // Satisfaction and the fair kinds.
+  return f ? check_violation_lasso(lasso, behaviors, *f, *property.lambda)
+           : check_violation_lasso(lasso, behaviors, automaton());
 }
 
 }  // namespace rlv::cert

@@ -1,27 +1,28 @@
 #pragma once
 
 // Self-validating verdicts (certificate checking). Every negative verdict of
-// the core checkers carries a concrete witness:
+// check() (rlv/core/check.hpp) carries a concrete witness:
 //
-//   relative_liveness  — a violating prefix w: w ∈ pre(L_ω) yet no
+//   relative liveness  — a violating prefix w: w ∈ pre(L_ω) yet no
 //                        continuation of w stays inside L_ω ∩ P (Lemma 4.3
 //                        phrased on words: w separates pre(L_ω) from
 //                        pre(L_ω ∩ P));
-//   relative_safety    — a lasso x = u·v^ω with x ∈ L_ω, x ∉ P, and every
+//   relative safety    — a lasso x = u·v^ω with x ∈ L_ω, x ∉ P, and every
 //                        finite prefix of x extendable into L_ω ∩ P
 //                        (Lemma 4.4: x ∈ L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P);
-//   satisfies          — a lasso x ∈ L_ω with x ∉ P (Definition 3.2).
+//   satisfaction       — a lasso x ∈ L_ω with x ∉ P (Definition 3.2);
+//   fair satisfaction  — the same, for a fair run x.
 //
-// The validate() family re-checks such a witness against the ORIGINAL
-// automata using only simple primitives — state-set simulation
-// (Nfa::run/step), exact lasso membership (accepts_lasso), LTL ground-truth
-// evaluation on ultimately periodic words (eval_ltl), and a from-scratch
-// explicit product + Tarjan SCC live-state computation local to this
-// translation unit. It deliberately shares NO code with the optimized
-// inclusion/emptiness kernels (lang/inclusion, omega/{live,limit,product,
-// emptiness}) whose answers it certifies; a bug there cannot hide here. The
-// formula flavors go through translate_ltl to obtain the property automaton
-// — the translation itself is independently cross-checked against eval_ltl
+// validate() re-checks such a witness against the ORIGINAL automata using
+// only simple primitives — state-set simulation (Nfa::run/step), exact
+// lasso membership (accepts_lasso), LTL ground-truth evaluation on
+// ultimately periodic words (eval_ltl), and a from-scratch explicit product
+// + Tarjan SCC live-state computation local to this translation unit. It
+// deliberately shares NO code with the optimized inclusion/emptiness
+// kernels (lang/inclusion, omega/{live,limit,product,emptiness}) whose
+// answers it certifies; a bug there cannot hide here. The formula flavors
+// go through translate_ltl to obtain the property automaton — the
+// translation itself is independently cross-checked against eval_ltl
 // by the lasso-sampling suites, and the ∉P leg of each certificate is
 // checked with eval_ltl directly, not through the translation.
 //
@@ -30,9 +31,10 @@
 // `checked = false`. Use the brute-force oracle (cert/oracle.hpp) to
 // cross-check positive verdicts on small instances.
 
+#include <optional>
 #include <string>
 
-#include "rlv/core/relative.hpp"
+#include "rlv/core/check.hpp"
 #include "rlv/ltl/ast.hpp"
 #include "rlv/omega/buchi.hpp"
 #include "rlv/omega/emptiness.hpp"
@@ -43,7 +45,7 @@ namespace rlv::cert {
 /// Outcome of validating one result's certificate.
 struct Validation {
   /// False exactly when a certificate was expected and failed (or was
-  /// missing). Positive and budget-exhausted verdicts are vacuously valid.
+  /// missing). Positive verdicts are vacuously valid.
   bool valid = true;
   /// True when an actual witness was re-checked.
   bool checked = false;
@@ -52,28 +54,32 @@ struct Validation {
   std::string reason;
 };
 
-// ---------------------------------------------------------------------------
-// validate(): certificate checking for each result type, in automaton and
-// formula property flavors. The system/property arguments must be the very
-// automata (or formula + labeling) the check ran on.
+/// The property a witness is checked against: an automaton, or a formula
+/// with its labeling. The formula flavor decides the ∉P leg of each
+/// certificate with eval_ltl; the legs that need P as an automaton use
+/// `automaton` when the caller has f's translation at hand, and translate f
+/// themselves otherwise.
+struct Property {
+  Property(const Buchi& automaton) : automaton(&automaton) {}
+  Property(Formula f, const Labeling& lambda,
+           const Buchi* translation = nullptr)
+      : automaton(translation), formula(f), lambda(&lambda) {}
 
-[[nodiscard]] Validation validate(const RelativeLivenessResult& result,
-                                  const Buchi& system, const Buchi& property);
-[[nodiscard]] Validation validate(const RelativeLivenessResult& result,
-                                  const Buchi& system, Formula f,
-                                  const Labeling& lambda);
+  const Buchi* automaton = nullptr;
+  std::optional<Formula> formula;
+  const Labeling* lambda = nullptr;
+};
 
-[[nodiscard]] Validation validate(const RelativeSafetyResult& result,
-                                  const Buchi& system, const Buchi& property);
-[[nodiscard]] Validation validate(const RelativeSafetyResult& result,
-                                  const Buchi& system, Formula f,
-                                  const Labeling& lambda);
-
-[[nodiscard]] Validation validate(const SatisfactionResult& result,
-                                  const Buchi& system, const Buchi& property);
-[[nodiscard]] Validation validate(const SatisfactionResult& result,
-                                  const Buchi& system, Formula f,
-                                  const Labeling& lambda);
+/// Certificate checking for every check kind (rlv/core/check.hpp): the
+/// violating prefix of relative liveness goes to check_doomed_prefix, the
+/// lasso of relative safety to check_safety_lasso, and the lasso of
+/// satisfaction to check_violation_lasso. The fair kinds get that same
+/// partial check (membership in L_ω and violation of P); the fairness of the
+/// run itself is not re-established. `behaviors` and `property` must be the
+/// very automata (or formula + labeling) the check ran on.
+[[nodiscard]] Validation validate(CheckKind kind, const CheckResult& result,
+                                  const Buchi& behaviors,
+                                  const Property& property);
 
 // ---------------------------------------------------------------------------
 // Low-level witness checkers, exposed for the fuzz harness and for callers

@@ -1,10 +1,9 @@
 #include "rlv/core/relative.hpp"
 
+#include <utility>
 #include <vector>
 
-#include "rlv/ltl/pnf.hpp"
-#include "rlv/ltl/translate.hpp"
-#include "rlv/omega/complement.hpp"
+#include "rlv/core/check.hpp"
 #include "rlv/omega/live.hpp"
 
 namespace rlv {
@@ -44,9 +43,35 @@ RelativeSafetyResult decide_relative_safety(const Buchi& system,
 
 namespace {
 
-Nfa system_prefixes(const Buchi& system, Budget* budget) {
-  StageScope scope(budget, Stage::kPreTrim);
-  return prefix_nfa(system);
+/// Runs `decide`, reporting a tripped budget through `exhausted`.
+template <class Result, class Decide>
+Result governed(Decide&& decide) {
+  try {
+    return decide();
+  } catch (const ResourceExhausted& e) {
+    Result result;
+    result.exhausted = e.stage();
+    return result;
+  }
+}
+
+RelativeLivenessResult liveness(CheckOperands operands,
+                                InclusionAlgorithm algorithm, Budget* budget) {
+  return governed<RelativeLivenessResult>([&] {
+    const Buchi& property = operands.property();
+    return decide_relative_liveness(operands.behaviors(), operands.prefixes(),
+                                    property, algorithm, budget);
+  });
+}
+
+/// A relative-safety or satisfaction check: its result is a lasso.
+template <class Result>
+Result lasso_check(CheckKind kind, CheckOperands operands, Budget* budget) {
+  return governed<Result>([&] {
+    CheckResult checked = check(kind, operands, budget);
+    return Result{checked.holds, std::move(checked.counterexample),
+                  std::nullopt};
+  });
 }
 
 }  // namespace
@@ -55,82 +80,44 @@ RelativeLivenessResult relative_liveness(const Buchi& system,
                                          const Buchi& property,
                                          InclusionAlgorithm algorithm,
                                          Budget* budget) {
-  try {
-    return decide_relative_liveness(system, system_prefixes(system, budget),
-                                    property, algorithm, budget);
-  } catch (const ResourceExhausted& e) {
-    RelativeLivenessResult result;
-    result.exhausted = e.stage();
-    return result;
-  }
+  return liveness(CheckOperands::of_automaton(system, property, budget),
+                  algorithm, budget);
 }
 
 RelativeLivenessResult relative_liveness(const Buchi& system, Formula f,
                                          const Labeling& lambda,
                                          InclusionAlgorithm algorithm,
                                          Budget* budget) {
-  try {
-    const Buchi property = translate_ltl(f, lambda, budget);
-    return decide_relative_liveness(system, system_prefixes(system, budget),
-                                    property, algorithm, budget);
-  } catch (const ResourceExhausted& e) {
-    RelativeLivenessResult result;
-    result.exhausted = e.stage();
-    return result;
-  }
+  return liveness(CheckOperands::of_formula(system, f, lambda, budget),
+                  algorithm, budget);
 }
 
 RelativeSafetyResult relative_safety(const Buchi& system,
                                      const Buchi& property, Budget* budget) {
-  try {
-    return decide_relative_safety(system, property,
-                                  complement_buchi(property, budget), budget);
-  } catch (const ResourceExhausted& e) {
-    RelativeSafetyResult result;
-    result.exhausted = e.stage();
-    return result;
-  }
+  return lasso_check<RelativeSafetyResult>(
+      CheckKind::kRelativeSafety,
+      CheckOperands::of_automaton(system, property, budget), budget);
 }
 
 RelativeSafetyResult relative_safety(const Buchi& system, Formula f,
                                      const Labeling& lambda, Budget* budget) {
-  try {
-    const Buchi property = translate_ltl(f, lambda, budget);
-    const Buchi negated = translate_ltl_negated(f, lambda, budget);
-    return decide_relative_safety(system, property, negated, budget);
-  } catch (const ResourceExhausted& e) {
-    RelativeSafetyResult result;
-    result.exhausted = e.stage();
-    return result;
-  }
+  return lasso_check<RelativeSafetyResult>(
+      CheckKind::kRelativeSafety,
+      CheckOperands::of_formula(system, f, lambda, budget), budget);
 }
 
 SatisfactionResult satisfies(const Buchi& system, const Buchi& property,
                              Budget* budget) {
-  SatisfactionResult result;
-  try {
-    const Buchi complement = complement_buchi(property, budget);
-    auto lasso = find_accepting_lasso_product({&system, &complement}, budget);
-    result.holds = !lasso.has_value();
-    result.counterexample = std::move(lasso);
-  } catch (const ResourceExhausted& e) {
-    result.exhausted = e.stage();
-  }
-  return result;
+  return lasso_check<SatisfactionResult>(
+      CheckKind::kSatisfaction,
+      CheckOperands::of_automaton(system, property, budget), budget);
 }
 
 SatisfactionResult satisfies(const Buchi& system, Formula f,
                              const Labeling& lambda, Budget* budget) {
-  SatisfactionResult result;
-  try {
-    const Buchi negated = translate_ltl_negated(f, lambda, budget);
-    auto lasso = find_accepting_lasso_product({&system, &negated}, budget);
-    result.holds = !lasso.has_value();
-    result.counterexample = std::move(lasso);
-  } catch (const ResourceExhausted& e) {
-    result.exhausted = e.stage();
-  }
-  return result;
+  return lasso_check<SatisfactionResult>(
+      CheckKind::kSatisfaction,
+      CheckOperands::of_formula(system, f, lambda, budget), budget);
 }
 
 }  // namespace rlv

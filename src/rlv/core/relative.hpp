@@ -15,8 +15,10 @@
 // formula route avoids Büchi complementation.
 //
 // The two lemma bodies live once, in decide_relative_liveness and
-// decide_relative_safety below; the public entry points, the query engine
-// and the fuzzer all go through them.
+// decide_relative_safety below. check() (rlv/core/check.hpp) dispatches
+// every check kind to its kernel, and the entry points below are thin
+// wrappers over it — except that relative_liveness calls the Lemma 4.3
+// body itself, since it keeps the choice of inclusion algorithm.
 //
 // Also provides classical satisfaction L_ω ⊆ P and the Theorem 4.7
 // decomposition (satisfaction ⟺ relative liveness ∧ relative safety).
@@ -80,6 +82,9 @@ struct RelativeSafetyResult {
     const Buchi& negated_property, Budget* budget);
 
 /// Is L_ω(property) a relative liveness property of L_ω(system)? (Def 4.1)
+/// `algorithm` stays selectable here only so that tests and rlv_fuzz can
+/// use kSubset's BFS-shortest witness as a reference; check() and
+/// everything served always run kAntichain.
 [[nodiscard]] RelativeLivenessResult relative_liveness(
     const Buchi& system, const Buchi& property,
     InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain,

@@ -9,65 +9,20 @@
 #include <stdexcept>
 
 #include "rlv/cert/certificate.hpp"
-#include "rlv/core/relative.hpp"
+#include "rlv/core/check.hpp"
 #include "rlv/engine/fingerprint.hpp"
 #include "rlv/engine/thread_pool.hpp"
-#include "rlv/fair/fair_check.hpp"
 #include "rlv/io/format.hpp"
-#include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/ltl/parser.hpp"
 #include "rlv/monitor/session.hpp"
 #include "rlv/ltl/translate.hpp"
 #include "rlv/omega/complement.hpp"
-#include "rlv/omega/emptiness.hpp"
 #include "rlv/omega/limit.hpp"
 #include "rlv/omega/live.hpp"
 #include "rlv/util/hash.hpp"
 
 namespace rlv {
-
-std::optional<CheckKind> parse_check_kind(std::string_view name) {
-  if (name == "rl") return CheckKind::kRelativeLiveness;
-  if (name == "rs") return CheckKind::kRelativeSafety;
-  if (name == "sat") return CheckKind::kSatisfaction;
-  if (name == "fair") return CheckKind::kFairStrong;
-  if (name == "fairweak") return CheckKind::kFairWeak;
-  return std::nullopt;
-}
-
-std::string_view check_kind_name(CheckKind kind) {
-  switch (kind) {
-    case CheckKind::kRelativeLiveness:
-      return "rl";
-    case CheckKind::kRelativeSafety:
-      return "rs";
-    case CheckKind::kSatisfaction:
-      return "sat";
-    case CheckKind::kFairStrong:
-      return "fair";
-    case CheckKind::kFairWeak:
-      return "fairweak";
-  }
-  return "?";
-}
-
-std::optional<InclusionAlgorithm> parse_inclusion_algorithm(
-    std::string_view name) {
-  if (name == "subset") return InclusionAlgorithm::kSubset;
-  if (name == "antichain") return InclusionAlgorithm::kAntichain;
-  return std::nullopt;
-}
-
-std::string_view inclusion_algorithm_name(InclusionAlgorithm algorithm) {
-  switch (algorithm) {
-    case InclusionAlgorithm::kSubset:
-      return "subset";
-    case InclusionAlgorithm::kAntichain:
-      return "antichain";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -130,9 +85,8 @@ struct PropertyKeyHash {
   }
 };
 
-/// Monitor automata are keyed like verdicts, minus kind/algorithm (there
-/// is only one compilation) plus the certify flag: a certified compile
-/// validated every doomed witness and must not alias an unvalidated one.
+/// Monitor automata are keyed like verdicts, minus the kind (there is only
+/// one compilation).
 struct MonitorKey {
   std::uint64_t system;    // structural fingerprint
   const void* formula;     // interned node (null for automaton flavor)
@@ -151,17 +105,16 @@ struct MonitorKeyHash {
   }
 };
 
-/// The verdict key carries everything that determines a check's outcome
-/// *and presentation*: the inclusion algorithm is part of the key because
-/// subset and antichain report different (both correct) counterexample
-/// words — two queries differing only in `algorithm` must never alias to
-/// one cached verdict.
+/// The verdict key carries everything that determines a check's outcome,
+/// plus the effective certify bit: a certified entry had its witness
+/// validated and must not alias an unvalidated one, or a certify request
+/// could be served a verdict nobody checked.
 struct VerdictKey {
   std::uint64_t system;    // structural fingerprint
   const void* formula;     // interned node (null for automaton flavor)
   std::uint64_t property;  // remapped property fingerprint (0 for formula)
   CheckKind kind;
-  InclusionAlgorithm algorithm;
+  bool certify;
 
   friend bool operator==(const VerdictKey&, const VerdictKey&) = default;
 };
@@ -172,7 +125,7 @@ struct VerdictKeyHash {
     h = hash_combine(h, std::hash<const void*>{}(k.formula));
     h = hash_combine(h, std::hash<std::uint64_t>{}(k.property));
     h = hash_combine(h, static_cast<std::size_t>(k.kind));
-    return hash_combine(h, static_cast<std::size_t>(k.algorithm));
+    return hash_combine(h, k.certify ? 1 : 0);
   }
 };
 
@@ -313,166 +266,94 @@ struct Engine::Impl {
     return property(text, sigma, budget);
   }
 
-  std::shared_ptr<const Buchi> negated_property(
-      const std::shared_ptr<const ParsedProperty>& prop, Budget* budget) {
-    // Not memoized on its own: the verdict cache already absorbs repeats,
-    // so a complement is only rebuilt when the whole verdict is uncached.
-    return std::make_shared<const Buchi>(
-        complement_buchi(prop->automaton, budget));
-  }
-
-  /// Runs the decision procedures of rlv/core/relative.hpp (the Lemma 4.3
-  /// and 4.4 bodies) and rlv/fair/fair_check.hpp over the cached
-  /// intermediates. Every derived object lives on the alphabet object of the
-  /// *cached* behaviors automaton, so alphabet identity (which the products
-  /// and check_inclusion require) holds even when two different texts parse
-  /// to one structure.
-  Verdict decide(const std::shared_ptr<const ParsedSystem>& sys,
-                 const std::optional<Formula>& f,
-                 const std::shared_ptr<const ParsedProperty>& sys_prop,
-                 const Query& query, Budget* budget) {
-    const auto behaviors_aut =
-        behaviors.get_or_compute(sys->fingerprint, [&] {
-          StageScope scope(budget, Stage::kPreTrim);
-          return limit_of_prefix_closed(sys->nfa);
-        });
+  /// Calls `use(operands, prop, lambda)` with the check operands
+  /// (rlv/core/check.hpp) of a query on `sys`, all built from the caches:
+  /// the behaviors automaton, pre(L_ω), and P and ¬P of whichever flavor
+  /// the query used — translations for a formula, the parsed automaton and
+  /// its rank-based complement (the exponential path the Budget exists for)
+  /// otherwise. Every operand lives on the alphabet object of the *cached*
+  /// behaviors automaton, so alphabet identity (which the products and
+  /// check_inclusion require) holds even when two different texts parse to
+  /// one structure; `prop` is the automaton re-resolved onto it.
+  template <class Use>
+  auto with_operands(const ParsedSystem& sys, const std::optional<Formula>& f,
+                     const std::shared_ptr<const ParsedProperty>& sys_prop,
+                     const std::string& property_text, Budget* budget,
+                     Use&& use) {
+    const auto behaviors_aut = behaviors.get_or_compute(sys.fingerprint, [&] {
+      StageScope scope(budget, Stage::kPreTrim);
+      return limit_of_prefix_closed(sys.nfa);
+    });
     const AlphabetRef& sigma = behaviors_aut->alphabet();
     const Labeling lambda = Labeling::canonical(sigma);
-    const auto prop =
-        property_on(sys_prop, query.property_automaton, sigma, budget);
+    const auto prop = property_on(sys_prop, property_text, sigma, budget);
+    CheckOperands operands(
+        *behaviors_aut,
+        [&] {
+          return prefixes.get_or_compute({sys.fingerprint, sigma.get()}, [&] {
+            StageScope scope(budget, Stage::kPreTrim);
+            return prefix_nfa(*behaviors_aut);
+          });
+        },
+        [&] {
+          return prop ? std::shared_ptr<const Buchi>(prop, &prop->automaton)
+                      : translation(*f, lambda, /*negated=*/false, budget);
+        },
+        [&] {
+          // A complement is not memoized on its own: the verdict cache
+          // absorbs repeats, so it is only rebuilt for an uncached verdict.
+          return prop ? std::make_shared<const Buchi>(
+                            complement_buchi(prop->automaton, budget))
+                      : translation(*f, lambda, /*negated=*/true, budget);
+        });
+    return use(operands, prop.get(), lambda);
+  }
 
-    // The positive property automaton, whichever flavor the query used;
-    // built once even when the certificate check reads it again.
-    std::shared_ptr<const Buchi> positive_aut;
-    auto positive = [&]() -> std::shared_ptr<const Buchi> {
-      if (!positive_aut) {
-        positive_aut =
-            prop ? std::shared_ptr<const Buchi>(prop, &prop->automaton)
-                 : translation(*f, lambda, /*negated=*/false, budget);
-      }
-      return positive_aut;
-    };
-    // ¬P: pushed-in negation for formulas, rank-based complementation for
-    // automata (the exponential path the Budget exists for).
-    auto negated = [&]() -> std::shared_ptr<const Buchi> {
-      if (prop) return negated_property(prop, budget);
-      return translation(*f, lambda, /*negated=*/true, budget);
-    };
+  /// Runs check() for the query. With certification on (engine-wide or
+  /// requested by this query), the negative verdict's witness is re-checked
+  /// with the independent certificate checker before the verdict can enter
+  /// the cache. A rejected witness throws — run_one reports it through
+  /// Verdict::error and get_or_compute drops the cache entry, so a bad
+  /// witness is never served to anyone.
+  Verdict decide(const ParsedSystem& sys, const std::optional<Formula>& f,
+                 const std::shared_ptr<const ParsedProperty>& sys_prop,
+                 const Query& query, Budget* budget) {
+    return with_operands(
+        sys, f, sys_prop, query.property_automaton, budget,
+        [&](CheckOperands& operands, const ParsedProperty* prop,
+            const Labeling& lambda) {
+          Verdict verdict;
+          static_cast<CheckResult&>(verdict) =
+              check(query.kind, operands, budget);
+          verdict.alphabet = operands.behaviors().alphabet();
+          if (certify(query) && !verdict.holds) {
+            StageScope scope(budget, Stage::kOther);
+            certificates_checked.fetch_add(1, std::memory_order_relaxed);
+            const cert::Validation validation = cert::validate(
+                query.kind, verdict, operands.behaviors(),
+                prop ? cert::Property(prop->automaton)
+                     : cert::Property(*f, lambda, operands.built_property()));
+            if (!validation.valid) {
+              certificates_failed.fetch_add(1, std::memory_order_relaxed);
+              throw std::runtime_error("certificate validation failed: " +
+                                       validation.reason);
+            }
+          }
+          return verdict;
+        });
+  }
 
-    Verdict verdict;
-    verdict.alphabet = sigma;
-    switch (query.kind) {
-      case CheckKind::kRelativeLiveness: {
-        const auto property_aut = positive();
-        const auto pre_system =
-            prefixes.get_or_compute({sys->fingerprint, sigma.get()}, [&] {
-              StageScope scope(budget, Stage::kPreTrim);
-              return prefix_nfa(*behaviors_aut);
-            });
-        RelativeLivenessResult res = decide_relative_liveness(
-            *behaviors_aut, *pre_system, *property_aut, query.algorithm,
-            budget);
-        verdict.holds = res.holds;
-        verdict.violating_prefix = std::move(res.violating_prefix);
-        break;
-      }
-      case CheckKind::kRelativeSafety: {
-        const auto property_aut = positive();
-        const auto negated_aut = negated();
-        RelativeSafetyResult res = decide_relative_safety(
-            *behaviors_aut, *property_aut, *negated_aut, budget);
-        verdict.holds = res.holds;
-        verdict.counterexample = std::move(res.counterexample);
-        break;
-      }
-      case CheckKind::kSatisfaction: {
-        const auto negated_aut = negated();
-        auto lasso = find_accepting_lasso_product(
-            {behaviors_aut.get(), negated_aut.get()}, budget);
-        verdict.holds = !lasso.has_value();
-        verdict.counterexample = std::move(lasso);
-        break;
-      }
-      case CheckKind::kFairStrong:
-      case CheckKind::kFairWeak: {
-        const auto negated_aut = negated();
-        const FairCheckResult res = check_fair_satisfaction_negated(
-            *behaviors_aut, *negated_aut,
-            query.kind == CheckKind::kFairStrong
-                ? FairnessKind::kStrongTransition
-                : FairnessKind::kWeakTransition,
-            budget);
-        verdict.holds = res.all_fair_runs_satisfy;
-        verdict.counterexample = res.counterexample;
-        break;
-      }
-    }
-
-    // With certification on (engine-wide or requested by this query):
-    // re-check the negative verdict's witness with the independent
-    // certificate checker before the verdict can enter the cache. A
-    // rejected witness throws — run_one reports it through Verdict::error
-    // and get_or_compute drops the cache entry, so a bad witness is never
-    // served to anyone.
-    if ((options.certify_verdicts || query.certify) && !verdict.holds) {
-      StageScope scope(budget, Stage::kOther);
-      certificates_checked.fetch_add(1, std::memory_order_relaxed);
-      cert::Validation validation;
-      switch (query.kind) {
-        case CheckKind::kRelativeLiveness:
-          if (!verdict.violating_prefix) {
-            validation = {false, true, "missing violating prefix"};
-          } else {
-            validation = cert::check_doomed_prefix(*verdict.violating_prefix,
-                                                   *behaviors_aut, *positive());
-          }
-          break;
-        case CheckKind::kRelativeSafety:
-          if (!verdict.counterexample) {
-            validation = {false, true, "missing counterexample lasso"};
-          } else if (prop) {
-            validation = cert::check_safety_lasso(
-                *verdict.counterexample, *behaviors_aut, prop->automaton);
-          } else {
-            validation = cert::check_safety_lasso(
-                *verdict.counterexample, *behaviors_aut, *positive(), *f,
-                lambda);
-          }
-          break;
-        case CheckKind::kSatisfaction:
-        case CheckKind::kFairStrong:
-        case CheckKind::kFairWeak:
-          // Fairness counterexamples get the partial check (membership and
-          // property violation); the fairness of the run is not re-derived.
-          if (!verdict.counterexample) {
-            validation = {false, true, "missing counterexample lasso"};
-          } else if (prop) {
-            validation = cert::check_violation_lasso(
-                *verdict.counterexample, *behaviors_aut, prop->automaton);
-          } else {
-            validation = cert::check_violation_lasso(*verdict.counterexample,
-                                                     *behaviors_aut, *f,
-                                                     lambda);
-          }
-          break;
-      }
-      if (!validation.valid) {
-        certificates_failed.fetch_add(1, std::memory_order_relaxed);
-        throw std::runtime_error("certificate validation failed: " +
-                                 validation.reason);
-      }
-    }
-    return verdict;
+  [[nodiscard]] bool certify(const Query& query) const {
+    return options.certify_verdicts || query.certify;
   }
 
   using Clock = std::chrono::steady_clock;
 
-  static VerdictKey verdict_key(const ParsedSystem& sys,
-                                const std::optional<Formula>& f,
-                                const ParsedProperty* prop,
-                                const Query& query) {
+  VerdictKey verdict_key(const ParsedSystem& sys,
+                         const std::optional<Formula>& f,
+                         const ParsedProperty* prop, const Query& query) const {
     return {sys.fingerprint, f ? f->raw() : nullptr,
-            prop ? prop->fingerprint : 0, query.kind, query.algorithm};
+            prop ? prop->fingerprint : 0, query.kind, certify(query)};
   }
 
   /// The epilogue every answered query shares: profile, totals, wall time.
@@ -576,7 +457,7 @@ struct Engine::Impl {
       // never cached, so a retry with a larger budget recomputes.
       verdict = *verdicts.get_or_compute(
           verdict_key(*sys, f, prop.get(), query),
-          [&] { return decide(sys, f, prop, query, &budget); });
+          [&] { return decide(*sys, f, prop, query, &budget); });
     } catch (const ResourceExhausted& e) {
       verdict = Verdict{};
       verdict.resource_exhausted = true;
@@ -645,21 +526,14 @@ struct Engine::Impl {
       // budget or a refuted witness) drops the cache entry, so a retry
       // recompiles instead of serving a half-built automaton.
       const auto automaton = monitors.get_or_compute(key, [&] {
-        const auto behaviors_aut =
-            behaviors.get_or_compute(sys->fingerprint, [&] {
-              StageScope scope(&budget, Stage::kPreTrim);
-              return limit_of_prefix_closed(sys->nfa);
+        return with_operands(
+            *sys, f, prop, spec.property_automaton, &budget,
+            [&](CheckOperands& operands, const ParsedProperty*,
+                const Labeling&) {
+              return monitor::MonitorAutomaton(operands.behaviors(),
+                                               operands.property(),
+                                               spec.certify, &budget);
             });
-        const AlphabetRef& sigma = behaviors_aut->alphabet();
-        const Labeling lambda = Labeling::canonical(sigma);
-        const auto prop_on_sigma =
-            property_on(prop, spec.property_automaton, sigma, &budget);
-        const std::shared_ptr<const Buchi> positive =
-            prop_on_sigma ? std::shared_ptr<const Buchi>(
-                                prop_on_sigma, &prop_on_sigma->automaton)
-                          : translation(*f, lambda, /*negated=*/false, &budget);
-        return monitor::MonitorAutomaton(*behaviors_aut, *positive,
-                                         spec.certify, &budget);
       });
       std::lock_guard lock(session_mutex);
       const std::uint64_t id = sessions.open(automaton, now_ms());

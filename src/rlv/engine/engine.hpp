@@ -12,7 +12,7 @@
 //   translations  formula×sign    → GPVW tableau (alphabet-free; every
 //                                   query instantiates it on its own Σ)
 //   properties    aut text×Σ      → parsed + remapped property Büchi
-//   verdicts      system×P×kind×algorithm → final Verdict
+//   verdicts      system×P×kind×certify → final Verdict
 //
 // Resource governance: with timeout_ms / max_states set, every query runs
 // under its own rlv::Budget; a tripped limit yields a verdict with

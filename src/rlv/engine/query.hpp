@@ -11,41 +11,16 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
-
 #include <vector>
 
+#include "rlv/core/check.hpp"
 #include "rlv/engine/cache.hpp"
 #include "rlv/lang/alphabet.hpp"
-#include "rlv/lang/inclusion.hpp"
 #include "rlv/monitor/automaton.hpp"
 #include "rlv/omega/emptiness.hpp"
 #include "rlv/util/budget.hpp"
 
 namespace rlv {
-
-/// Which decision procedure to run (the modes of `rlv_check`).
-enum class CheckKind : std::uint8_t {
-  kRelativeLiveness,  // Lemma 4.3: pre(L_ω) ⊆ pre(L_ω ∩ P)
-  kRelativeSafety,    // Lemma 4.4: L_ω ∩ lim(pre(L_ω ∩ P)) ⊆ P
-  kSatisfaction,      // classical L_ω ⊆ P
-  kFairStrong,        // all strongly transition-fair runs satisfy P
-  kFairWeak,          // all weakly (justice) fair runs satisfy P
-};
-
-/// Parses the rlv_check-style mode names: rl, rs, sat, fair, fairweak.
-[[nodiscard]] std::optional<CheckKind> parse_check_kind(std::string_view name);
-
-/// Inverse of parse_check_kind.
-[[nodiscard]] std::string_view check_kind_name(CheckKind kind);
-
-/// Parses the inclusion algorithm names: subset, antichain.
-[[nodiscard]] std::optional<InclusionAlgorithm> parse_inclusion_algorithm(
-    std::string_view name);
-
-/// Inverse of parse_inclusion_algorithm.
-[[nodiscard]] std::string_view inclusion_algorithm_name(
-    InclusionAlgorithm algorithm);
 
 struct Query {
   std::string system;   // system text in the rlv/io format
@@ -56,9 +31,6 @@ struct Query {
   /// formula is then ignored. The rs/sat/fair flavors go through rank-based
   /// complementation — exponential; budget accordingly.
   std::string property_automaton = {};
-  /// Algorithm for the Lemma 4.3 prefix-inclusion check. Part of the
-  /// verdict cache key: queries differing only here never alias.
-  InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain;
   /// Per-query budget overrides for the serving path: nonzero replaces the
   /// engine-wide EngineOptions default for this query only. The rlv::net
   /// server clamps client-supplied values to its caps before submission.
@@ -70,19 +42,14 @@ struct Query {
   /// EngineOptions::certify_verdicts: a query can strengthen the engine's
   /// policy but never weaken it (a certify=false request must not push an
   /// unvalidated verdict into a cache that certified clients share).
-  /// Certification happens at compute time, so a cache hit serves the
-  /// verdict as validated (or not) when it was first computed.
+  /// The effective bit is part of the verdict cache key, so a certified
+  /// query is never served a verdict that was cached unvalidated.
   bool certify = false;
 };
 
-struct Verdict {
-  /// The check's boolean outcome; meaningless when `error` is set or the
-  /// budget was exhausted.
-  bool holds = false;
-  /// Relative liveness violation: a doomed prefix.
-  std::optional<Word> violating_prefix;
-  /// Relative safety / fairness violation: a lasso behavior.
-  std::optional<Lasso> counterexample;
+/// A query's answer: the CheckResult of its check (meaningless when
+/// `error` is set or the budget was exhausted) plus what serving it adds.
+struct Verdict : CheckResult {
   /// The alphabet the witness symbols index (the behaviors automaton's,
   /// which decided the check); null when the query failed. Rendering a
   /// record names witness actions through it.
@@ -188,7 +155,7 @@ struct EngineStats {
   CacheCounters prefixes;      // system → trimmed pre(L_ω) NFA
   CacheCounters translations;  // (formula, polarity) → tableau
   CacheCounters properties;    // (automaton text, alphabet) → remapped Büchi
-  CacheCounters verdicts;      // (system, property, kind, algo) → Verdict
+  CacheCounters verdicts;      // (system, property, kind, certify) → Verdict
   CacheCounters monitors;      // (system, property, certify) → MonitorAutomaton
   MonitorCounters monitor;     // session table + stepping totals
   std::uint64_t queries_run = 0;

@@ -26,10 +26,6 @@ std::string render_query_request(const Query& query, std::uint64_t id,
            json_escape(query.property_automaton) + "\"";
   }
   out += ",\"check\":\"" + std::string(check_kind_name(query.kind)) + "\"";
-  if (query.algorithm != InclusionAlgorithm::kAntichain) {
-    out += ",\"algorithm\":\"" +
-           std::string(inclusion_algorithm_name(query.algorithm)) + "\"";
-  }
   if (query.timeout_ms > 0) {
     out += ",\"timeout_ms\":" + std::to_string(query.timeout_ms);
   }

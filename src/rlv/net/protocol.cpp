@@ -12,9 +12,9 @@ namespace {
 /// The fields a request may carry; anything else is rejected so typos
 /// ("formual") fail loudly instead of silently checking the wrong thing.
 constexpr std::string_view kKnownFields[] = {
-    "op",      "id",         "system",     "formula", "property_automaton",
-    "check",   "algorithm",  "timeout_ms", "max_states", "certify",
-    "label",   "session",    "actions",
+    "op",         "id",         "system",  "formula", "property_automaton",
+    "check",      "timeout_ms", "max_states", "certify", "label",
+    "session",    "actions",
 };
 
 /// Shared between query and monitor_open: the property is the formula XOR
@@ -123,14 +123,6 @@ Request parse_request(std::string_view line) {
                                "'");
     }
     request.query.kind = *kind;
-  }
-  if (const JsonValue* algorithm = root.find("algorithm")) {
-    const auto algo = parse_inclusion_algorithm(algorithm->as_string());
-    if (!algo) {
-      throw std::runtime_error("unknown inclusion algorithm '" +
-                               algorithm->as_string() + "'");
-    }
-    request.query.algorithm = *algo;
   }
   if (const JsonValue* timeout = root.find("timeout_ms")) {
     request.query.timeout_ms = timeout->as_uint();

@@ -15,7 +15,6 @@
 //    "formula":"G F result",            // PLTL (or property_automaton)
 //    "property_automaton":"...",        // Büchi text, excludes "formula"
 //    "check":"rl",                      // rl|rs|sat|fair|fairweak
-//    "algorithm":"antichain",           // antichain|subset
 //    "timeout_ms":500,"max_states":1e6, // per-query budget overrides
 //    "certify":true,                    // request certificate validation
 //    "label":"fig2"}                    // presentation name in the record

@@ -21,6 +21,8 @@ namespace rlv {
 struct Lasso {
   Word prefix;
   Word period;
+
+  friend bool operator==(const Lasso&, const Lasso&) = default;
 };
 
 enum class EmptinessAlgorithm {

@@ -10,6 +10,7 @@
 
 #include "rlv/cert/certificate.hpp"
 #include "rlv/cert/oracle.hpp"
+#include "rlv/core/check.hpp"
 #include "rlv/core/relative.hpp"
 #include "rlv/engine/engine.hpp"
 #include "rlv/engine/record.hpp"
@@ -80,10 +81,12 @@ TEST(Certificate, DoomedPrefixValidatesAndTampersFail) {
   // G F a fails on every behavior (at most one a), so every prefix is
   // doomed and relative liveness fails.
   const Formula gfa = parse_ltl("G F a");
-  const auto res = relative_liveness(behaviors, gfa, lambda);
+  CheckOperands operands = CheckOperands::of_formula(behaviors, gfa, lambda);
+  const CheckResult res = check(CheckKind::kRelativeLiveness, operands);
   ASSERT_FALSE(res.holds);
   ASSERT_TRUE(res.violating_prefix.has_value());
-  const Validation v = validate(res, behaviors, gfa, lambda);
+  const Validation v =
+      validate(CheckKind::kRelativeLiveness, res, behaviors, {gfa, lambda});
   EXPECT_TRUE(v.valid) << v.reason;
   EXPECT_TRUE(v.checked);
 
@@ -109,10 +112,12 @@ TEST(Certificate, SafetyLassoValidatesAndTampersFail) {
   // F a is not a relative safety property here: b^ω violates it while all
   // its prefixes b^n extend into b^n a b^ω ∈ L_ω ∩ P.
   const Formula fa = parse_ltl("F a");
-  const auto res = relative_safety(behaviors, fa, lambda);
+  CheckOperands operands = CheckOperands::of_formula(behaviors, fa, lambda);
+  const CheckResult res = check(CheckKind::kRelativeSafety, operands);
   ASSERT_FALSE(res.holds);
   ASSERT_TRUE(res.counterexample.has_value());
-  const Validation v = validate(res, behaviors, fa, lambda);
+  const Validation v =
+      validate(CheckKind::kRelativeSafety, res, behaviors, {fa, lambda});
   EXPECT_TRUE(v.valid) << v.reason;
   EXPECT_TRUE(v.checked);
 
@@ -140,20 +145,24 @@ TEST(Certificate, SatisfactionCounterexampleValidates) {
   const Buchi behaviors = limit_of_prefix_closed(system);
   const Labeling lambda = Labeling::canonical(sigma);
   const Formula gfa = parse_ltl("G F a");
-  const auto res = satisfies(behaviors, gfa, lambda);
+  CheckOperands operands = CheckOperands::of_formula(behaviors, gfa, lambda);
+  const CheckResult res = check(CheckKind::kSatisfaction, operands);
   ASSERT_FALSE(res.holds);
   ASSERT_TRUE(res.counterexample.has_value());
   EXPECT_FALSE(eval_ltl(gfa, res.counterexample->prefix,
                         res.counterexample->period, lambda));
-  const Validation v = validate(res, behaviors, gfa, lambda);
+  const Validation v =
+      validate(CheckKind::kSatisfaction, res, behaviors, {gfa, lambda});
   EXPECT_TRUE(v.valid) << v.reason;
   EXPECT_TRUE(v.checked);
 
   // Positive verdicts carry no certificate.
   const Formula fb = parse_ltl("F b");
-  const auto pos = satisfies(behaviors, fb, lambda);
+  CheckOperands positive = CheckOperands::of_formula(behaviors, fb, lambda);
+  const CheckResult pos = check(CheckKind::kSatisfaction, positive);
   ASSERT_TRUE(pos.holds);
-  const Validation pv = validate(pos, behaviors, fb, lambda);
+  const Validation pv =
+      validate(CheckKind::kSatisfaction, pos, behaviors, {fb, lambda});
   EXPECT_TRUE(pv.valid);
   EXPECT_FALSE(pv.checked);
 }
@@ -177,9 +186,10 @@ TEST_P(OracleDifferential, KernelsAgreeWithOracleAndCertify) {
     const Labeling lambda = Labeling::canonical(sigma);
     const Buchi behaviors = limit_of_prefix_closed(system);
 
-    const auto rl = relative_liveness(behaviors, f, lambda);
-    const auto rs = relative_safety(behaviors, f, lambda);
-    const auto sat = satisfies(behaviors, f, lambda);
+    CheckOperands operands = CheckOperands::of_formula(behaviors, f, lambda);
+    const CheckResult rl = check(CheckKind::kRelativeLiveness, operands);
+    const CheckResult rs = check(CheckKind::kRelativeSafety, operands);
+    const CheckResult sat = check(CheckKind::kSatisfaction, operands);
     ASSERT_EQ(rl.holds, oracle_relative_liveness(behaviors, f, lambda))
         << f.to_string() << "\n" << serialize_system(system);
     ASSERT_EQ(rs.holds, oracle_relative_safety(behaviors, f, lambda))
@@ -189,9 +199,10 @@ TEST_P(OracleDifferential, KernelsAgreeWithOracleAndCertify) {
     // Theorem 4.7.
     ASSERT_EQ(sat.holds, rl.holds && rs.holds) << f.to_string();
 
-    for (const Validation& v : {validate(rl, behaviors, f, lambda),
-                                validate(rs, behaviors, f, lambda),
-                                validate(sat, behaviors, f, lambda)}) {
+    for (const Validation& v :
+         {validate(CheckKind::kRelativeLiveness, rl, behaviors, {f, lambda}),
+          validate(CheckKind::kRelativeSafety, rs, behaviors, {f, lambda}),
+          validate(CheckKind::kSatisfaction, sat, behaviors, {f, lambda})}) {
       ASSERT_TRUE(v.valid) << v.reason << "\n"
                            << f.to_string() << "\n"
                            << serialize_system(system);
@@ -237,7 +248,10 @@ TEST_P(RlWitness, AntichainAndSubsetWitnessesCertify) {
     for (const auto* res : {&antichain, &subset}) {
       ASSERT_TRUE(res->violating_prefix.has_value());
       // The certificate checker re-establishes both Lemma 4.3 legs.
-      const Validation v = validate(*res, behaviors, f, lambda);
+      const Validation v =
+          validate(CheckKind::kRelativeLiveness,
+                   {res->holds, res->violating_prefix, {}}, behaviors,
+                   {f, lambda});
       ASSERT_TRUE(v.valid) << v.reason << "\n" << f.to_string();
       // And the raw inclusion-level contract: the prefix is a genuine
       // member of pre(L_ω) \ pre(L_ω ∩ P).

@@ -521,41 +521,34 @@ TEST(CheckKind, NamesRoundTrip) {
   EXPECT_FALSE(parse_check_kind("bogus").has_value());
 }
 
-TEST(InclusionAlgorithmNames, RoundTrip) {
-  for (const InclusionAlgorithm algorithm :
-       {InclusionAlgorithm::kSubset, InclusionAlgorithm::kAntichain}) {
-    EXPECT_EQ(parse_inclusion_algorithm(inclusion_algorithm_name(algorithm)),
-              algorithm);
-  }
-  EXPECT_FALSE(parse_inclusion_algorithm("bogus").has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Verdict cache keying.
 
-TEST(Engine, VerdictCacheDoesNotAliasAcrossInclusionAlgorithms) {
-  // Regression: two queries identical except for InclusionAlgorithm must
-  // not share one cached verdict — subset and antichain may report
-  // different (equally valid) counterexample words, and a key that drops
-  // the algorithm would hand one algorithm's witness to the other.
-  Query subset{serialize_system(figure3_system()), "G F result",
-               CheckKind::kRelativeLiveness};
-  subset.algorithm = InclusionAlgorithm::kSubset;
-  Query antichain = subset;
-  antichain.algorithm = InclusionAlgorithm::kAntichain;
+TEST(Engine, CertifyRequestIsNeverServedAnUncertifiedVerdict) {
+  // certify only strengthens: a certify request that finds the verdict an
+  // uncertified query cached must still get a validated witness, so the
+  // effective certify bit is part of the verdict key.
+  Query plain{serialize_system(figure3_system()), "G F result",
+              CheckKind::kRelativeLiveness};
+  Query certified = plain;
+  certified.certify = true;
 
   Engine engine;
-  const Verdict v_subset = engine.run_one(subset);
-  const Verdict v_antichain = engine.run_one(antichain);
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.verdicts.misses, 2u);
-  EXPECT_EQ(stats.verdicts.hits, 0u);
-  // Both verdicts agree on the boolean (the algorithms are equivalent).
-  EXPECT_EQ(v_subset.holds, v_antichain.holds);
+  const Verdict v_plain = engine.run_one(plain);
+  ASSERT_FALSE(v_plain.holds);
+  EXPECT_EQ(engine.stats().certificates_checked, 0u);
+  const Verdict v_certified = engine.run_one(certified);
+  ASSERT_TRUE(v_certified.ok()) << v_certified.error;
+  EXPECT_EQ(v_certified.holds, v_plain.holds);
+  EXPECT_EQ(engine.stats().certificates_checked, 1u);
+  EXPECT_EQ(engine.stats().verdicts.misses, 2u);
 
-  // Re-running either query now hits its own entry.
-  (void)engine.run_one(subset);
-  EXPECT_EQ(engine.stats().verdicts.hits, 1u);
+  // Re-running either query now hits its own entry; nothing is re-checked.
+  (void)engine.run_one(certified);
+  (void)engine.run_one(plain);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.verdicts.hits, 2u);
+  EXPECT_EQ(stats.certificates_checked, 1u);
 }
 
 TEST(Engine, VerdictCacheDoesNotAliasFormulaAndAutomatonFlavors) {

@@ -102,7 +102,6 @@ TEST(NetProtocol, ParsesQueryWithDefaults) {
   EXPECT_EQ(req.id, 7u);
   EXPECT_EQ(req.query.system, "S");
   EXPECT_EQ(req.query.kind, CheckKind::kRelativeSafety);
-  EXPECT_EQ(req.query.algorithm, InclusionAlgorithm::kAntichain);
   EXPECT_EQ(req.query.timeout_ms, 0u);
   EXPECT_FALSE(req.query.certify);
 }
@@ -124,6 +123,10 @@ TEST(NetProtocol, RejectsUnknownFieldsAndBadShapes) {
   EXPECT_THROW(
       (void)net::parse_request(R"({"system":"S","formula":"x","threads":2})"),
       std::runtime_error);
+  // So is "algorithm": the served checks always run antichain inclusion.
+  EXPECT_THROW((void)net::parse_request(
+                   R"({"system":"S","formula":"x","algorithm":"subset"})"),
+               std::runtime_error);
 }
 
 TEST(NetProtocol, RenderQueryRequestRoundTripsHostileStrings) {
@@ -131,7 +134,6 @@ TEST(NetProtocol, RenderQueryRequestRoundTripsHostileStrings) {
   query.system = "states: 1\n# \"quotes\" and \\ backslash\t\x01";
   query.formula = "G(\"a\" -> F b)";
   query.kind = CheckKind::kSatisfaction;
-  query.algorithm = InclusionAlgorithm::kSubset;
   query.timeout_ms = 1234;
   query.max_states = 99;
   query.certify = true;
@@ -143,7 +145,6 @@ TEST(NetProtocol, RenderQueryRequestRoundTripsHostileStrings) {
   EXPECT_EQ(req.query.system, query.system);
   EXPECT_EQ(req.query.formula, query.formula);
   EXPECT_EQ(req.query.kind, query.kind);
-  EXPECT_EQ(req.query.algorithm, query.algorithm);
   EXPECT_EQ(req.query.timeout_ms, query.timeout_ms);
   EXPECT_EQ(req.query.max_states, query.max_states);
   EXPECT_EQ(req.query.certify, query.certify);
@@ -689,12 +690,11 @@ TEST(NetServer, ClosedLoopMissesAreComputedWithoutQueueing) {
 
 /// A query whose rank-based complementation outlives small budgets; the
 /// state cap bounds its memory and the generous deadline never trips first.
-Query slow_query(CheckKind kind, InclusionAlgorithm algorithm) {
+Query slow_query(CheckKind kind) {
   Query hard;
   hard.system = serialize_system(figure2_system());
   hard.property_automaton = dense_property_text();
   hard.kind = kind;
-  hard.algorithm = algorithm;
   hard.timeout_ms = 20000;
   hard.max_states = 150000;
   return hard;
@@ -722,10 +722,8 @@ TEST(NetServer, PipelinedMissesFillEverySlotThenQueue) {
   net::Client observer = ts.connect_client();
   // Two slow misses in one send: the reading thread computes the first
   // and wakes a second thread for the other.
-  const Query first =
-      slow_query(CheckKind::kRelativeSafety, InclusionAlgorithm::kAntichain);
-  const Query second =
-      slow_query(CheckKind::kSatisfaction, InclusionAlgorithm::kAntichain);
+  const Query first = slow_query(CheckKind::kRelativeSafety);
+  const Query second = slow_query(CheckKind::kSatisfaction);
   pipelined.send_line(net::render_query_request(first, 1, "dense") + "\n" +
                       net::render_query_request(second, 2, "dense"));
   const JsonValue busy = poll_server_stats(observer, [](const JsonValue& s) {
@@ -736,8 +734,7 @@ TEST(NetServer, PipelinedMissesFillEverySlotThenQueue) {
   // Both slots are taken: a third miss waits in the queue.
   net::Client third = ts.connect_client();
   third.send_line(net::render_query_request(
-      slow_query(CheckKind::kRelativeSafety, InclusionAlgorithm::kSubset), 3,
-      "dense"));
+      slow_query(CheckKind::kFairStrong), 3, "dense"));
   const JsonValue waiting = poll_server_stats(observer, [](const JsonValue& s) {
     return s.find("queued")->as_uint() == 1;
   });
@@ -764,8 +761,7 @@ TEST(NetServer, ReplyNeverReachesAReusedFd) {
     // A slow miss, then an RST: the reply is computed for a dead client.
     net::Client gone = ts.connect_client();
     gone.send_line(net::render_query_request(
-        slow_query(CheckKind::kRelativeSafety, InclusionAlgorithm::kAntichain),
-        7, "dense"));
+        slow_query(CheckKind::kRelativeSafety), 7, "dense"));
     while (ts.server().counters().queries < 1) std::this_thread::yield();
     struct linger hard_close{1, 0};
     ::setsockopt(gone.fd(), SOL_SOCKET, SO_LINGER, &hard_close,

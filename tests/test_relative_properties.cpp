@@ -365,8 +365,14 @@ TEST(RelativeSafetyOperands, EngineMatchesLibraryWithCertifiedWitnesses) {
     const RelativeSafetyResult lib_rs = relative_safety(system, f, lambda);
     EXPECT_EQ(rl.holds, lib_rl.holds) << f.to_string();
     EXPECT_EQ(rs.holds, lib_rs.holds) << f.to_string();
-    EXPECT_TRUE(cert::validate(lib_rl, system, f, lambda).valid);
-    EXPECT_TRUE(cert::validate(lib_rs, system, f, lambda).valid);
+    EXPECT_TRUE(cert::validate(CheckKind::kRelativeLiveness,
+                               {lib_rl.holds, lib_rl.violating_prefix, {}},
+                               system, {f, lambda})
+                    .valid);
+    EXPECT_TRUE(cert::validate(CheckKind::kRelativeSafety,
+                               {lib_rs.holds, {}, lib_rs.counterexample},
+                               system, {f, lambda})
+                    .valid);
     const Buchi property = translate_ltl(f, lambda);
     if (!rl.holds) {
       ++negatives;

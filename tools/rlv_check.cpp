@@ -38,36 +38,39 @@
 //                       the formula on the abstraction, certify simplicity,
 //                       transfer by Theorem 8.2/8.3
 //   --property-aut <f>  property given as a Büchi automaton file instead of
-//                       --ltl (relative safety then uses rank-based
-//                       complementation — exponential, keep it small)
+//                       --ltl, for rl|rs|sat|fair|fairweak (all but rl then
+//                       use rank-based complementation — exponential, keep
+//                       it small)
 //   --explain           annotate witnesses with the state sets they
-//                       traverse: the counterexample lassos of rs/sat and
-//                       the violating prefix of rl
-//   --certify           re-check the witness of a negative rl/rs/sat verdict
-//                       with the independent certificate checker
-//                       (rlv/cert/certificate.hpp) and print the outcome; an
-//                       INVALID certificate exits 2 — the verdict cannot be
-//                       trusted
+//                       traverse: the counterexample lassos of rs/sat/fair/
+//                       fairweak and the violating prefix of rl
+//   --certify           re-check the witness of a negative rl|rs|sat|fair|
+//                       fairweak verdict with the independent certificate
+//                       checker (rlv/cert/certificate.hpp; a fair run's
+//                       fairness is not re-checked) and print the outcome;
+//                       an INVALID certificate exits 2 — the verdict cannot
+//                       be trusted
 //   --dot               print the system in GraphViz format and exit
 //
 // Exit status: 0 = property verdict positive, 1 = negative, 2 = usage or
 // input error (including a failed --certify), 3 = no sound conclusion
 // (abstraction pipeline, non-simple).
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "rlv/cert/certificate.hpp"
+#include "rlv/core/check.hpp"
 #include "rlv/core/fair_synthesis.hpp"
 #include "rlv/core/monitor.hpp"
 #include "rlv/core/preservation.hpp"
 #include "rlv/core/relative.hpp"
-#include "rlv/fair/fair_check.hpp"
 #include "rlv/hom/image.hpp"
 #include "rlv/io/format.hpp"
 #include "rlv/lang/ops.hpp"
@@ -94,9 +97,11 @@ int usage() {
                "       [--property-aut <file>] [--explain]\n"
                "       [--certify] [--dot]\n"
                "       [--net-hom] [--petri-max-states N] [--petri-timeout-ms N]\n"
-               "  --explain annotates rl doomed prefixes and rs/sat lassos\n"
-               "  --certify re-checks negative rl/rs/sat witnesses with the\n"
-               "            independent certificate checker (INVALID exits 2)\n"
+               "  --explain annotates rl doomed prefixes and the lassos of\n"
+               "            the other check kinds\n"
+               "  --certify re-checks the witness of a negative check-kind\n"
+               "            verdict with the independent certificate checker\n"
+               "            (INVALID exits 2)\n"
                "  --petri-file unfolds a 1-safe net (rlv/petri/format.hpp) into\n"
                "            its reachability graph and checks that system;\n"
                "            --net-hom derives the abstraction from its hide\n"
@@ -118,6 +123,35 @@ int report_certificate(const cert::Validation& validation, int verdict_code) {
     std::printf("certificate: not checked (%s)\n", validation.reason.c_str());
   }
   return verdict_code;
+}
+
+/// How each check kind reports, indexed by CheckKind.
+struct Presentation {
+  const char* verdict;
+  const char* positive;
+  const char* negative;
+  const char* lasso;  // what a counterexample lasso is called
+};
+constexpr Presentation kPresentation[] = {
+    {"relative liveness", "HOLDS", "FAILS", "counterexample"},
+    {"relative safety", "HOLDS", "FAILS", "counterexample"},
+    {"satisfaction", "HOLDS", "FAILS", "violating behavior"},
+    {"all strongly fair runs satisfy", "YES", "NO", "fair violating run"},
+    {"all weakly fair runs satisfy", "YES", "NO", "fair violating run"},
+};
+
+/// A whitespace-separated trace of action names over `sigma`; an unknown
+/// action throws (an input error, exit 2).
+Word parse_trace(const std::string& text, const Alphabet& sigma) {
+  Word trace;
+  std::istringstream in(text);
+  for (std::string action; in >> action;) {
+    if (!sigma.contains(action)) {
+      throw std::runtime_error("unknown action '" + action + "'");
+    }
+    trace.push_back(sigma.id(action));
+  }
+  return trace;
 }
 
 void print_lasso(const char* label, const Lasso& lasso,
@@ -218,78 +252,21 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // Automaton-given property: relative liveness / safety / satisfaction
-    // against a Büchi automaton file (over the same action names).
+    // The property: a Büchi automaton file (over the same action names) or
+    // a formula. Only the five check kinds take an automaton.
+    std::optional<Buchi> automaton;
+    std::optional<Formula> formula;
     if (!property_path.empty()) {
-      const Buchi behaviors = limit_of_prefix_closed(system);
       const Nfa raw = parse_system(read_file(property_path));
-      const Buchi property =
-          Buchi::from_structure(remap_alphabet(raw, system.alphabet()));
-      if (mode == "rl") {
-        const auto res = relative_liveness(behaviors, property);
-        std::printf("relative liveness: %s\n", res.holds ? "HOLDS" : "FAILS");
-        if (res.violating_prefix) {
-          std::printf("doomed prefix: %s\n",
-                      system.alphabet()->format(*res.violating_prefix).c_str());
-          if (explain) {
-            std::fputs(explain_word(system, *res.violating_prefix).c_str(),
-                       stdout);
-          }
-        }
-        int code = res.holds ? 0 : 1;
-        if (certify) {
-          code = report_certificate(cert::validate(res, behaviors, property),
-                                    code);
-        }
-        return code;
-      }
-      if (mode == "rs") {
-        const auto res = relative_safety(behaviors, property);
-        std::printf("relative safety: %s\n", res.holds ? "HOLDS" : "FAILS");
-        if (res.counterexample) {
-          print_lasso("counterexample", *res.counterexample,
-                      system.alphabet());
-          if (explain) {
-            std::fputs(explain_lasso(system, res.counterexample->prefix,
-                                     res.counterexample->period)
-                           .c_str(),
-                       stdout);
-          }
-        }
-        int code = res.holds ? 0 : 1;
-        if (certify) {
-          code = report_certificate(cert::validate(res, behaviors, property),
-                                    code);
-        }
-        return code;
-      }
-      if (mode == "sat") {
-        const auto res = satisfies(behaviors, property);
-        std::printf("satisfaction: %s\n", res.holds ? "HOLDS" : "FAILS");
-        if (res.counterexample) {
-          print_lasso("violating behavior", *res.counterexample,
-                      system.alphabet());
-          if (explain) {
-            std::fputs(explain_lasso(system, res.counterexample->prefix,
-                                     res.counterexample->period)
-                           .c_str(),
-                       stdout);
-          }
-        }
-        int code = res.holds ? 0 : 1;
-        if (certify) {
-          code = report_certificate(cert::validate(res, behaviors, property),
-                                    code);
-        }
-        return code;
-      }
-      return usage();
+      automaton = Buchi::from_structure(remap_alphabet(raw, system.alphabet()));
+    } else if (!formula_text.empty()) {
+      formula = parse_ltl(formula_text);
     }
+    const std::optional<CheckKind> kind = parse_check_kind(mode);
+    const bool pipeline = !hom_path.empty() || net_hom;
+    if (!formula && !(automaton && kind && !pipeline)) return usage();
 
-    if (formula_text.empty()) return usage();
-    const Formula formula = parse_ltl(formula_text);
-
-    if (!hom_path.empty() || net_hom) {
+    if (pipeline) {
       if (net_hom && netfile.hidden.empty()) {
         std::fprintf(stderr,
                      "error: --net-hom needs a net with a hide annotation\n");
@@ -309,7 +286,7 @@ int main(int argc, char** argv) {
                   : parse_homomorphism(read_file(hom_path),
                                        pipeline_system.alphabet());
       const AbstractionVerdict verdict =
-          verify_via_abstraction(pipeline_system, h, to_pnf(formula));
+          verify_via_abstraction(pipeline_system, h, to_pnf(*formula));
       std::printf("abstract states: %zu (concrete: %zu)\n",
                   verdict.abstract_states, verdict.concrete_states);
       std::printf("abstract relative liveness: %s\n",
@@ -342,9 +319,14 @@ int main(int argc, char** argv) {
     const Buchi behaviors = limit_of_prefix_closed(system);
     const Labeling lambda = Labeling::canonical(system.alphabet());
 
-    if (mode == "rl") {
-      const auto res = relative_liveness(behaviors, formula, lambda);
-      std::printf("relative liveness: %s\n", res.holds ? "HOLDS" : "FAILS");
+    if (kind) {
+      CheckOperands operands =
+          automaton ? CheckOperands::of_automaton(behaviors, *automaton)
+                    : CheckOperands::of_formula(behaviors, *formula, lambda);
+      const CheckResult res = check(*kind, operands);
+      const Presentation& show = kPresentation[static_cast<int>(*kind)];
+      std::printf("%s: %s\n", show.verdict,
+                  res.holds ? show.positive : show.negative);
       if (res.violating_prefix) {
         std::printf("doomed prefix: %s\n",
                     system.alphabet()->format(*res.violating_prefix).c_str());
@@ -353,18 +335,8 @@ int main(int argc, char** argv) {
                      stdout);
         }
       }
-      int code = res.holds ? 0 : 1;
-      if (certify) {
-        code = report_certificate(
-            cert::validate(res, behaviors, formula, lambda), code);
-      }
-      return code;
-    }
-    if (mode == "rs") {
-      const auto res = relative_safety(behaviors, formula, lambda);
-      std::printf("relative safety: %s\n", res.holds ? "HOLDS" : "FAILS");
       if (res.counterexample) {
-        print_lasso("counterexample", *res.counterexample, system.alphabet());
+        print_lasso(show.lasso, *res.counterexample, system.alphabet());
         if (explain) {
           std::fputs(explain_lasso(system, res.counterexample->prefix,
                                    res.counterexample->period)
@@ -374,49 +346,18 @@ int main(int argc, char** argv) {
       }
       int code = res.holds ? 0 : 1;
       if (certify) {
+        const cert::Property property =
+            automaton ? cert::Property(*automaton)
+                      : cert::Property(*formula, lambda,
+                                       operands.built_property());
         code = report_certificate(
-            cert::validate(res, behaviors, formula, lambda), code);
+            cert::validate(*kind, res, behaviors, property), code);
       }
       return code;
-    }
-    if (mode == "sat") {
-      const auto res = satisfies(behaviors, formula, lambda);
-      std::printf("satisfaction: %s\n", res.holds ? "HOLDS" : "FAILS");
-      if (res.counterexample) {
-        print_lasso("violating behavior", *res.counterexample,
-                    system.alphabet());
-        if (explain) {
-          std::fputs(explain_lasso(system, res.counterexample->prefix,
-                                   res.counterexample->period)
-                         .c_str(),
-                     stdout);
-        }
-      }
-      int code = res.holds ? 0 : 1;
-      if (certify) {
-        code = report_certificate(
-            cert::validate(res, behaviors, formula, lambda), code);
-      }
-      return code;
-    }
-    if (mode == "fair" || mode == "fairweak") {
-      const FairnessKind kind = (mode == "fair")
-                                    ? FairnessKind::kStrongTransition
-                                    : FairnessKind::kWeakTransition;
-      const auto res =
-          check_fair_satisfaction(behaviors, formula, lambda, kind);
-      std::printf("all %s fair runs satisfy: %s\n",
-                  mode == "fair" ? "strongly" : "weakly",
-                  res.all_fair_runs_satisfy ? "YES" : "NO");
-      if (res.counterexample) {
-        print_lasso("fair violating run", *res.counterexample,
-                    system.alphabet());
-      }
-      return res.all_fair_runs_satisfy ? 0 : 1;
     }
     if (mode == "doom" && trace_text.empty()) {
       // No trace: search for the globally shortest doomed prefix.
-      DoomMonitor monitor(behaviors, formula, lambda);
+      DoomMonitor monitor(behaviors, *formula, lambda);
       const auto doom = monitor.shortest_doomed_prefix();
       if (!doom) {
         std::printf("no doomed prefix exists: the property is a relative "
@@ -431,25 +372,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (mode == "doom") {
-      DoomMonitor monitor(behaviors, formula, lambda);
-      // Parse the whitespace-separated trace against the system alphabet.
-      Word trace;
-      std::string token;
-      for (const char c : trace_text + " ") {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-          if (!token.empty()) {
-            if (!system.alphabet()->contains(token)) {
-              std::fprintf(stderr, "error: unknown action '%s'\n",
-                           token.c_str());
-              return 2;
-            }
-            trace.push_back(system.alphabet()->id(token));
-            token.clear();
-          }
-        } else {
-          token += c;
-        }
-      }
+      DoomMonitor monitor(behaviors, *formula, lambda);
+      const Word trace = parse_trace(trace_text, *system.alphabet());
       std::size_t first_doom = 0;
       const MonitorVerdict verdict = monitor.run(trace, &first_doom);
       switch (verdict) {
@@ -476,25 +400,9 @@ int main(int argc, char** argv) {
         return 2;
       }
       if (!trace_file.empty()) trace_text = read_file(trace_file);
-      const monitor::MonitorAutomaton aut(behaviors, formula, lambda,
+      const monitor::MonitorAutomaton aut(behaviors, *formula, lambda,
                                           certify);
-      Word trace;
-      std::string token;
-      for (const char c : trace_text + " ") {
-        if (std::isspace(static_cast<unsigned char>(c))) {
-          if (!token.empty()) {
-            if (!system.alphabet()->contains(token)) {
-              std::fprintf(stderr, "error: unknown action '%s'\n",
-                           token.c_str());
-              return 2;
-            }
-            trace.push_back(system.alphabet()->id(token));
-            token.clear();
-          }
-        } else {
-          token += c;
-        }
-      }
+      const Word trace = parse_trace(trace_text, *system.alphabet());
       std::uint32_t state = aut.initial();
       MonitorVerdict verdict = aut.verdict(state);
       std::optional<std::size_t> transition;
@@ -521,7 +429,7 @@ int main(int argc, char** argv) {
                     "%s\n", *transition,
                     system.alphabet()->format(witness).c_str());
         if (certify) {
-          const Buchi property_buchi = translate_ltl(formula, lambda);
+          const Buchi property_buchi = translate_ltl(*formula, lambda);
           const cert::Validation validation =
               cert::check_doomed_prefix(witness, behaviors, property_buchi);
           std::printf("certificate: %s\n",
@@ -538,14 +446,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (mode == "synth") {
-      const auto rl = relative_liveness(behaviors, formula, lambda);
+      const auto rl = relative_liveness(behaviors, *formula, lambda);
       if (!rl.holds) {
         std::printf("not a relative liveness property; Theorem 5.1 does not "
                     "apply\n");
         return 1;
       }
       const FairImplementation impl =
-          synthesize_fair_implementation(behaviors, formula, lambda);
+          synthesize_fair_implementation(behaviors, *formula, lambda);
       std::printf("# synthesized implementation (%zu states); all strongly "
                   "fair runs satisfy the property\n",
                   impl.system.num_states());

@@ -1,15 +1,16 @@
 // rlv_fuzz — differential fuzz harness for the decision kernels.
 //
-// Drives rlv::gen random transition systems and PLTL formulas through every
-// kernel configuration and cross-checks the following. Every fourth instance
-// also draws a random Büchi system with non-accepting states (not
-// limit-closed, so the Lemma 4.4 search keeps L_ω as an operand) and runs the
-// same checks on it.
+// Drives rlv::gen random transition systems and PLTL formulas through the
+// one decision pipeline (rlv/core/check.hpp) and cross-checks the
+// following. Every fourth instance also draws a random Büchi system with
+// non-accepting states (not limit-closed, so the Lemma 4.4 search keeps L_ω
+// as an operand) and runs the same checks on it.
 //
 //   * kernel vs oracle   — relative liveness / relative safety /
 //                          satisfaction against the brute-force
 //                          explicit-product decider (rlv/cert/oracle.hpp);
-//   * subset vs antichain— both inclusion algorithms on the Lemma 4.3 check;
+//   * subset reference   — the Lemma 4.3 check with BFS-shortest subset
+//                          inclusion against check()'s antichain one;
 //   * Thm 4.7 identity   — satisfies ⟺ relative liveness ∧ relative safety;
 //   * certificates       — every negative verdict's witness is re-checked
 //                          with the independent validator
@@ -17,7 +18,14 @@
 //   * translation        — the automata for f and ¬f against eval_ltl on
 //                          random lassos. The oracle builds its automata
 //                          with the same translator as the kernels, so only
-//                          this leg can catch a translation bug.
+//                          this leg can catch a translation bug;
+//   * engine             — the instance as query text through one certifying
+//                          Engine with 4-entry caches, all five check kinds,
+//                          each cold and then cached: rl/rs/sat against the
+//                          oracle, fair/fairweak against
+//                          check_fair_satisfaction. Every fourth instance
+//                          also submits a second text of the same structure,
+//                          plus an automaton-flavor rl query on it.
 //
 // Any mismatch prints a self-contained repro (seed, instance number, system
 // text, formula) and exits 1. Deterministic for a fixed seed.
@@ -32,6 +40,7 @@
 //
 // Exit status: 0 = all instances agree, 1 = mismatch found, 2 = bad usage.
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -40,8 +49,11 @@
 
 #include "rlv/cert/certificate.hpp"
 #include "rlv/cert/oracle.hpp"
+#include "rlv/core/check.hpp"
 #include "rlv/core/preservation.hpp"
 #include "rlv/core/relative.hpp"
+#include "rlv/engine/engine.hpp"
+#include "rlv/fair/fair_check.hpp"
 #include "rlv/gen/families.hpp"
 #include "rlv/gen/random.hpp"
 #include "rlv/hom/image.hpp"
@@ -109,10 +121,133 @@ std::string check_translation(Rng& rng, Formula f, const Labeling& lambda,
   return {};
 }
 
+constexpr CheckKind kKinds[] = {
+    CheckKind::kRelativeLiveness, CheckKind::kRelativeSafety,
+    CheckKind::kSatisfaction, CheckKind::kFairStrong, CheckKind::kFairWeak};
+
+/// Verdicts indexed by CheckKind.
+using Verdicts = std::array<bool, std::size(kKinds)>;
+constexpr std::size_t at(CheckKind kind) {
+  return static_cast<std::size_t>(kind);
+}
+
+std::string disagreement(CheckKind kind, const char* who, bool holds,
+                         const char* reference, bool expected) {
+  return std::string(check_kind_name(kind)) + ": " + who + " says " +
+         (holds ? "holds" : "fails") + ", " + reference + " says " +
+         (expected ? "holds" : "fails");
+}
+
+/// The leg every instance runs: rl, rs and sat through check(), against the
+/// brute-force oracle (when `oracle` is set), against each other (Thm 4.7)
+/// and against the subset-inclusion rl reference, with every negative
+/// verdict's witness re-checked by cert::validate. Returns the first
+/// disagreement, or an empty string; fills the rl/rs/sat slots of
+/// `verdicts` and counts the certificates checked.
+std::string differential(const Buchi& system, Formula f,
+                         const Labeling& lambda, bool oracle,
+                         Verdicts& verdicts, std::size_t& certificates) {
+  const auto certify = [&](CheckKind kind,
+                           const CheckResult& result) -> std::string {
+    const cert::Validation v =
+        cert::validate(kind, result, system, {f, lambda});
+    if (v.checked) ++certificates;
+    if (v.valid) return {};
+    return std::string(check_kind_name(kind)) + " certificate: " + v.reason;
+  };
+  CheckOperands operands = CheckOperands::of_formula(system, f, lambda);
+  for (const CheckKind kind : {CheckKind::kRelativeLiveness,
+                               CheckKind::kRelativeSafety,
+                               CheckKind::kSatisfaction}) {
+    const CheckResult result = check(kind, operands);
+    verdicts[at(kind)] = result.holds;
+    if (std::string bad = certify(kind, result); !bad.empty()) return bad;
+  }
+  const bool rl = verdicts[at(CheckKind::kRelativeLiveness)];
+  const bool rs = verdicts[at(CheckKind::kRelativeSafety)];
+  const bool sat = verdicts[at(CheckKind::kSatisfaction)];
+  if (oracle) {
+    const bool expected[] = {  // rl, rs, sat: the first kinds in kKinds
+        cert::oracle_relative_liveness(system, f, lambda),
+        cert::oracle_relative_safety(system, f, lambda),
+        cert::oracle_satisfies(system, f, lambda)};
+    for (std::size_t k = 0; k < std::size(expected); ++k) {
+      if (verdicts[k] != expected[k]) {
+        return disagreement(kKinds[k], "kernel", verdicts[k], "oracle",
+                            expected[k]);
+      }
+    }
+  }
+  // Theorem 4.7: satisfaction ⟺ relative liveness ∧ relative safety.
+  if (sat != (rl && rs)) return "Thm 4.7 identity violated: sat != (rl && rs)";
+  const RelativeLivenessResult subset =
+      relative_liveness(system, f, lambda, InclusionAlgorithm::kSubset);
+  if (subset.holds != rl) {
+    return disagreement(CheckKind::kRelativeLiveness, "antichain", rl,
+                        "subset", subset.holds);
+  }
+  return certify(CheckKind::kRelativeLiveness,
+                 {subset.holds, subset.violating_prefix, std::nullopt});
+}
+
+/// The engine leg: the instance as query text, every check kind run twice
+/// through `engine` — cold, then cached — against the rl/rs/sat verdicts in
+/// `expected` and against check_fair_satisfaction. With `variant`, a second
+/// text of the same structure follows: its formula queries hit the
+/// structure-keyed verdicts, and an automaton-flavor rl query misses and
+/// must re-resolve its property onto the alphabet of the behaviors automaton
+/// cached from the first text. Returns the first disagreement, or an empty
+/// string; counts the verdicts checked.
+std::string check_engine(Engine& engine, const Nfa& system,
+                         const Buchi& behaviors, Formula f,
+                         const Labeling& lambda, Verdicts expected,
+                         bool variant, std::size_t& verdicts) {
+  expected[at(CheckKind::kFairStrong)] =
+      check_fair_satisfaction(behaviors, f, lambda,
+                              FairnessKind::kStrongTransition)
+          .all_fair_runs_satisfy;
+  expected[at(CheckKind::kFairWeak)] =
+      check_fair_satisfaction(behaviors, f, lambda,
+                              FairnessKind::kWeakTransition)
+          .all_fair_runs_satisfy;
+  const std::string text = serialize_system(system);
+  std::vector<Query> queries;
+  for (const std::string& system_text :
+       variant ? std::vector<std::string>{text, "# same structure\n" + text}
+               : std::vector<std::string>{text}) {
+    for (const CheckKind kind : kKinds) {
+      queries.push_back({system_text, f.to_string(), kind});
+    }
+  }
+  if (variant) {
+    Query automaton{queries.back().system, "", CheckKind::kRelativeLiveness};
+    automaton.property_automaton = serialize_buchi(translate_ltl(f, lambda));
+    queries.push_back(std::move(automaton));
+  }
+  for (const Query& query : queries) {
+    const Verdict cold = engine.run_one(query);
+    const Verdict cached = engine.run_one(query);
+    const std::string kind(check_kind_name(query.kind));
+    if (!cold.ok() || !cached.ok()) {
+      return "engine " + kind + ": " + (cold.ok() ? cached : cold).error;
+    }
+    const bool want = expected[at(query.kind)];
+    if (cold.holds != want) {
+      return disagreement(query.kind, "engine", cold.holds, "reference", want);
+    }
+    if (cached.holds != cold.holds ||
+        cached.violating_prefix != cold.violating_prefix ||
+        cached.counterexample != cold.counterexample) {
+      return "engine " + kind + ": the cached verdict differs";
+    }
+    verdicts += 2;
+  }
+  return {};
+}
+
 /// The non-limit-closed leg: a random Büchi system with at least one
-/// non-accepting state, checked like a transition-system instance (both
-/// inclusion algorithms, rl/rs/sat against the oracle, Thm 4.7,
-/// certificates). Returns false after printing a repro on a mismatch.
+/// non-accepting state, run through the differential leg. Returns false
+/// after printing a repro on a mismatch.
 bool check_general_system(Rng& rng, std::uint64_t seed, std::size_t instance,
                           std::size_t max_states, std::size_t max_alphabet,
                           std::size_t max_depth, std::size_t& certificates) {
@@ -126,52 +261,21 @@ bool check_general_system(Rng& rng, std::uint64_t seed, std::size_t instance,
   const Formula formula = random_formula(rng, atoms, max_depth);
   const Labeling lambda = Labeling::canonical(sigma);
 
-  const auto bail = [&](const std::string& what) {
-    std::fprintf(stderr,
-                 "rlv_fuzz: MISMATCH at instance %zu (seed %llu), "
-                 "non-limit-closed system: %s\nformula: %s\nsystem:\n%s",
-                 instance, static_cast<unsigned long long>(seed),
-                 what.c_str(), formula.to_string().c_str(),
-                 serialize_buchi(system).c_str());
-    return false;
-  };
-
+  std::string what;
   try {
-    const RelativeLivenessResult rl_anti = relative_liveness(
-        system, formula, lambda, InclusionAlgorithm::kAntichain);
-    const RelativeLivenessResult rl_subset = relative_liveness(
-        system, formula, lambda, InclusionAlgorithm::kSubset);
-    const RelativeSafetyResult rs = relative_safety(system, formula, lambda);
-    const SatisfactionResult sat = satisfies(system, formula, lambda);
-
-    if (rl_anti.holds != rl_subset.holds) {
-      return bail("rl: antichain and subset disagree");
-    }
-    if (rl_anti.holds !=
-        cert::oracle_relative_liveness(system, formula, lambda)) {
-      return bail("rl: kernel vs oracle");
-    }
-    if (rs.holds != cert::oracle_relative_safety(system, formula, lambda)) {
-      return bail("rs: kernel vs oracle");
-    }
-    if (sat.holds != cert::oracle_satisfies(system, formula, lambda)) {
-      return bail("sat: kernel vs oracle");
-    }
-    if (sat.holds != (rl_anti.holds && rs.holds)) {
-      return bail("Thm 4.7 identity violated: sat != (rl && rs)");
-    }
-    for (const cert::Validation& v :
-         {cert::validate(rl_anti, system, formula, lambda),
-          cert::validate(rl_subset, system, formula, lambda),
-          cert::validate(rs, system, formula, lambda),
-          cert::validate(sat, system, formula, lambda)}) {
-      if (v.checked) ++certificates;
-      if (!v.valid) return bail("certificate: " + v.reason);
-    }
+    Verdicts verdicts{};
+    what = differential(system, formula, lambda, /*oracle=*/true, verdicts,
+                        certificates);
   } catch (const std::exception& e) {
-    return bail(std::string("exception: ") + e.what());
+    what = std::string("exception: ") + e.what();
   }
-  return true;
+  if (what.empty()) return true;
+  std::fprintf(stderr,
+               "rlv_fuzz: MISMATCH at instance %zu (seed %llu), "
+               "non-limit-closed system: %s\nformula: %s\nsystem:\n%s",
+               instance, static_cast<unsigned long long>(seed), what.c_str(),
+               formula.to_string().c_str(), serialize_buchi(system).c_str());
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -308,43 +412,14 @@ int run_petri_fuzz(std::uint64_t seed, std::size_t instances, bool verbose) {
         return bail("format round-trip changed the unfolding");
       }
 
-      // Kernels: both inclusion algorithms.
-      const RelativeLivenessResult rl_anti = relative_liveness(
-          behaviors, formula, lambda, InclusionAlgorithm::kAntichain);
-      const RelativeLivenessResult rl_subset = relative_liveness(
-          behaviors, formula, lambda, InclusionAlgorithm::kSubset);
-      const RelativeSafetyResult rs =
-          relative_safety(behaviors, formula, lambda);
-      const SatisfactionResult sat = satisfies(behaviors, formula, lambda);
-
-      if (rl_anti.holds != rl_subset.holds) {
-        return bail("rl: antichain and subset disagree");
-      }
-      if (sat.holds != (rl_anti.holds && rs.holds)) {
-        return bail("Thm 4.7 identity violated: sat != (rl && rs)");
-      }
-
-      // Brute-force oracle on small unfoldings (it is exponential).
-      if (graph.system.num_states() <= 24) {
-        const bool orl =
-            cert::oracle_relative_liveness(behaviors, formula, lambda);
-        const bool ors =
-            cert::oracle_relative_safety(behaviors, formula, lambda);
-        const bool osat = cert::oracle_satisfies(behaviors, formula, lambda);
-        if (rl_anti.holds != orl) return bail("rl: kernel vs oracle");
-        if (rs.holds != ors) return bail("rs: kernel vs oracle");
-        if (sat.holds != osat) return bail("sat: kernel vs oracle");
-        ++oracle_checked;
-      }
-
-      // Certificates on negative verdicts.
-      for (const cert::Validation& v :
-           {cert::validate(rl_anti, behaviors, formula, lambda),
-            cert::validate(rs, behaviors, formula, lambda),
-            cert::validate(sat, behaviors, formula, lambda)}) {
-        if (v.checked) ++certificates;
-        if (!v.valid) return bail("certificate: " + v.reason);
-      }
+      // Kernels, certificates, and the brute-force oracle on small
+      // unfoldings (it is exponential).
+      const bool oracle = graph.system.num_states() <= 24;
+      Verdicts verdicts{};
+      const std::string what = differential(behaviors, formula, lambda,
+                                            oracle, verdicts, certificates);
+      if (!what.empty()) return bail(what);
+      if (oracle) ++oracle_checked;
 
       // Preservation identities on the derived abstraction.
       if (!file.hidden.empty()) {
@@ -493,6 +568,10 @@ int main(int argc, char** argv) {
   std::size_t lassos = 0;
   std::size_t negatives = 0;
   std::size_t general = 0;
+  std::size_t engine_verdicts = 0;
+  // One engine for the whole run, its caches small enough that the
+  // behaviors, prefixes and verdicts caches evict independently.
+  Engine engine(EngineOptions{.cache_capacity = 4, .certify_verdicts = true});
 
   for (std::size_t instance = 0; instance < instances; ++instance) {
     const std::size_t sigma_size = 2 + rng.next_below(max_alphabet - 1);
@@ -512,67 +591,18 @@ int main(int argc, char** argv) {
     };
 
     try {
-      // Kernels: both inclusion algorithms.
-      const RelativeLivenessResult rl_anti = relative_liveness(
-          behaviors, formula, lambda, InclusionAlgorithm::kAntichain);
-      const RelativeLivenessResult rl_subset = relative_liveness(
-          behaviors, formula, lambda, InclusionAlgorithm::kSubset);
-      const RelativeSafetyResult rs =
-          relative_safety(behaviors, formula, lambda);
-      const SatisfactionResult sat = satisfies(behaviors, formula, lambda);
+      Verdicts expected{};
+      std::string what = differential(behaviors, formula, lambda,
+                                       /*oracle=*/true, expected, certificates);
+      if (!what.empty()) return bail(what);
+      if (!expected[at(CheckKind::kSatisfaction)]) ++negatives;
 
-      // Brute-force oracle.
-      const bool orl = cert::oracle_relative_liveness(behaviors, formula,
-                                                      lambda);
-      const bool ors = cert::oracle_relative_safety(behaviors, formula,
-                                                    lambda);
-      const bool osat = cert::oracle_satisfies(behaviors, formula, lambda);
+      what = check_translation(lasso_rng, formula, lambda, lassos);
+      if (!what.empty()) return bail(what);
 
-      if (rl_anti.holds != rl_subset.holds) {
-        return bail("rl: antichain and subset disagree");
-      }
-      if (rl_anti.holds != orl) {
-        return bail(std::string("rl: kernel says ") +
-                    (rl_anti.holds ? "holds" : "fails") + ", oracle says " +
-                    (orl ? "holds" : "fails"));
-      }
-      if (rs.holds != ors) {
-        return bail(std::string("rs: kernel says ") +
-                    (rs.holds ? "holds" : "fails") + ", oracle says " +
-                    (ors ? "holds" : "fails"));
-      }
-      if (sat.holds != osat) {
-        return bail(std::string("sat: kernel says ") +
-                    (sat.holds ? "holds" : "fails") + ", oracle says " +
-                    (osat ? "holds" : "fails"));
-      }
-      // Theorem 4.7: satisfaction ⟺ relative liveness ∧ relative safety.
-      if (sat.holds != (rl_anti.holds && rs.holds)) {
-        return bail("Thm 4.7 identity violated: sat != (rl && rs)");
-      }
-
-      // Certificates: every negative verdict's witness must validate.
-      const RelativeLivenessResult* rls[] = {&rl_anti, &rl_subset};
-      const char* rl_names[] = {"rl/antichain", "rl/subset"};
-      for (std::size_t k = 0; k < 2; ++k) {
-        const cert::Validation v =
-            cert::validate(*rls[k], behaviors, formula, lambda);
-        if (v.checked) ++certificates;
-        if (!v.valid) {
-          return bail(std::string(rl_names[k]) + " certificate: " + v.reason);
-        }
-      }
-      for (const cert::Validation& v :
-           {cert::validate(rs, behaviors, formula, lambda),
-            cert::validate(sat, behaviors, formula, lambda)}) {
-        if (v.checked) ++certificates;
-        if (!v.valid) return bail("rs/sat certificate: " + v.reason);
-      }
-      if (!sat.holds) ++negatives;
-
-      const std::string translation =
-          check_translation(lasso_rng, formula, lambda, lassos);
-      if (!translation.empty()) return bail(translation);
+      what = check_engine(engine, system, behaviors, formula, lambda,
+                          expected, instance % 4 == 0, engine_verdicts);
+      if (!what.empty()) return bail(what);
     } catch (const std::exception& e) {
       return bail(std::string("exception: ") + e.what());
     }
@@ -594,8 +624,9 @@ int main(int argc, char** argv) {
   std::printf(
       "rlv_fuzz: %zu instances ok (seed %llu, %zu with a non-limit-closed "
       "system): %zu sat violations, %zu certificates validated, "
-      "%zu translation lassos checked against eval_ltl, 0 mismatches\n",
+      "%zu translation lassos checked against eval_ltl, %zu engine verdicts, "
+      "0 mismatches\n",
       instances, static_cast<unsigned long long>(seed), general, negatives,
-      certificates, lassos);
+      certificates, lassos, engine_verdicts);
   return 0;
 }

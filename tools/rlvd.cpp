@@ -17,7 +17,6 @@
 // rlv::strip_cr, the same helper the network protocol uses):
 //
 //   <system-file> [--check rl|rs|sat|fair|fairweak]
-//                 [--algorithm subset|antichain]
 //                 [--property-aut <buchi-file>] [<formula...>]
 //
 // Everything after the system path and the optional flags is the PLTL
@@ -113,7 +112,6 @@ int usage() {
       "            [--max-sessions N] [--max-conn-sessions N]"
       " [--max-steps-per-request N] [--session-idle-timeout-ms N]\n"
       "  batch line: <system-file> [--check rl|rs|sat|fair|fairweak]"
-      " [--algorithm subset|antichain]"
       " [--property-aut <file>] [<formula...>]\n");
   return 2;
 }
@@ -200,14 +198,6 @@ std::optional<Request> parse_request_line(const std::string& line,
         throw std::runtime_error("unknown check kind '" + tokens[i + 1] + "'");
       }
       request.query.kind = *kind;
-      i += 2;
-    } else if (i + 1 < tokens.size() && tokens[i] == "--algorithm") {
-      const auto algorithm = parse_inclusion_algorithm(tokens[i + 1]);
-      if (!algorithm) {
-        throw std::runtime_error("unknown inclusion algorithm '" +
-                                 tokens[i + 1] + "'");
-      }
-      request.query.algorithm = *algorithm;
       i += 2;
     } else if (i + 1 < tokens.size() && tokens[i] == "--property-aut") {
       request.property_path = tokens[i + 1];
