@@ -106,9 +106,8 @@ struct MonitorKeyHash {
 };
 
 /// The verdict key carries everything that determines a check's outcome,
-/// plus the effective certify bit: a certified entry had its witness
-/// validated and must not alias an unvalidated one, or a certify request
-/// could be served a verdict nobody checked.
+/// plus the effective certify bit: a certify request must not be served a
+/// verdict nobody checked (a plain request may be served a certified one).
 struct VerdictKey {
   std::uint64_t system;    // structural fingerprint
   const void* formula;     // interned node (null for automaton flavor)
@@ -129,15 +128,10 @@ struct VerdictKeyHash {
   }
 };
 
-/// cache_shards = 0 resolves to the job count: a single-job engine keeps
-/// one shard (exact whole-cache LRU, as the eviction unit tests require),
-/// while an N-worker server gets ~N shard mutexes per cache. MemoCache
-/// rounds up to a power of two itself.
-std::size_t resolve_cache_shards(const EngineOptions& opts) {
-  const std::size_t want = opts.cache_shards > 0 ? opts.cache_shards
-                           : opts.jobs > 0       ? opts.jobs
-                                                 : 1;
-  return want;
+/// One lock shard per job (MemoCache rounds up to a power of two): one job
+/// keeps one shard, the exact whole-cache LRU the eviction tests rely on.
+std::size_t cache_shards(const EngineOptions& opts) {
+  return std::max<std::size_t>(opts.jobs, 1);
 }
 
 /// Cumulative per-stage totals as relaxed atomics: workers merge each
@@ -190,13 +184,13 @@ struct AtomicStageTotals {
 struct Engine::Impl {
   explicit Impl(const EngineOptions& opts)
       : options(opts),
-        systems(opts.cache_capacity, resolve_cache_shards(opts)),
-        behaviors(opts.cache_capacity, resolve_cache_shards(opts)),
-        prefixes(opts.cache_capacity, resolve_cache_shards(opts)),
-        translations(opts.cache_capacity, resolve_cache_shards(opts)),
-        properties(opts.cache_capacity, resolve_cache_shards(opts)),
-        verdicts(opts.cache_capacity * 8, resolve_cache_shards(opts)),
-        monitors(opts.cache_capacity, resolve_cache_shards(opts)),
+        systems(opts.cache_capacity, cache_shards(opts)),
+        behaviors(opts.cache_capacity, cache_shards(opts)),
+        prefixes(opts.cache_capacity, cache_shards(opts)),
+        translations(opts.cache_capacity, cache_shards(opts)),
+        properties(opts.cache_capacity, cache_shards(opts)),
+        verdicts(opts.cache_capacity * 8, cache_shards(opts)),
+        monitors(opts.cache_capacity, cache_shards(opts)),
         sessions(opts.max_sessions),
         pool(opts.jobs <= 1 ? 0 : opts.jobs) {}
 
@@ -398,8 +392,12 @@ struct Engine::Impl {
       prop = properties.find(property_key);
       if (!prop) return std::nullopt;
     }
-    const VerdictKey key = verdict_key(*sys, lookup.formula, prop.get(), query);
-    const auto resident = verdicts.find(key);
+    VerdictKey key = verdict_key(*sys, lookup.formula, prop.get(), query);
+    auto resident = verdicts.find(key);
+    if (!resident && !key.certify) {
+      key.certify = true;
+      resident = verdicts.find(key);
+    }
     if (!resident) return std::nullopt;
 
     systems.count_hit(lookup.system_text);

@@ -45,11 +45,6 @@ struct EngineOptions {
   std::size_t jobs = 1;
   /// Capacity (entries) of each automaton cache; verdict cache is 8x this.
   std::size_t cache_capacity = 256;
-  /// Lock shards per MemoCache (rounded up to a power of two). 0 = auto:
-  /// jobs rounded up to a power of two, so a single-job engine keeps the
-  /// classic whole-cache LRU order (and its exact eviction semantics)
-  /// while a multi-worker server spreads lookups across shard mutexes.
-  std::size_t cache_shards = 0;
   /// Per-query wall-clock deadline in milliseconds; 0 = unlimited. The
   /// clock starts when the query starts executing (not when the batch is
   /// submitted), so a slow sibling does not eat another query's budget.

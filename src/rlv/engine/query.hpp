@@ -43,7 +43,8 @@ struct Query {
   /// policy but never weaken it (a certify=false request must not push an
   /// unvalidated verdict into a cache that certified clients share).
   /// The effective bit is part of the verdict cache key, so a certified
-  /// query is never served a verdict that was cached unvalidated.
+  /// query is never served a verdict that was cached unvalidated (while a
+  /// plain query may be served a certified one).
   bool certify = false;
 };
 

@@ -1,89 +1,73 @@
 #include "rlv/engine/record.hpp"
 
-#include <sstream>
-
-#include "rlv/io/format.hpp"
+#include "rlv/io/json_writer.hpp"
 
 namespace rlv {
 
 namespace {
 
-void append_word_array(std::ostream& out, const char* field,
-                       const Alphabet& sigma, const Word& w) {
-  out << ",\"" << field << "\":[";
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    if (i > 0) out << ',';
-    out << '"' << json_escape(sigma.name(w[i])) << '"';
-  }
-  out << ']';
+void write_counters(JsonWriter& w, std::string_view name,
+                    const CacheCounters& c) {
+  w.key(name).begin_object().field("hits", c.hits);
+  w.field("coalesced", c.coalesced).field("misses", c.misses);
+  w.field("evictions", c.evictions).end_object();
 }
 
-void append_counters(std::ostream& out, const char* name,
-                     const CacheCounters& c) {
-  out << '"' << name << "\":{\"hits\":" << c.hits
-      << ",\"coalesced\":" << c.coalesced << ",\"misses\":" << c.misses
-      << ",\"evictions\":" << c.evictions << '}';
+void write_word(JsonWriter& w, std::string_view name, const Alphabet& sigma,
+                const Word& word) {
+  w.key(name).begin_array();
+  for (const Symbol a : word) w.value(sigma.name(a));
+  w.end_array();
+}
+
+/// Writes `"stage":...` for every stage that ran, in stage order; `fn`
+/// writes the value from the stage's metrics.
+template <typename Fn>
+void write_stages(JsonWriter& w, const QueryProfile& profile, Fn&& fn) {
+  w.key("stages").begin_object();
+  for (std::size_t i = 0; i < kNumStages; ++i) {
+    const StageMetrics& m = profile.stages[i];
+    if (m.calls == 0 && m.nanos == 0) continue;
+    w.key(stage_name(static_cast<Stage>(i)));
+    fn(m, static_cast<double>(m.nanos) / 1e6);
+  }
+  w.end_object();
 }
 
 }  // namespace
 
 std::string render_stats(const EngineStats& stats) {
-  std::ostringstream out;
-  out << "{\"queries\":" << stats.queries_run
-      << ",\"certificates_checked\":" << stats.certificates_checked
-      << ",\"certificates_failed\":" << stats.certificates_failed
-      << ",\"caches\":{";
-  append_counters(out, "systems", stats.systems);
-  out << ',';
-  append_counters(out, "behaviors", stats.behaviors);
-  out << ',';
-  append_counters(out, "prefixes", stats.prefixes);
-  out << ',';
-  append_counters(out, "translations", stats.translations);
-  out << ',';
-  append_counters(out, "properties", stats.properties);
-  out << ',';
-  append_counters(out, "verdicts", stats.verdicts);
-  out << ',';
-  append_counters(out, "monitors", stats.monitors);
-  out << ',';
-  append_counters(out, "total", stats.total());
-  out << "},\"monitor\":{\"sessions_open\":" << stats.monitor.sessions_open
-      << ",\"sessions_peak\":" << stats.monitor.sessions_peak
-      << ",\"sessions_total\":" << stats.monitor.sessions_opened
-      << ",\"idle_reclaimed\":" << stats.monitor.idle_reclaimed
-      << ",\"steps\":" << stats.monitor.steps
-      << ",\"dooms\":" << stats.monitor.dooms << "},\"stages\":{";
-  bool first = true;
-  for (std::size_t i = 0; i < kNumStages; ++i) {
-    const StageMetrics& m = stats.stages.stages[i];
-    if (m.calls == 0 && m.nanos == 0) continue;
-    if (!first) out << ',';
-    first = false;
-    out << '"' << stage_name(static_cast<Stage>(i))
-        << "\":{\"calls\":" << m.calls << ",\"states\":" << m.states_built
-        << ",\"peak_frontier\":" << m.peak_antichain
-        << ",\"peak_kernel_bytes\":" << m.peak_memory_bytes
-        << ",\"ms\":" << static_cast<double>(m.nanos) / 1e6 << '}';
-  }
-  out << "}}";
-  return out.str();
-}
-
-std::string render_stage_times(const QueryProfile& profile) {
-  std::ostringstream out;
-  out << '{';
-  bool first = true;
-  for (std::size_t i = 0; i < kNumStages; ++i) {
-    const StageMetrics& m = profile.stages[i];
-    if (m.calls == 0 && m.nanos == 0) continue;
-    if (!first) out << ',';
-    first = false;
-    out << '"' << stage_name(static_cast<Stage>(i))
-        << "\":" << static_cast<double>(m.nanos) / 1e6;
-  }
-  out << '}';
-  return out.str();
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().field("queries", stats.queries_run);
+  w.field("certificates_checked", stats.certificates_checked);
+  w.field("certificates_failed", stats.certificates_failed);
+  w.key("caches").begin_object();
+  write_counters(w, "systems", stats.systems);
+  write_counters(w, "behaviors", stats.behaviors);
+  write_counters(w, "prefixes", stats.prefixes);
+  write_counters(w, "translations", stats.translations);
+  write_counters(w, "properties", stats.properties);
+  write_counters(w, "verdicts", stats.verdicts);
+  write_counters(w, "monitors", stats.monitors);
+  write_counters(w, "total", stats.total());
+  const MonitorCounters& mon = stats.monitor;
+  w.end_object().key("monitor").begin_object();
+  w.field("sessions_open", mon.sessions_open);
+  w.field("sessions_peak", mon.sessions_peak);
+  w.field("sessions_total", mon.sessions_opened);
+  w.field("idle_reclaimed", mon.idle_reclaimed);
+  w.field("steps", mon.steps).field("dooms", mon.dooms).end_object();
+  write_stages(w, stats.stages, [&w](const StageMetrics& m, double ms) {
+    w.begin_object().field("calls", m.calls);
+    w.field("states", m.states_built.load(std::memory_order_relaxed));
+    w.field("peak_frontier", m.peak_antichain.load(std::memory_order_relaxed));
+    w.field("peak_kernel_bytes",
+            m.peak_memory_bytes.load(std::memory_order_relaxed));
+    w.field("ms", ms).end_object();
+  });
+  w.end_object();
+  return out;
 }
 
 std::string render_query_record(std::size_t id, const Query& query,
@@ -91,45 +75,41 @@ std::string render_query_record(std::size_t id, const Query& query,
                                 const std::string& system_label,
                                 const std::string& property_label,
                                 const CacheCounters& cache) {
-  std::ostringstream out;
-  out << "{\"id\":" << id << ",\"system\":\"" << json_escape(system_label)
-      << "\",\"check\":\"" << check_kind_name(query.kind) << '"';
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().field("id", id).field("system", system_label);
+  w.field("check", check_kind_name(query.kind));
   if (!property_label.empty()) {
-    out << ",\"property\":\"" << json_escape(property_label) << '"';
+    w.field("property", property_label);
   } else {
-    out << ",\"formula\":\"" << json_escape(query.formula) << '"';
+    w.field("formula", query.formula);
   }
-  out << ",\"ok\":" << (v.ok() ? "true" : "false");
+  w.field("ok", v.ok());
   if (v.ok()) {
-    out << ",\"holds\":" << (v.holds ? "true" : "false");
+    w.field("holds", v.holds);
     // Witness symbols are ids over the alphabet that decided the check.
+    const Alphabet* sigma = v.alphabet.get();
     if (v.violating_prefix) {
-      const Alphabet& sigma = *v.alphabet;
-      out << ",\"witness\":\""
-          << json_escape(sigma.format(*v.violating_prefix)) << '"';
-      append_word_array(out, "witness_prefix", sigma, *v.violating_prefix);
+      w.field("witness", sigma->format(*v.violating_prefix));
+      write_word(w, "witness_prefix", *sigma, *v.violating_prefix);
     } else if (v.counterexample) {
-      const Alphabet& sigma = *v.alphabet;
-      out << ",\"witness\":\""
-          << json_escape(sigma.format(v.counterexample->prefix) + " (" +
-                         sigma.format(v.counterexample->period) + ")^w")
-          << '"';
-      append_word_array(out, "witness_prefix", sigma,
-                        v.counterexample->prefix);
-      append_word_array(out, "witness_period", sigma,
-                        v.counterexample->period);
+      const Lasso& lasso = *v.counterexample;
+      w.field("witness", sigma->format(lasso.prefix) + " (" +
+                             sigma->format(lasso.period) + ")^w");
+      write_word(w, "witness_prefix", *sigma, lasso.prefix);
+      write_word(w, "witness_period", *sigma, lasso.period);
     }
   } else if (v.resource_exhausted) {
-    out << ",\"resource_exhausted\":true,\"stage\":\""
-        << json_escape(v.exhausted_stage) << '"';
+    w.field("resource_exhausted", true).field("stage", v.exhausted_stage);
   } else {
-    out << ",\"error\":\"" << json_escape(v.error) << '"';
+    w.field("error", v.error);
   }
-  out << ",\"ms\":" << v.millis << ",\"stages\":" << render_stage_times(v.profile)
-      << ",\"cache\":{\"hits\":" << cache.hits
-      << ",\"coalesced\":" << cache.coalesced << ",\"misses\":" << cache.misses
-      << ",\"evictions\":" << cache.evictions << "}}";
-  return out.str();
+  w.field("ms", v.millis);
+  write_stages(w, v.profile,
+               [&w](const StageMetrics&, double ms) { w.value(ms); });
+  write_counters(w, "cache", cache);
+  w.end_object();
+  return out;
 }
 
 }  // namespace rlv

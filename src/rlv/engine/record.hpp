@@ -15,7 +15,7 @@
 // structured arrays list one ESCAPED action name per symbol — unlike the
 // dot-joined "witness" string they are unambiguous even when action names
 // contain dots, quotes, or backslashes, so they are what certificate
-// round-trips should consume.
+// round-trips should consume. "stages" holds each run stage's exclusive ms.
 
 #include <cstddef>
 #include <string>
@@ -24,20 +24,17 @@
 
 namespace rlv {
 
-/// {"parse":0.01,...} — exclusive milliseconds of every stage that ran.
-[[nodiscard]] std::string render_stage_times(const QueryProfile& profile);
-
 /// Full EngineStats snapshot as one JSON object — the shared serialization
 /// behind `rlvd`'s stderr summary / `--metrics` block and the rlv::net
 /// server's `stats` response:
 ///
 ///   {"queries":6,"certificates_checked":4,"certificates_failed":0,
-///    "caches":{"systems":{"hits":4,"misses":2,"evictions":0},...,
-///              "total":{...}},
-///    "stages":{"parse":{"calls":6,"states":0,"peak_frontier":0,"ms":0.1},
-///              ...}}
+///    "caches":{"systems":{"hits":4,"coalesced":0,"misses":2,
+///              "evictions":0},...,"total":{...}},"monitor":{...},
+///    "stages":{"parse":{"calls":6,"states":0,"peak_frontier":0,
+///              "peak_kernel_bytes":0,"ms":0.1},...}}
 ///
-/// Stages that never ran are omitted; the six caches and "total" are
+/// Stages that never ran are omitted; the seven caches and "total" are
 /// always present.
 [[nodiscard]] std::string render_stats(const EngineStats& stats);
 

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <vector>
+
+#include "rlv/io/json_writer.hpp"
 
 namespace rlv {
 
@@ -42,15 +44,15 @@ void for_each_line(std::string_view text, Fn&& fn) {
   }
 }
 
+/// A state id or count: digits only, at most UINT32_MAX (never wrapped).
 std::uint32_t parse_number(const std::string& token, std::size_t line) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long value = std::stoul(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return static_cast<std::uint32_t>(value);
-  } catch (const std::exception&) {
-    throw IoError("expected a number, got '" + token + "'", line);
+  std::uint32_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw IoError("expected a number 0..4294967295, got '" + token + "'", line);
   }
+  return value;
 }
 
 }  // namespace
@@ -404,35 +406,7 @@ std::string_view strip_cr(std::string_view line) {
 
 std::string json_escape(std::string_view s) {
   std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_json_escaped(out, s);
   return out;
 }
 

@@ -105,9 +105,9 @@ class IoError : public std::runtime_error {
 [[nodiscard]] std::string_view strip_cr(std::string_view line);
 
 /// JSON string escaping (quotes, backslashes, and control characters per
-/// RFC 8259). Every string a tool emits inside JSON — file paths, formulas,
-/// witness words, error messages — must go through this: paths and error
-/// texts are attacker-influenced in a service setting.
+/// RFC 8259), as the JsonWriter (rlv/io/json_writer.hpp) escapes every
+/// string it writes — the writer is how the project emits JSON; this
+/// returns the escaped text alone for callers that splice it themselves.
 [[nodiscard]] std::string json_escape(std::string_view s);
 
 }  // namespace rlv

@@ -4,6 +4,10 @@ namespace rlv::monitor {
 
 namespace {
 
+/// Generations cycle through 1 .. 2^21 - 1 (0 would make id 0), so ids
+/// stay below 2^53, the limit up to which a JSON number is exact.
+constexpr std::uint32_t kMaxGeneration = (1U << 21) - 1;
+
 constexpr std::uint64_t encode_id(std::uint32_t index,
                                   std::uint32_t generation) {
   return (static_cast<std::uint64_t>(generation) << 32) | index;
@@ -88,7 +92,7 @@ void SessionTable::release(std::uint32_t index) {
   lru_unlink(index);
   slot.session.automaton.reset();
   slot.in_use = false;
-  ++slot.generation;  // stale ids to this slot now miss; wraparound is fine
+  slot.generation = slot.generation % kMaxGeneration + 1;  // old ids miss
   free_.push_back(index);
   counters_.open.fetch_sub(1, std::memory_order_relaxed);
 }

@@ -89,7 +89,7 @@ class SessionTable {
   struct Slot {
     Session session;
     std::uint64_t last_touch_ms = 0;
-    std::uint32_t generation = 1;  // bumped on close; id 0 never issued
+    std::uint32_t generation = 1;  // bumped on close, 21 bits, never 0
     bool in_use = false;
     std::uint32_t lru_prev = kNil;
     std::uint32_t lru_next = kNil;

@@ -11,69 +11,72 @@
 #include <stdexcept>
 
 #include "rlv/io/format.hpp"
+#include "rlv/io/json_writer.hpp"
 #include "rlv/net/json.hpp"
 
 namespace rlv::net {
 
+namespace {
+
+/// "system", then "formula" or "property_automaton": the members a query
+/// and a monitor_open share.
+template <typename Spec>
+void write_target(JsonWriter& w, const Spec& spec) {
+  const bool formula = spec.property_automaton.empty();
+  w.field("system", spec.system);
+  w.field(formula ? "formula" : "property_automaton",
+          formula ? spec.formula : spec.property_automaton);
+}
+
+}  // namespace
+
 std::string render_query_request(const Query& query, std::uint64_t id,
                                  std::string_view label) {
-  std::string out = "{\"id\":" + std::to_string(id) + ",\"system\":\"" +
-                    json_escape(query.system) + "\"";
-  if (query.property_automaton.empty()) {
-    out += ",\"formula\":\"" + json_escape(query.formula) + "\"";
-  } else {
-    out += ",\"property_automaton\":\"" +
-           json_escape(query.property_automaton) + "\"";
-  }
-  out += ",\"check\":\"" + std::string(check_kind_name(query.kind)) + "\"";
-  if (query.timeout_ms > 0) {
-    out += ",\"timeout_ms\":" + std::to_string(query.timeout_ms);
-  }
-  if (query.max_states > 0) {
-    out += ",\"max_states\":" + std::to_string(query.max_states);
-  }
-  if (query.certify) out += ",\"certify\":true";
-  if (!label.empty()) {
-    out += ",\"label\":\"" + json_escape(label) + "\"";
-  }
-  out += "}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().field("id", id);
+  write_target(w, query);
+  w.field("check", check_kind_name(query.kind));
+  if (query.timeout_ms > 0) w.field("timeout_ms", query.timeout_ms);
+  if (query.max_states > 0) w.field("max_states", query.max_states);
+  if (query.certify) w.field("certify", true);
+  if (!label.empty()) w.field("label", label);
+  w.end_object();
   return out;
 }
 
 std::string render_monitor_open_request(const MonitorSpec& spec,
                                         std::uint64_t id,
                                         std::string_view label) {
-  std::string out = "{\"op\":\"monitor_open\",\"id\":" + std::to_string(id) +
-                    ",\"system\":\"" + json_escape(spec.system) + "\"";
-  if (spec.property_automaton.empty()) {
-    out += ",\"formula\":\"" + json_escape(spec.formula) + "\"";
-  } else {
-    out += ",\"property_automaton\":\"" +
-           json_escape(spec.property_automaton) + "\"";
-  }
-  if (spec.certify) out += ",\"certify\":true";
-  if (!label.empty()) out += ",\"label\":\"" + json_escape(label) + "\"";
-  out += "}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().field("op", "monitor_open").field("id", id);
+  write_target(w, spec);
+  if (spec.certify) w.field("certify", true);
+  if (!label.empty()) w.field("label", label);
+  w.end_object();
   return out;
 }
 
 std::string render_monitor_step_request(std::uint64_t session,
                                         const std::vector<std::string>& actions,
                                         std::uint64_t id) {
-  std::string out = "{\"op\":\"monitor_step\",\"id\":" + std::to_string(id) +
-                    ",\"session\":" + std::to_string(session) + ",\"actions\":[";
-  for (std::size_t i = 0; i < actions.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '"' + json_escape(actions[i]) + '"';
-  }
-  out += "]}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().field("op", "monitor_step").field("id", id);
+  w.field("session", session).key("actions").begin_array();
+  for (const std::string& action : actions) w.value(action);
+  w.end_array().end_object();
   return out;
 }
 
 std::string render_monitor_close_request(std::uint64_t session,
                                          std::uint64_t id) {
-  return "{\"op\":\"monitor_close\",\"id\":" + std::to_string(id) +
-         ",\"session\":" + std::to_string(session) + "}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object().field("op", "monitor_close").field("id", id);
+  w.field("session", session).end_object();
+  return out;
 }
 
 Response parse_response(std::string_view line) {

@@ -299,9 +299,10 @@ double JsonValue::as_number() const {
 
 std::uint64_t JsonValue::as_uint() const {
   if (kind != Kind::kNumber) kind_mismatch("number", kind);
+  // From 2^53 on doubles skip integers (2^53 + 1 parses as 2^53).
   if (!std::isfinite(number) || number < 0 ||
-      number != std::floor(number) || number > 1.8446744073709550e19) {
-    throw std::runtime_error("expected a non-negative integer");
+      number != std::floor(number) || number >= 0x1p53) {
+    throw std::runtime_error("expected an integer from 0 to 2^53 - 1");
   }
   return static_cast<std::uint64_t>(number);
 }

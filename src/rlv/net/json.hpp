@@ -4,8 +4,8 @@
 // one JSON object per line from untrusted clients, so the parser is
 // strict (RFC 8259 grammar, no extensions), bounds recursion depth, and
 // reports errors with byte offsets safe to echo back in an error
-// response. Writing stays string-based (rlv::json_escape plus the record
-// renderers) — only the reading half needs a DOM.
+// response. Writing goes through rlv::JsonWriter (rlv/io/json_writer.hpp),
+// which appends straight to an output buffer — no DOM is built to write.
 
 #include <cstdint>
 #include <optional>
@@ -57,8 +57,8 @@ struct JsonValue {
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
   /// Typed accessors: throw std::runtime_error (with the offending kind
-  /// named) on mismatch. as_uint additionally rejects negative, fractional,
-  /// and non-finite numbers — protocol ids and limits are exact integers.
+  /// named) on mismatch. as_uint also rejects all but exact integers in
+  /// [0, 2^53): protocol ids and limits must read back as sent.
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "rlv/io/format.hpp"
+#include "rlv/io/json_writer.hpp"
 #include "rlv/net/json.hpp"
 
 namespace rlv::net {
@@ -32,6 +32,11 @@ void parse_property_fields(const JsonValue& root, std::string* formula,
   }
   if (f) *formula = f->as_string();
   if (p) *property_automaton = p->as_string();
+}
+
+/// Opens a reply object with its "id" and "ok" members.
+JsonWriter& begin_reply(JsonWriter& w, std::uint64_t id, bool ok) {
+  return w.begin_object().field("id", id).field("ok", ok);
 }
 
 }  // namespace
@@ -149,98 +154,68 @@ void apply_limits(Query& query, const ServerLimits& limits) {
   }
 }
 
-std::string render_server_counters(const ServerCounters& c, bool draining) {
-  std::string out = "{";
-  const auto field = [&out](std::string_view name, std::uint64_t value) {
-    if (out.size() > 1) out += ",";
-    out += "\"";
-    out += name;
-    out += "\":" + std::to_string(value);
-  };
-  field("connections_accepted", c.connections_accepted);
-  field("connections_open", c.connections_open);
-  field("requests", c.requests);
-  field("queries", c.queries);
-  field("overload_rejects", c.overload_rejects);
-  field("protocol_errors", c.protocol_errors);
-  field("idle_closed", c.idle_closed);
-  field("bytes_read", c.bytes_read);
-  field("bytes_written", c.bytes_written);
-  field("inflight", c.inflight);
-  field("accept_soft_errors", c.accept_soft_errors);
-  field("computing", c.computing);
-  field("queued", c.queued);
-  field("queued_total", c.queued_total);
-  out += ",\"draining\":";
-  out += draining ? "true" : "false";
-  out += "}";
-  return out;
-}
-
 std::string render_error(std::optional<std::uint64_t> id,
                          std::string_view code, std::string_view detail) {
-  std::string out = "{";
-  if (id) out += "\"id\":" + std::to_string(*id) + ",";
-  out += "\"ok\":false,\"error\":\"" + json_escape(code) + "\"";
-  if (!detail.empty()) out += ",\"detail\":\"" + json_escape(detail) + "\"";
-  out += "}";
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  if (id) w.field("id", *id);
+  w.field("ok", false).field("error", code);
+  if (!detail.empty()) w.field("detail", detail);
+  w.end_object();
   return out;
 }
 
 std::string render_overloaded(std::uint64_t id, std::string_view scope) {
-  return "{\"id\":" + std::to_string(id) +
-         ",\"ok\":false,\"error\":\"overloaded\",\"overloaded\":true,"
-         "\"scope\":\"" +
-         json_escape(scope) + "\"}";
+  std::string out;
+  JsonWriter w(out);
+  begin_reply(w, id, false).field("error", "overloaded");
+  w.field("overloaded", true).field("scope", scope).end_object();
+  return out;
 }
 
 std::string render_monitor_open(std::uint64_t id, const MonitorOpenResult& r) {
   if (r.table_full) return render_overloaded(id, "sessions");
-  if (r.resource_exhausted) {
-    return "{\"id\":" + std::to_string(id) +
-           ",\"ok\":false,\"resource_exhausted\":true,\"stage\":\"" +
-           json_escape(r.exhausted_stage) + "\"}";
-  }
   if (!r.error.empty()) return render_error(id, r.error, {});
-  std::string out = "{\"id\":" + std::to_string(id) +
-                    ",\"ok\":true,\"session\":" + std::to_string(r.session) +
-                    ",\"verdict\":\"" +
-                    std::string(monitor::verdict_name(r.verdict)) +
-                    "\",\"certified\":" + (r.certified ? "true" : "false");
-  out += ",\"ms\":" + std::to_string(r.millis) + "}";
+  std::string out;
+  JsonWriter w(out);
+  begin_reply(w, id, !r.resource_exhausted);
+  if (r.resource_exhausted) {
+    w.field("resource_exhausted", true).field("stage", r.exhausted_stage);
+  } else {
+    w.field("session", r.session);
+    w.field("verdict", monitor::verdict_name(r.verdict));
+    w.field("certified", r.certified).field("ms", r.millis);
+  }
+  w.end_object();
   return out;
 }
 
 std::string render_monitor_step(std::uint64_t id, const MonitorStepResult& r) {
   if (!r.error.empty()) return render_error(id, r.error, r.error_detail);
-  std::string out = "{\"id\":" + std::to_string(id) +
-                    ",\"ok\":true,\"verdict\":\"" +
-                    std::string(monitor::verdict_name(r.verdict)) +
-                    "\",\"events\":" + std::to_string(r.events);
-  if (r.transition_index) {
-    if (r.transition_doomed) {
-      out += ",\"doomed_index\":" + std::to_string(*r.transition_index);
-      out += ",\"witness\":[";
-      for (std::size_t i = 0; i < r.witness.size(); ++i) {
-        if (i > 0) out += ',';
-        out += '"' + json_escape(r.witness[i]) + '"';
-      }
-      out += "],\"witness_certified\":";
-      out += r.witness_certified ? "true" : "false";
-    } else {
-      out += ",\"left_index\":" + std::to_string(*r.transition_index);
-    }
+  std::string out;
+  JsonWriter w(out);
+  begin_reply(w, id, true).field("verdict", monitor::verdict_name(r.verdict));
+  w.field("events", r.events);
+  if (r.transition_index && r.transition_doomed) {
+    w.field("doomed_index", *r.transition_index).key("witness").begin_array();
+    for (const std::string& action : r.witness) w.value(action);
+    w.end_array().field("witness_certified", r.witness_certified);
+  } else if (r.transition_index) {
+    w.field("left_index", *r.transition_index);
   }
-  out += "}";
+  w.end_object();
   return out;
 }
 
 std::string render_monitor_close(std::uint64_t id,
                                  const MonitorCloseResult& r) {
   if (!r.error.empty()) return render_error(id, r.error, {});
-  return "{\"id\":" + std::to_string(id) + ",\"ok\":true,\"closed\":" +
-         (r.closed ? "true" : "false") +
-         ",\"events\":" + std::to_string(r.events) + "}";
+  std::string out;
+  JsonWriter w(out);
+  begin_reply(w, id, true).field("closed", r.closed);
+  w.field("events", r.events).end_object();
+  return out;
 }
 
 }  // namespace rlv::net

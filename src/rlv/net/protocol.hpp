@@ -82,11 +82,6 @@ struct ServerCounters {
   std::uint64_t queued_total = 0;  // computations that ever waited
 };
 
-/// The "server" JSON object of a stats response (including the trailing
-/// "draining" flag). Pure serialization — testable without sockets.
-[[nodiscard]] std::string render_server_counters(const ServerCounters& c,
-                                                 bool draining);
-
 enum class RequestOp : std::uint8_t {
   kQuery,
   kStats,

@@ -20,7 +20,6 @@
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -29,6 +28,7 @@
 
 #include "rlv/engine/record.hpp"
 #include "rlv/io/format.hpp"
+#include "rlv/io/json_writer.hpp"
 
 namespace rlv::net {
 
@@ -423,10 +423,13 @@ struct Server::Impl {
     }
     const bool open = req.op == RequestOp::kMonitorOpen;
     switch (req.op) {
-      case RequestOp::kPing:
-        add_line(replies, "{\"id\":" + std::to_string(req.id) +
-                              ",\"ok\":true,\"pong\":true}");
+      case RequestOp::kPing: {
+        JsonWriter w(replies);
+        w.begin_object().field("id", req.id).field("ok", true);
+        w.field("pong", true).end_object();
+        replies += '\n';
         break;
+      }
       case RequestOp::kStats:
         add_line(replies, render_server_stats(req.id));
         break;
@@ -859,14 +862,24 @@ struct Server::Impl {
   }
 
   std::string render_server_stats(std::uint64_t id) {
-    std::ostringstream out;
-    out << "{\"id\":" << id
-        << ",\"ok\":true,\"stats\":" << render_stats(engine.stats())
-        << ",\"server\":"
-        << render_server_counters(snapshot_counters(),
-                                  stop.load(std::memory_order_acquire))
-        << "}";
-    return out.str();
+    const ServerCounters c = snapshot_counters();
+    std::string out;
+    JsonWriter w(out);
+    w.begin_object().field("id", id).field("ok", true);
+    w.key("stats").raw(render_stats(engine.stats())).key("server");
+    w.begin_object().field("connections_accepted", c.connections_accepted);
+    w.field("connections_open", c.connections_open);
+    w.field("requests", c.requests).field("queries", c.queries);
+    w.field("overload_rejects", c.overload_rejects);
+    w.field("protocol_errors", c.protocol_errors);
+    w.field("idle_closed", c.idle_closed).field("bytes_read", c.bytes_read);
+    w.field("bytes_written", c.bytes_written).field("inflight", c.inflight);
+    w.field("accept_soft_errors", c.accept_soft_errors);
+    w.field("computing", c.computing).field("queued", c.queued);
+    w.field("queued_total", c.queued_total);
+    w.field("draining", stop.load(std::memory_order_acquire));
+    w.end_object().end_object();
+    return out;
   }
 };
 

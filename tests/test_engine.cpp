@@ -551,6 +551,28 @@ TEST(Engine, CertifyRequestIsNeverServedAnUncertifiedVerdict) {
   EXPECT_EQ(stats.certificates_checked, 1u);
 }
 
+TEST(Engine, PlainRequestIsServedAResidentCertifiedVerdict) {
+  // The sound direction of the certify bit: a validated verdict answers a
+  // request that did not ask for validation, without recomputing it.
+  Query certified{serialize_system(figure3_system()), "G F result",
+                  CheckKind::kRelativeLiveness};
+  certified.certify = true;
+  Query plain = certified;
+  plain.certify = false;
+
+  Engine engine;
+  const Verdict v_certified = engine.run_one(certified);
+  ASSERT_TRUE(v_certified.ok()) << v_certified.error;
+  const Verdict v_plain = engine.run_one(plain);
+  ASSERT_TRUE(v_plain.ok()) << v_plain.error;
+  EXPECT_EQ(v_plain.holds, v_certified.holds);
+  EXPECT_EQ(v_plain.violating_prefix, v_certified.violating_prefix);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.verdicts.hits, 1u);
+  EXPECT_EQ(stats.verdicts.misses, 1u);
+  EXPECT_EQ(stats.certificates_checked, 1u);
+}
+
 TEST(Engine, VerdictCacheDoesNotAliasFormulaAndAutomatonFlavors) {
   // A formula query and an automaton-flavor query against the same system
   // key on different fields (interned formula vs property fingerprint);

@@ -158,6 +158,35 @@ TEST(IoParse, ErrorLineNumbersAreAccurate) {
   EXPECT_EQ(line_of("alphabet: a\nstates: 1\ninitial: 0\n"), 0u);
 }
 
+TEST(IoParse, StateNumbersAreDigitStringsThatFitIn32Bits) {
+  const auto line_of = [](const std::string& text) -> std::size_t {
+    try {
+      (void)parse_system(text);
+    } catch (const IoError& e) {
+      return e.line();
+    }
+    return static_cast<std::size_t>(-1);  // no error thrown
+  };
+  const std::string head = "alphabet: a\n";
+  // Each of these once parsed into a wrapped or negated number without an
+  // error: an edge from state 0, 2 states, and initial state 1.
+  EXPECT_EQ(line_of(head + "states: 2\ninitial: 0\naccepting: all\n"
+                           "4294967296 a 1\n"),
+            5u);
+  EXPECT_EQ(line_of(head + "states: 4294967298\ninitial: 0\n"
+                           "accepting: all\n"),
+            2u);
+  EXPECT_EQ(line_of(head + "states: 2\ninitial: -4294967295\n"
+                           "accepting: all\n"),
+            3u);
+  EXPECT_EQ(line_of(head + "states: +2\ninitial: 0\naccepting: all\n"), 2u);
+  EXPECT_EQ(line_of(head + "states: 2\ninitial: 0\naccepting: -1\n"), 4u);
+  // UINT32_MAX itself is a number; out of range is a later, separate error.
+  EXPECT_EQ(line_of(head + "states: 2\ninitial: 4294967295\n"
+                           "accepting: all\n"),
+            0u);
+}
+
 TEST(IoHom, ParseAndApply) {
   const Nfa fig2 = figure2_system();
   const Homomorphism h = parse_homomorphism(R"(

@@ -64,6 +64,22 @@ TEST(SessionTable, SlotReuseBumpsGenerationAndRejectsStaleIds) {
   EXPECT_EQ(table.size(), 1u);
 }
 
+TEST(SessionTable, IdsStayExactJsonIntegersAcrossGenerationWrap) {
+  // Ids travel as JSON numbers, read back exactly only below 2^53; a slot
+  // reopened 2^21 times wraps its generation instead of crossing that.
+  monitor::SessionTable table;
+  const auto automaton = fig2_automaton();
+  const std::uint64_t first = table.open(automaton, 0);
+  std::uint64_t id = first;
+  for (std::uint32_t i = 0; i < (1U << 21) - 1; ++i) {
+    ASSERT_LT(id, std::uint64_t{1} << 53);
+    ASSERT_TRUE(table.close(id));
+    id = table.open(automaton, 0);
+  }
+  EXPECT_EQ(id, first);  // the generation wrapped back to 1, skipping 0
+  EXPECT_NE(table.find(id, 1), nullptr);
+}
+
 TEST(SessionTable, GlobalCapIsDeterministic) {
   monitor::SessionTable table(2);
   const auto automaton = fig2_automaton();

@@ -1,4 +1,5 @@
-// Tests for rlv::net — the serving layer: the strict JSON reader, the
+// Tests for rlv::net — the serving layer: the strict JSON reader, the JSON
+// writer, the wire shape (keys and value types) of every renderer, the
 // request/response protocol, server-side limit clamping, and the epoll
 // Server end to end over real sockets (concurrent clients, verdict parity
 // with a direct Engine, backpressure rejections, protocol-error handling,
@@ -19,9 +20,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +34,7 @@
 #include "rlv/engine/record.hpp"
 #include "rlv/gen/families.hpp"
 #include "rlv/io/format.hpp"
+#include "rlv/io/json_writer.hpp"
 #include "rlv/net/client.hpp"
 #include "rlv/net/json.hpp"
 #include "rlv/net/protocol.hpp"
@@ -90,6 +95,111 @@ TEST(NetJson, AsUintRejectsNegativeAndFractional) {
   EXPECT_THROW((void)parse_json("1.5").as_uint(), std::runtime_error);
   EXPECT_THROW((void)parse_json("1e300").as_uint(), std::runtime_error);
   EXPECT_EQ(parse_json("0").as_uint(), 0u);
+}
+
+TEST(NetJson, AsUintRejectsIntegersADoubleCannotHoldExactly) {
+  // 2^53 - 1 is the largest integer whose neighbours are all doubles too;
+  // from 2^53 on, a parsed number may already be a rounded one.
+  EXPECT_EQ(parse_json("9007199254740991").as_uint(), 9007199254740991u);
+  EXPECT_THROW((void)parse_json("9007199254740992").as_uint(),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_json("9007199254740993").as_uint(),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_json("18446744073709551615").as_uint(),
+               std::runtime_error);
+  EXPECT_THROW(
+      (void)net::parse_request(R"({"op":"ping","id":9007199254740993})"),
+      std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// JSON writer.
+
+/// Every byte a writer must escape or pass through untouched: quote,
+/// backslash, NUL and the control bytes 0x01-0x1f, DEL and UTF-8 ("é",
+/// "→").
+std::string hostile_text() {
+  std::string s = "q\"b\\s/";
+  for (char c = 0x00; c < 0x20; ++c) s += c;
+  s += '\x7f';
+  s += "\xc3\xa9\xe2\x86\x92";
+  return s;
+}
+
+std::string written(const std::function<void(JsonWriter&)>& write) {
+  std::string out;
+  JsonWriter w(out);
+  write(w);
+  return out;
+}
+
+TEST(NetJsonWriter, PlacesCommasByNesting) {
+  EXPECT_EQ(written([](JsonWriter& w) { w.begin_object().end_object(); }),
+            "{}");
+  EXPECT_EQ(written([](JsonWriter& w) {
+              w.begin_object()
+                  .key("a")
+                  .begin_array()
+                  .end_array()
+                  .key("b")
+                  .begin_object()
+                  .key("c")
+                  .begin_array()
+                  .value(1u)
+                  .begin_object()
+                  .field("d", true)
+                  .end_object()
+                  .begin_array()
+                  .end_array()
+                  .value("x")
+                  .end_array()
+                  .field("e", false)
+                  .end_object()
+                  .key("f")
+                  .raw("null")
+                  .end_object();
+            }),
+            R"({"a":[],"b":{"c":[1,{"d":true},[],"x"],"e":false},"f":null})");
+}
+
+TEST(NetJsonWriter, AppendsToTheCallersBuffer) {
+  std::string line = "{\"ok\":true}\n";
+  JsonWriter(line).begin_array().value(2u).end_array();
+  EXPECT_EQ(line, "{\"ok\":true}\n[2]");
+}
+
+TEST(NetJsonWriter, WritesNumbersOneWay) {
+  EXPECT_EQ(written([](JsonWriter& w) {
+              w.value(std::numeric_limits<std::uint64_t>::max());
+            }),
+            "18446744073709551615");
+  // Doubles print as an ostream prints them by default: %g, 6 digits.
+  for (const double d : {0.0, 1.0, 0.25, 1e-7, 0.000123456789, 3.14159265,
+                         123456789.0, 1e21, -2.5, 42.125}) {
+    std::ostringstream expected;
+    expected << d;
+    EXPECT_EQ(written([d](JsonWriter& w) { w.value(d); }), expected.str());
+  }
+  EXPECT_EQ(written([](JsonWriter& w) {
+              w.begin_array()
+                  .value(std::numeric_limits<double>::infinity())
+                  .value(std::nan(""))
+                  .end_array();
+            }),
+            "[null,null]");
+}
+
+TEST(NetJsonWriter, HostileStringsRoundTrip) {
+  const std::string hostile = hostile_text();
+  const std::string line = written([&](JsonWriter& w) {
+    w.begin_object().field(hostile, hostile).end_object();
+  });
+  const JsonValue root = parse_json(line);
+  ASSERT_EQ(root.object.size(), 1u);
+  EXPECT_EQ(root.object[0].first, hostile);
+  EXPECT_EQ(root.object[0].second.as_string(), hostile);
+  EXPECT_EQ(line, "{\"" + json_escape(hostile) + "\":\"" +
+                      json_escape(hostile) + "\"}");
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +467,265 @@ TEST(NetServer, PingStatsAndCrlfLines) {
   EXPECT_GE(server->find("connections_accepted")->as_uint(), 1u);
   EXPECT_EQ(server->find("queries")->as_uint(), 0u);
   EXPECT_FALSE(server->find("draining")->as_bool());
+}
+
+// ---------------------------------------------------------------------------
+// Wire shapes: the key sequence and value types of every renderer's output,
+// pinned for representative inputs. A shape writes objects as
+// {key:shape,...}, arrays as [shape,...] and scalars as s (string),
+// n (number), b (bool) or null.
+
+std::string shape(const JsonValue& v) {
+  switch (v.kind) {
+    case JsonValue::Kind::kNull:
+      return "null";
+    case JsonValue::Kind::kBool:
+      return "b";
+    case JsonValue::Kind::kNumber:
+      return "n";
+    case JsonValue::Kind::kString:
+      return "s";
+    case JsonValue::Kind::kArray: {
+      std::string out = "[";
+      for (const JsonValue& e : v.array) {
+        if (out.size() > 1) out += ',';
+        out += shape(e);
+      }
+      return out + "]";
+    }
+    case JsonValue::Kind::kObject: {
+      std::string out = "{";
+      for (const auto& [key, member] : v.object) {
+        if (out.size() > 1) out += ',';
+        out += key + ":" + shape(member);
+      }
+      return out + "}";
+    }
+  }
+  return "?";
+}
+
+std::string shape_of(const std::string& line) {
+  return shape(parse_json(line));
+}
+
+constexpr const char* kCache =
+    "cache:{hits:n,coalesced:n,misses:n,evictions:n}";
+
+TEST(NetWireShape, QueryRecordsKeepKeysAndTypes) {
+  const std::string hostile = hostile_text();
+  auto sigma = std::make_shared<Alphabet>();
+  sigma->intern("req");
+  sigma->intern(hostile);
+  Query query;
+  query.formula = hostile;
+  query.kind = CheckKind::kRelativeLiveness;
+  CacheCounters cache;
+  cache.hits = 3;
+
+  Verdict base;
+  base.alphabet = sigma;
+  base.millis = 0.25;
+  base.profile[Stage::kParse].calls = 1;
+  base.profile[Stage::kParse].nanos = 1500;
+  base.profile[Stage::kInclusion].calls = 2;
+  base.profile[Stage::kInclusion].nanos = 42000;
+  const std::string stages = "stages:{parse:n,inclusion:n}";
+
+  Verdict holds = base;
+  holds.holds = true;
+  std::string line = render_query_record(1, query, holds, hostile, "", cache);
+  EXPECT_EQ(shape_of(line), "{id:n,system:s,check:s,formula:s,ok:b,holds:b,"
+                            "ms:n," + stages + "," + kCache + "}");
+  const JsonValue root = parse_json(line);
+  EXPECT_EQ(root.find("system")->as_string(), hostile);
+  EXPECT_EQ(root.find("formula")->as_string(), hostile);
+
+  Verdict doomed = base;
+  doomed.violating_prefix = Word{0, 1};
+  line = render_query_record(2, query, doomed, "sys", hostile, cache);
+  EXPECT_EQ(shape_of(line),
+            "{id:n,system:s,check:s,property:s,ok:b,holds:b,witness:s,"
+            "witness_prefix:[s,s],ms:n," + stages + "," + kCache + "}");
+  EXPECT_EQ(parse_json(line).find("property")->as_string(), hostile);
+  EXPECT_EQ(parse_json(line).find("witness_prefix")->array[1].as_string(),
+            hostile);
+
+  Verdict lasso = base;
+  lasso.counterexample = Lasso{Word{1}, Word{0, 1}};
+  line = render_query_record(3, query, lasso, "sys", "", cache);
+  EXPECT_EQ(shape_of(line),
+            "{id:n,system:s,check:s,formula:s,ok:b,holds:b,witness:s,"
+            "witness_prefix:[s],witness_period:[s,s],ms:n," + stages + "," +
+                kCache + "}");
+  EXPECT_EQ(parse_json(line).find("witness")->as_string(),
+            hostile + " (req." + hostile + ")^w");
+
+  Verdict exhausted;
+  exhausted.resource_exhausted = true;
+  exhausted.exhausted_stage = "complement";
+  line = render_query_record(4, query, exhausted, "sys", "", cache);
+  EXPECT_EQ(shape_of(line), "{id:n,system:s,check:s,formula:s,ok:b,"
+                            "resource_exhausted:b,stage:s,ms:n,stages:{}," +
+                                std::string(kCache) + "}");
+
+  Verdict failed;
+  failed.error = hostile;
+  line = render_query_record(5, query, failed, "sys", "", cache);
+  EXPECT_EQ(shape_of(line), "{id:n,system:s,check:s,formula:s,ok:b,error:s,"
+                            "ms:n,stages:{}," + std::string(kCache) + "}");
+  EXPECT_EQ(parse_json(line).find("error")->as_string(), hostile);
+}
+
+TEST(NetWireShape, MonitorRepliesKeepKeysAndTypes) {
+  const std::string hostile = hostile_text();
+  MonitorOpenResult open;
+  open.session = 9;
+  open.millis = 1.5;
+  EXPECT_EQ(shape_of(net::render_monitor_open(1, open)),
+            "{id:n,ok:b,session:n,verdict:s,certified:b,ms:n}");
+  MonitorOpenResult full;
+  full.table_full = true;
+  EXPECT_EQ(shape_of(net::render_monitor_open(1, full)),
+            "{id:n,ok:b,error:s,overloaded:b,scope:s}");
+  MonitorOpenResult exhausted;
+  exhausted.resource_exhausted = true;
+  exhausted.exhausted_stage = hostile;
+  EXPECT_EQ(shape_of(net::render_monitor_open(1, exhausted)),
+            "{id:n,ok:b,resource_exhausted:b,stage:s}");
+  EXPECT_EQ(parse_json(net::render_monitor_open(1, exhausted))
+                .find("stage")
+                ->as_string(),
+            hostile);
+  MonitorOpenResult failed;
+  failed.error = hostile;
+  EXPECT_EQ(shape_of(net::render_monitor_open(1, failed)),
+            "{id:n,ok:b,error:s}");
+
+  MonitorStepResult live;
+  live.events = 4;
+  EXPECT_EQ(shape_of(net::render_monitor_step(2, live)),
+            "{id:n,ok:b,verdict:s,events:n}");
+  MonitorStepResult doom;
+  doom.verdict = monitor::Verdict::kDoomed;
+  doom.transition_index = 3;
+  doom.transition_doomed = true;
+  doom.witness = {"request", hostile};
+  doom.witness_certified = true;
+  const std::string doom_line = net::render_monitor_step(2, doom);
+  EXPECT_EQ(shape_of(doom_line),
+            "{id:n,ok:b,verdict:s,events:n,doomed_index:n,witness:[s,s],"
+            "witness_certified:b}");
+  EXPECT_EQ(parse_json(doom_line).find("witness")->array[1].as_string(),
+            hostile);
+  MonitorStepResult left;
+  left.verdict = monitor::Verdict::kLeftSystem;
+  left.transition_index = 0;
+  EXPECT_EQ(shape_of(net::render_monitor_step(2, left)),
+            "{id:n,ok:b,verdict:s,events:n,left_index:n}");
+  MonitorStepResult bad;
+  bad.error = "unknown_action";
+  bad.error_detail = hostile;
+  EXPECT_EQ(shape_of(net::render_monitor_step(2, bad)),
+            "{id:n,ok:b,error:s,detail:s}");
+  EXPECT_EQ(
+      parse_json(net::render_monitor_step(2, bad)).find("detail")->as_string(),
+      hostile);
+
+  MonitorCloseResult closed;
+  closed.closed = true;
+  closed.events = 4;
+  EXPECT_EQ(shape_of(net::render_monitor_close(3, closed)),
+            "{id:n,ok:b,closed:b,events:n}");
+  MonitorCloseResult unknown;
+  unknown.error = "unknown_session";
+  EXPECT_EQ(shape_of(net::render_monitor_close(3, unknown)),
+            "{id:n,ok:b,error:s}");
+
+  EXPECT_EQ(shape_of(net::render_error(std::nullopt, "bad_request", hostile)),
+            "{ok:b,error:s,detail:s}");
+  EXPECT_EQ(shape_of(net::render_overloaded(4, "server")),
+            "{id:n,ok:b,error:s,overloaded:b,scope:s}");
+}
+
+TEST(NetWireShape, RequestsKeepKeysAndTypes) {
+  const std::string hostile = hostile_text();
+  Query plain;
+  plain.system = hostile;
+  plain.formula = hostile;
+  std::string line = net::render_query_request(plain, 1, "");
+  EXPECT_EQ(shape_of(line), "{id:n,system:s,formula:s,check:s}");
+  EXPECT_EQ(parse_json(line).find("system")->as_string(), hostile);
+  EXPECT_EQ(parse_json(line).find("formula")->as_string(), hostile);
+
+  Query full;
+  full.system = "sys";
+  full.property_automaton = hostile;
+  full.kind = CheckKind::kFairWeak;
+  full.timeout_ms = 5;
+  full.max_states = 6;
+  full.certify = true;
+  line = net::render_query_request(full, 2, hostile);
+  EXPECT_EQ(shape_of(line),
+            "{id:n,system:s,property_automaton:s,check:s,timeout_ms:n,"
+            "max_states:n,certify:b,label:s}");
+  EXPECT_EQ(parse_json(line).find("property_automaton")->as_string(), hostile);
+  EXPECT_EQ(parse_json(line).find("label")->as_string(), hostile);
+
+  MonitorSpec spec;
+  spec.system = hostile;
+  spec.formula = "G F a";
+  EXPECT_EQ(shape_of(net::render_monitor_open_request(spec, 3, "")),
+            "{op:s,id:n,system:s,formula:s}");
+  spec.formula.clear();
+  spec.property_automaton = hostile;
+  spec.certify = true;
+  EXPECT_EQ(shape_of(net::render_monitor_open_request(spec, 3, hostile)),
+            "{op:s,id:n,system:s,property_automaton:s,certify:b,label:s}");
+
+  line = net::render_monitor_step_request(7, {"request", hostile}, 4);
+  EXPECT_EQ(shape_of(line), "{op:s,id:n,session:n,actions:[s,s]}");
+  EXPECT_EQ(parse_json(line).find("actions")->array[1].as_string(), hostile);
+  EXPECT_EQ(shape_of(net::render_monitor_step_request(7, {}, 4)),
+            "{op:s,id:n,session:n,actions:[]}");
+  EXPECT_EQ(shape_of(net::render_monitor_close_request(7, 5)),
+            "{op:s,id:n,session:n}");
+}
+
+TEST(NetWireShape, StatsLinesKeepKeysAndTypes) {
+  EngineStats stats;
+  stats.queries_run = 2;
+  stats.stages[Stage::kParse].calls = 2;
+  stats.stages[Stage::kTranslate].calls = 1;
+  stats.stages[Stage::kTranslate].nanos = 12345;
+  const std::string counters = "{hits:n,coalesced:n,misses:n,evictions:n}";
+  const std::string caches =
+      "caches:{systems:" + counters + ",behaviors:" + counters +
+      ",prefixes:" + counters + ",translations:" + counters +
+      ",properties:" + counters + ",verdicts:" + counters +
+      ",monitors:" + counters + ",total:" + counters + "}";
+  const std::string monitor =
+      "monitor:{sessions_open:n,sessions_peak:n,sessions_total:n,"
+      "idle_reclaimed:n,steps:n,dooms:n}";
+  const std::string stage =
+      "{calls:n,states:n,peak_frontier:n,peak_kernel_bytes:n,ms:n}";
+  EXPECT_EQ(shape_of(render_stats(stats)),
+            "{queries:n,certificates_checked:n,certificates_failed:n," +
+                caches + "," + monitor + ",stages:{parse:" + stage +
+                ",translate:" + stage + "}}");
+
+  TestServer ts;
+  net::Client client = ts.connect_client();
+  EXPECT_EQ(shape_of(client.call(R"({"op":"ping","id":1})")),
+            "{id:n,ok:b,pong:b}");
+  EXPECT_EQ(
+      shape_of(client.call(R"({"op":"stats","id":2})")),
+      "{id:n,ok:b,stats:{queries:n,certificates_checked:n,"
+      "certificates_failed:n," + caches + "," + monitor + ",stages:{}},"
+      "server:{connections_accepted:n,connections_open:n,requests:n,"
+      "queries:n,overload_rejects:n,protocol_errors:n,idle_closed:n,"
+      "bytes_read:n,bytes_written:n,inflight:n,accept_soft_errors:n,"
+      "computing:n,queued:n,queued_total:n,draining:b}}");
 }
 
 TEST(NetServer, FourConcurrentClientsMatchDirectEngine) {

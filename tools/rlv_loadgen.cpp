@@ -8,9 +8,9 @@
 // JSON line on stdout:
 //
 //   {"loadgen":{"connections":4,"requests_per_connection":64,"total":256,
-//    "errors":0,"overloaded":0,"exhausted":0,"wall_ms":812.4,
-//    "throughput_rps":315.1,
-//    "latency_ms":{"p50":2.90,"p95":5.81,"p99":9.22,"max":31.0}}}
+//    "errors":0,"overloaded":0,"exhausted":0,"wall_ms":812.437,
+//    "throughput_rps":315.101,
+//    "latency_ms":{"p50":2.90312,"p95":5.81,"p99":9.2244,"max":31.0217}}}
 //
 // With --stats, a final `stats` request is issued on a fresh connection
 // and the raw response (EngineStats + server counters) is printed on
@@ -42,6 +42,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -49,6 +50,7 @@
 #include "rlv/engine/query.hpp"
 #include "rlv/gen/families.hpp"
 #include "rlv/io/format.hpp"
+#include "rlv/io/json_writer.hpp"
 #include "rlv/ltl/parser.hpp"
 #include "rlv/monitor/automaton.hpp"
 #include "rlv/net/client.hpp"
@@ -63,8 +65,7 @@ using namespace rlv;
 int usage() {
   std::fprintf(stderr,
                "usage: rlv_loadgen --port P [--host H] [--connections N]"
-               " [--requests M] [--sweep-connections N1,N2,...]"
-               " [--certify] [--stats] [--petri]\n"
+               " [--requests M] [--certify] [--stats] [--petri]\n"
                "       rlv_loadgen --port P --monitor [--sessions K]"
                " [--events M] [--batch B] [--stats]\n");
   return 2;
@@ -158,11 +159,48 @@ struct ThreadResult {
   std::uint64_t exhausted = 0;
 };
 
-double percentile(std::vector<double>& sorted, double p) {
+/// Runs `body(t)` on `n` threads at once; returns the wall time in ms.
+double run_threads(std::size_t n,
+                   const std::function<void(std::size_t)>& body) {
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (std::size_t t = 0; t < n; ++t) threads.emplace_back(body, t);
+  for (std::thread& thread : threads) thread.join();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Every thread's result summed, with all latencies in ascending order.
+ThreadResult sum(const std::vector<ThreadResult>& results) {
+  ThreadResult total;
+  for (const ThreadResult& r : results) {
+    total.latencies_ms.insert(total.latencies_ms.end(), r.latencies_ms.begin(),
+                              r.latencies_ms.end());
+    total.errors += r.errors;
+    total.overloaded += r.overloaded;
+    total.exhausted += r.exhausted;
+  }
+  std::sort(total.latencies_ms.begin(), total.latencies_ms.end());
+  return total;
+}
+
+double percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
   const auto index = static_cast<std::size_t>(
       p * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(index, sorted.size() - 1)];
+}
+
+/// Writes the "latency_ms" member and closes a summary line.
+void finish_summary(JsonWriter& w, const std::vector<double>& sorted) {
+  w.key("latency_ms").begin_object();
+  w.field("p50", percentile(sorted, 0.50));
+  w.field("p95", percentile(sorted, 0.95));
+  w.field("p99", percentile(sorted, 0.99));
+  w.field("max", sorted.empty() ? 0.0 : sorted.back());
+  w.end_object().end_object().end_object();
 }
 
 /// A trace of `events` actions guaranteed to keep the Figure 2 / GF result
@@ -254,212 +292,133 @@ std::uint64_t run_doom_assertions(const std::string& host, int port) {
   return errors;
 }
 
-int run_monitor_mode(const std::string& host, int port, std::size_t sessions,
-                     std::size_t events, std::size_t batch, bool want_stats) {
+/// The streaming leg: prints the {"monitor_loadgen":{...}} line and
+/// returns the error count, doom assertions included.
+std::uint64_t run_monitor_mode(const std::string& host, int port,
+                               std::size_t sessions, std::size_t events,
+                               std::size_t batch) {
   const std::vector<std::string> trace = build_live_trace(events);
-  const std::string fig2 = serialize_system(figure2_system());
+  const MonitorSpec spec{serialize_system(figure2_system()), "G F result"};
 
   std::vector<ThreadResult> results(sessions);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(sessions);
-  for (std::size_t t = 0; t < sessions; ++t) {
-    threads.emplace_back([&, t] {
-      ThreadResult& result = results[t];
-      result.latencies_ms.reserve(trace.size() / batch + 1);
-      net::Client client;
-      try {
-        client.connect(host, static_cast<std::uint16_t>(port));
-        MonitorSpec spec;
-        spec.system = fig2;
-        spec.formula = "G F result";
-        const net::Response open = net::parse_response(client.call(
-            net::render_monitor_open_request(spec, t, "fig2")));
-        if (open.overloaded) {
-          ++result.overloaded;
-          return;
-        }
-        if (!open.ok || !open.has_session) {
-          ++result.errors;
-          return;
-        }
-        for (std::size_t off = 0; off < trace.size(); off += batch) {
-          const std::size_t n = std::min(batch, trace.size() - off);
-          const std::vector<std::string> slice(trace.begin() + off,
-                                               trace.begin() + off + n);
-          const auto sent = std::chrono::steady_clock::now();
-          const net::Response step = net::parse_response(client.call(
-              net::render_monitor_step_request(open.session, slice, off)));
-          const double rtt = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - sent)
-                                 .count();
-          // Closed-loop per-event latency: the batch RTT amortized over
-          // its events (one response per batch is the protocol's shape).
-          result.latencies_ms.push_back(rtt / static_cast<double>(n));
-          if (!step.ok || step.verdict != "live") ++result.errors;
-        }
-        const net::Response closed = net::parse_response(client.call(
-            net::render_monitor_close_request(open.session, trace.size())));
-        if (!closed.ok || closed.events != trace.size()) ++result.errors;
-      } catch (const std::exception&) {
-        ++result.errors;
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-
-  std::vector<double> latencies;
-  std::uint64_t errors = 0;
-  std::uint64_t overloaded = 0;
-  std::uint64_t streamed_batches = 0;
-  for (ThreadResult& result : results) {
-    streamed_batches += result.latencies_ms.size();
-    latencies.insert(latencies.end(), result.latencies_ms.begin(),
-                     result.latencies_ms.end());
-    errors += result.errors;
-    overloaded += result.overloaded;
-  }
-  std::sort(latencies.begin(), latencies.end());
-  const std::uint64_t total_events =
-      static_cast<std::uint64_t>(trace.size()) *
-      (sessions - overloaded);  // overloaded sessions streamed nothing
-  const double events_per_s =
-      wall_ms > 0 ? static_cast<double>(total_events) / (wall_ms / 1000.0)
-                  : 0.0;
-
-  errors += run_doom_assertions(host, port);
-
-  std::printf(
-      "{\"monitor_loadgen\":{\"sessions\":%zu,\"events_per_session\":%zu,"
-      "\"batch\":%zu,\"total_events\":%llu,\"batches\":%llu,\"errors\":%llu,"
-      "\"overloaded\":%llu,\"wall_ms\":%.1f,\"events_per_s\":%.1f,"
-      "\"latency_ms\":{\"p50\":%.4f,\"p95\":%.4f,\"p99\":%.4f,\"max\":%.4f}}}\n",
-      sessions, trace.size(), batch,
-      static_cast<unsigned long long>(total_events),
-      static_cast<unsigned long long>(streamed_batches),
-      static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(overloaded), wall_ms, events_per_s,
-      percentile(latencies, 0.50), percentile(latencies, 0.95),
-      percentile(latencies, 0.99),
-      latencies.empty() ? 0.0 : latencies.back());
-
-  if (want_stats) {
+  const double wall_ms = run_threads(sessions, [&](std::size_t t) {
+    ThreadResult& result = results[t];
+    result.latencies_ms.reserve(trace.size() / batch + 1);
+    net::Client client;
     try {
-      net::Client client;
       client.connect(host, static_cast<std::uint16_t>(port));
-      std::puts(client.call("{\"op\":\"stats\"}").c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: stats request failed: %s\n", e.what());
-      return 1;
+      const net::Response open = net::parse_response(
+          client.call(net::render_monitor_open_request(spec, t, "fig2")));
+      if (open.overloaded) {
+        ++result.overloaded;
+        return;
+      }
+      if (!open.ok || !open.has_session) {
+        ++result.errors;
+        return;
+      }
+      for (std::size_t off = 0; off < trace.size(); off += batch) {
+        const std::size_t n = std::min(batch, trace.size() - off);
+        const std::vector<std::string> slice(trace.begin() + off,
+                                             trace.begin() + off + n);
+        const auto sent = std::chrono::steady_clock::now();
+        const net::Response step = net::parse_response(client.call(
+            net::render_monitor_step_request(open.session, slice, off)));
+        const double rtt = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - sent)
+                               .count();
+        // Closed-loop per-event latency: the batch RTT amortized over
+        // its events (one response per batch is the protocol's shape).
+        result.latencies_ms.push_back(rtt / static_cast<double>(n));
+        if (!step.ok || step.verdict != "live") ++result.errors;
+      }
+      const net::Response closed = net::parse_response(client.call(
+          net::render_monitor_close_request(open.session, trace.size())));
+      if (!closed.ok || closed.events != trace.size()) ++result.errors;
+    } catch (const std::exception&) {
+      ++result.errors;
     }
-  }
-  return errors == 0 ? 0 : 1;
+  });
+
+  ThreadResult total = sum(results);
+  // Overloaded sessions streamed nothing.
+  const std::uint64_t total_events =
+      trace.size() * (sessions - total.overloaded);
+  total.errors += run_doom_assertions(host, port);
+
+  std::string line;
+  JsonWriter w(line);
+  w.begin_object().key("monitor_loadgen").begin_object();
+  w.field("sessions", sessions).field("events_per_session", trace.size());
+  w.field("batch", batch).field("total_events", total_events);
+  w.field("batches", total.latencies_ms.size()).field("errors", total.errors);
+  w.field("overloaded", total.overloaded).field("wall_ms", wall_ms);
+  w.field("events_per_s", wall_ms > 0 ? total_events / (wall_ms / 1000) : 0.0);
+  finish_summary(w, total.latencies_ms);
+  std::puts(line.c_str());
+  return total.errors;
 }
 
 /// One closed-loop query-mode measurement: `connections` threads, each
 /// driving `requests` back-to-back requests over the mixed workload.
-/// Prints the {"loadgen":{...}} line and returns the error count — the
-/// saturation sweep calls this once per connection count against one
-/// warm server.
+/// Prints the {"loadgen":{...}} line and returns the error count.
 std::uint64_t run_query_leg(const std::string& host, int port,
                             std::size_t connections, std::size_t requests,
                             const std::vector<WorkItem>& workload) {
   std::vector<ThreadResult> results(connections);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(connections);
-  for (std::size_t t = 0; t < connections; ++t) {
-    threads.emplace_back([&, t] {
-      ThreadResult& result = results[t];
-      result.latencies_ms.reserve(requests);
-      net::Client client;
+  const double wall_ms = run_threads(connections, [&](std::size_t t) {
+    ThreadResult& result = results[t];
+    result.latencies_ms.reserve(requests);
+    net::Client client;
+    try {
+      client.connect(host, static_cast<std::uint16_t>(port));
+    } catch (const std::exception&) {
+      result.errors += requests;
+      return;
+    }
+    for (std::size_t i = 0; i < requests; ++i) {
+      // Stagger the walk so concurrent connections mix the workload.
+      const WorkItem& item = workload[(i + t * 7) % workload.size()];
+      const std::uint64_t id = t * requests + i;
+      const auto sent = std::chrono::steady_clock::now();
       try {
-        client.connect(host, static_cast<std::uint16_t>(port));
+        const std::string line = client.call(
+            net::render_query_request(item.query, id, item.label));
+        const net::Response response = net::parse_response(line);
+        result.latencies_ms.push_back(
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - sent)
+                .count());
+        if (response.id != id) {
+          ++result.errors;
+        } else if (response.overloaded) {
+          ++result.overloaded;
+        } else if (response.resource_exhausted) {
+          ++result.exhausted;
+        } else if (!response.ok) {
+          ++result.errors;
+        }
       } catch (const std::exception&) {
-        result.errors += requests;
+        result.errors += requests - i;
         return;
       }
-      for (std::size_t i = 0; i < requests; ++i) {
-        // Stagger the walk so concurrent connections mix the workload.
-        const WorkItem& item = workload[(i + t * 7) % workload.size()];
-        const std::uint64_t id = t * requests + i;
-        const auto sent = std::chrono::steady_clock::now();
-        try {
-          const std::string line = client.call(
-              net::render_query_request(item.query, id, item.label));
-          const net::Response response = net::parse_response(line);
-          result.latencies_ms.push_back(
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - sent)
-                  .count());
-          if (response.id != id) {
-            ++result.errors;
-          } else if (response.overloaded) {
-            ++result.overloaded;
-          } else if (response.resource_exhausted) {
-            ++result.exhausted;
-          } else if (!response.ok) {
-            ++result.errors;
-          }
-        } catch (const std::exception&) {
-          result.errors += requests - i;
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
+    }
+  });
 
-  std::vector<double> latencies;
-  std::uint64_t errors = 0;
-  std::uint64_t overloaded = 0;
-  std::uint64_t exhausted = 0;
-  for (ThreadResult& result : results) {
-    latencies.insert(latencies.end(), result.latencies_ms.begin(),
-                     result.latencies_ms.end());
-    errors += result.errors;
-    overloaded += result.overloaded;
-    exhausted += result.exhausted;
-  }
-  std::sort(latencies.begin(), latencies.end());
-  const std::uint64_t total = connections * requests;
-  const double throughput =
-      wall_ms > 0 ? static_cast<double>(latencies.size()) / (wall_ms / 1000.0)
-                  : 0.0;
-  std::printf(
-      "{\"loadgen\":{\"connections\":%zu,\"requests_per_connection\":%zu,"
-      "\"total\":%llu,\"errors\":%llu,\"overloaded\":%llu,\"exhausted\":%llu,"
-      "\"wall_ms\":%.1f,\"throughput_rps\":%.1f,"
-      "\"latency_ms\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f,\"max\":%.3f}}}\n",
-      connections, requests, static_cast<unsigned long long>(total),
-      static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(overloaded),
-      static_cast<unsigned long long>(exhausted), wall_ms, throughput,
-      percentile(latencies, 0.50), percentile(latencies, 0.95),
-      percentile(latencies, 0.99),
-      latencies.empty() ? 0.0 : latencies.back());
-  return errors;
-}
-
-/// Parses "1,2,4" into connection counts; empty result = bad list.
-std::vector<std::size_t> parse_sweep(const std::string& list) {
-  std::vector<std::size_t> counts;
-  std::size_t pos = 0;
-  while (pos < list.size()) {
-    std::size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    const int n = std::atoi(list.substr(pos, comma - pos).c_str());
-    if (n <= 0) return {};
-    counts.push_back(static_cast<std::size_t>(n));
-    pos = comma + 1;
-  }
-  return counts;
+  const ThreadResult total = sum(results);
+  const double answered = static_cast<double>(total.latencies_ms.size());
+  std::string line;
+  JsonWriter w(line);
+  w.begin_object().key("loadgen").begin_object();
+  w.field("connections", connections);
+  w.field("requests_per_connection", requests);
+  w.field("total", connections * requests).field("errors", total.errors);
+  w.field("overloaded", total.overloaded).field("exhausted", total.exhausted);
+  w.field("wall_ms", wall_ms);
+  w.field("throughput_rps", wall_ms > 0 ? answered / (wall_ms / 1000) : 0.0);
+  finish_summary(w, total.latencies_ms);
+  std::puts(line.c_str());
+  return total.errors;
 }
 
 }  // namespace
@@ -476,7 +435,6 @@ int main(int argc, char** argv) {
   std::size_t sessions = 64;
   std::size_t events = 512;
   std::size_t batch = 32;
-  std::vector<std::size_t> sweep;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -488,9 +446,6 @@ int main(int argc, char** argv) {
       connections = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (arg == "--requests" && i + 1 < argc) {
       requests = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--sweep-connections" && i + 1 < argc) {
-      sweep = parse_sweep(argv[++i]);
-      if (sweep.empty()) return usage();
     } else if (arg == "--monitor") {
       monitor_mode = true;
     } else if (arg == "--petri") {
@@ -526,24 +481,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (monitor_mode) {
-    return run_monitor_mode(host, port, sessions, events, batch, want_stats);
-  }
-
-  const std::vector<WorkItem> workload =
-      petri_mode ? build_petri_workload(certify) : build_workload(certify);
-
-  std::uint64_t errors = 0;
-  if (sweep.empty()) {
-    errors = run_query_leg(host, port, connections, requests, workload);
-  } else {
-    // Saturation sweep: one warm server, rising concurrency. The first
-    // leg pays the cache-warming misses, so lead with the smallest count
-    // (the caller orders the list) and read the later legs as warm.
-    for (const std::size_t n : sweep) {
-      errors += run_query_leg(host, port, n, requests, workload);
-    }
-  }
+  const std::uint64_t errors =
+      monitor_mode
+          ? run_monitor_mode(host, port, sessions, events, batch)
+          : run_query_leg(host, port, connections, requests,
+                          petri_mode ? build_petri_workload(certify)
+                                     : build_workload(certify));
 
   if (want_stats) {
     try {

@@ -94,6 +94,7 @@
 #include "rlv/engine/engine.hpp"
 #include "rlv/engine/record.hpp"
 #include "rlv/io/format.hpp"
+#include "rlv/io/json_writer.hpp"
 #include "rlv/net/server.hpp"
 
 namespace {
@@ -371,10 +372,11 @@ int main(int argc, char** argv) {
     // serialization (per-cache counters + per-stage calls/states/frontier
     // peaks/exclusive ms) plus batch wall time, on stdout so it rides the
     // same pipe as the results.
-    std::ostringstream m;
-    m << "{\"metrics\":{\"wall_ms\":" << batch_ms
-      << ",\"stats\":" << stats_json << "}}";
-    std::puts(m.str().c_str());
+    std::string line;
+    JsonWriter w(line);
+    w.begin_object().key("metrics").begin_object().field("wall_ms", batch_ms);
+    w.key("stats").raw(stats_json).end_object().end_object();
+    std::puts(line.c_str());
   }
 
   std::fprintf(stderr, "rlvd: %s\n", stats_json.c_str());
