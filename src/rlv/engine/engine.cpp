@@ -555,7 +555,7 @@ struct Engine::Impl {
   }
 
   MonitorStepResult step_monitor(std::uint64_t session,
-                                 const std::vector<std::string>& actions) {
+                                 const std::vector<std::string_view>& actions) {
     MonitorStepResult result;
     std::lock_guard lock(session_mutex);
     monitor::Session* s = sessions.find(session, now_ms());
@@ -570,13 +570,15 @@ struct Engine::Impl {
     // a tripped event cap must not half-step the stream.
     Word symbols;
     symbols.reserve(actions.size());
-    for (const std::string& name : actions) {
-      if (!sigma.contains(name)) {
+    for (const std::string_view name : actions) {
+      const std::optional<Symbol> symbol = sigma.find(name);
+      if (!symbol) {
         result.error = "unknown_action";
-        result.error_detail = "'" + name + "' is not in the alphabet";
+        result.error_detail =
+            "'" + std::string(name) + "' is not in the alphabet";
         return result;
       }
-      symbols.push_back(sigma.id(name));
+      symbols.push_back(*symbol);
     }
     if (options.max_session_events > 0 &&
         s->events + symbols.size() > options.max_session_events) {
@@ -670,8 +672,8 @@ MonitorOpenResult Engine::open_monitor(const MonitorSpec& spec) {
   return impl_->open_monitor(spec);
 }
 
-MonitorStepResult Engine::step_monitor(std::uint64_t session,
-                                       const std::vector<std::string>& actions) {
+MonitorStepResult Engine::step_monitor(
+    std::uint64_t session, const std::vector<std::string_view>& actions) {
   return impl_->step_monitor(session, actions);
 }
 

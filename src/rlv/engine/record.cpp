@@ -70,12 +70,11 @@ std::string render_stats(const EngineStats& stats) {
   return out;
 }
 
-std::string render_query_record(std::size_t id, const Query& query,
-                                const Verdict& v,
-                                const std::string& system_label,
-                                const std::string& property_label,
-                                const CacheCounters& cache) {
-  std::string out;
+void append_query_record(std::string& out, std::size_t id,
+                         const Query& query, const Verdict& v,
+                         std::string_view system_label,
+                         std::string_view property_label,
+                         const CacheCounters& cache) {
   JsonWriter w(out);
   w.begin_object().field("id", id).field("system", system_label);
   w.field("check", check_kind_name(query.kind));
@@ -109,6 +108,16 @@ std::string render_query_record(std::size_t id, const Query& query,
                [&w](const StageMetrics&, double ms) { w.value(ms); });
   write_counters(w, "cache", cache);
   w.end_object();
+}
+
+std::string render_query_record(std::size_t id, const Query& query,
+                                const Verdict& verdict,
+                                std::string_view system_label,
+                                std::string_view property_label,
+                                const CacheCounters& cache) {
+  std::string out;
+  append_query_record(out, id, query, verdict, system_label, property_label,
+                      cache);
   return out;
 }
 

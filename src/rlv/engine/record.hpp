@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "rlv/engine/query.hpp"
 
@@ -46,8 +47,15 @@ namespace rlv {
 [[nodiscard]] std::string render_query_record(std::size_t id,
                                               const Query& query,
                                               const Verdict& verdict,
-                                              const std::string& system_label,
-                                              const std::string& property_label,
+                                              std::string_view system_label,
+                                              std::string_view property_label,
                                               const CacheCounters& cache);
+
+/// render_query_record appended to `out` (no newline), for a caller that
+/// collects replies in one buffer.
+void append_query_record(std::string& out, std::size_t id, const Query& query,
+                         const Verdict& verdict, std::string_view system_label,
+                         std::string_view property_label,
+                         const CacheCounters& cache);
 
 }  // namespace rlv

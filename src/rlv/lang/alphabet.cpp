@@ -16,8 +16,7 @@ std::shared_ptr<Alphabet> Alphabet::make(const std::vector<std::string>& names) 
 }
 
 Symbol Alphabet::intern(std::string_view name) {
-  auto it = ids_.find(std::string(name));
-  if (it != ids_.end()) return it->second;
+  if (const auto s = find(name)) return *s;
   const Symbol s = static_cast<Symbol>(names_.size());
   names_.emplace_back(name);
   ids_.emplace(names_.back(), s);
@@ -25,15 +24,17 @@ Symbol Alphabet::intern(std::string_view name) {
 }
 
 Symbol Alphabet::id(std::string_view name) const {
-  auto it = ids_.find(std::string(name));
-  if (it == ids_.end()) {
+  const auto s = find(name);
+  if (!s) {
     throw std::invalid_argument("symbol not interned: " + std::string(name));
   }
-  return it->second;
+  return *s;
 }
 
-bool Alphabet::contains(std::string_view name) const {
-  return ids_.find(std::string(name)) != ids_.end();
+std::optional<Symbol> Alphabet::find(std::string_view name) const {
+  const auto it = ids_.find(name);
+  if (it == ids_.end()) return std::nullopt;
+  return it->second;
 }
 
 std::string Alphabet::format(const Word& w) const {

@@ -9,7 +9,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -42,7 +44,13 @@ class Alphabet {
   [[nodiscard]] Symbol id(std::string_view name) const;
 
   /// True when `name` is already interned.
-  [[nodiscard]] bool contains(std::string_view name) const;
+  [[nodiscard]] bool contains(std::string_view name) const {
+    return find(name).has_value();
+  }
+
+  /// The id for `name`, or nullopt when it was never interned: one hash
+  /// probe, no std::string built.
+  [[nodiscard]] std::optional<Symbol> find(std::string_view name) const;
 
   [[nodiscard]] const std::string& name(Symbol s) const {
     assert(s < names_.size());
@@ -55,8 +63,17 @@ class Alphabet {
   [[nodiscard]] std::string format(const Word& w) const;
 
  private:
+  /// Hashes std::string keys and string_view probes alike, so lookups by
+  /// view need no std::string temporary.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, Symbol> ids_;
+  std::unordered_map<std::string, Symbol, NameHash, std::equal_to<>> ids_;
 };
 
 using AlphabetRef = std::shared_ptr<const Alphabet>;

@@ -82,43 +82,47 @@ std::string render_monitor_close_request(std::uint64_t session,
 Response parse_response(std::string_view line) {
   Response response;
   response.raw = std::string(line);
-  JsonValue root;
   try {
-    root = parse_json(line);
+    JsonReader reader(line);
+    if (reader.peek() != JsonKind::kObject) {
+      reader.skip();  // a bare value carries none of the fields
+      reader.finish();
+      return response;
+    }
+    reader.begin_object();
+    for (std::string_view key; reader.next_key(key);) {
+      if (key == "id") {
+        response.id = reader.uint();
+      } else if (key == "ok") {
+        response.ok = reader.boolean();
+      } else if (key == "holds") {
+        response.has_holds = true;
+        response.holds = reader.boolean();
+      } else if (key == "verdict") {
+        response.verdict = reader.string();
+      } else if (key == "events") {
+        response.events = reader.uint();
+      } else if (key == "session") {
+        response.has_session = true;
+        response.session = reader.uint();
+      } else if (key == "doomed_index") {
+        response.has_doomed_index = true;
+        response.doomed_index = reader.uint();
+      } else if (key == "witness_certified") {
+        response.witness_certified = reader.boolean();
+      } else if (key == "error") {
+        response.error = reader.string();
+      } else if (key == "overloaded") {
+        response.overloaded = reader.boolean();
+      } else if (key == "resource_exhausted") {
+        response.resource_exhausted = reader.boolean();
+      } else {
+        reader.skip();  // stages, cache, witnesses: validated, not kept
+      }
+    }
+    reader.finish();
   } catch (const JsonError& e) {
     throw std::runtime_error(std::string("malformed response: ") + e.what());
-  }
-  if (const JsonValue* id = root.find("id")) response.id = id->as_uint();
-  if (const JsonValue* ok = root.find("ok")) response.ok = ok->as_bool();
-  if (const JsonValue* holds = root.find("holds")) {
-    response.has_holds = true;
-    response.holds = holds->as_bool();
-  }
-  if (const JsonValue* overloaded = root.find("overloaded")) {
-    response.overloaded = overloaded->as_bool();
-  }
-  if (const JsonValue* exhausted = root.find("resource_exhausted")) {
-    response.resource_exhausted = exhausted->as_bool();
-  }
-  if (const JsonValue* error = root.find("error")) {
-    response.error = error->as_string();
-  }
-  if (const JsonValue* session = root.find("session")) {
-    response.has_session = true;
-    response.session = session->as_uint();
-  }
-  if (const JsonValue* verdict = root.find("verdict")) {
-    response.verdict = verdict->as_string();
-  }
-  if (const JsonValue* doomed = root.find("doomed_index")) {
-    response.has_doomed_index = true;
-    response.doomed_index = doomed->as_uint();
-  }
-  if (const JsonValue* certified = root.find("witness_certified")) {
-    response.witness_certified = certified->as_bool();
-  }
-  if (const JsonValue* events = root.find("events")) {
-    response.events = events->as_uint();
   }
   return response;
 }

@@ -36,9 +36,11 @@
 // "resource_exhausted":true shape, exactly as in batch mode.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "rlv/engine/query.hpp"
 
@@ -91,19 +93,26 @@ enum class RequestOp : std::uint8_t {
   kMonitorClose,
 };
 
+/// A decoded request. What a Job keeps past its line is owned (label, query,
+/// monitor spec); a monitor_step's actions are views, answered before the
+/// line goes away. Move-only: moving keeps the views valid.
 struct Request {
   RequestOp op = RequestOp::kQuery;
   std::uint64_t id = 0;
   std::string label;     // presentation label; "inline" when absent
   Query query;           // populated for kQuery
   MonitorSpec monitor;   // populated for kMonitorOpen
-  std::uint64_t session = 0;          // kMonitorStep / kMonitorClose
-  std::vector<std::string> actions;   // kMonitorStep batch
+  std::uint64_t session = 0;  // kMonitorStep / kMonitorClose
+  /// The kMonitorStep batch: views into the parsed line, or into
+  /// `escaped_actions` for names that held an escape.
+  std::vector<std::string_view> actions;
+  std::unique_ptr<char[]> escaped_actions;
 };
 
-/// Parses one request line (already stripped of the trailing newline/CR).
-/// Throws std::runtime_error with a message safe to echo to the client;
-/// never reads files or touches engine state.
+/// Parses one request line (already stripped of the trailing newline/CR) in
+/// one pass. The actions of a monitor_step point into `line`, which must
+/// outlive them. Throws std::runtime_error with a message safe to echo to
+/// the client; never reads files or touches engine state.
 [[nodiscard]] Request parse_request(std::string_view line);
 
 /// Clamps the query's client-supplied overrides to the server caps, and
@@ -111,10 +120,13 @@ struct Request {
 void apply_limits(Query& query, const ServerLimits& limits);
 
 /// {"id":N,"ok":false,"error":"<code>","detail":"..."} — `detail` omitted
-/// when empty, `id` omitted when the request id could not be parsed.
+/// when empty, `id` omitted when the request id could not be parsed. The
+/// append_ forms write the same line (no newline) onto `out`.
 [[nodiscard]] std::string render_error(std::optional<std::uint64_t> id,
                                        std::string_view code,
                                        std::string_view detail);
+void append_error(std::string& out, std::optional<std::uint64_t> id,
+                  std::string_view code, std::string_view detail);
 
 /// The structured backpressure rejection; scope is "connection" or
 /// "server" depending on which in-flight cap tripped — or, for monitor
@@ -143,6 +155,8 @@ void apply_limits(Query& query, const ServerLimits& limits);
 
 [[nodiscard]] std::string render_monitor_step(std::uint64_t id,
                                               const MonitorStepResult& r);
+void append_monitor_step(std::string& out, std::uint64_t id,
+                         const MonitorStepResult& r);
 
 [[nodiscard]] std::string render_monitor_close(std::uint64_t id,
                                                const MonitorCloseResult& r);

@@ -399,12 +399,16 @@ struct Server::Impl {
     return nullptr;
   }
 
-  std::string render_record(const Request& req, const Verdict& verdict) {
-    const std::string& label = req.label.empty() ? "inline" : req.label;
-    return render_query_record(
-        req.id, req.query, verdict, label,
-        req.query.property_automaton.empty() ? std::string() : label,
+  /// Appends a query's record line to `out`.
+  void add_record(std::string& out, const Request& req,
+                  const Verdict& verdict) {
+    const std::string_view label =
+        req.label.empty() ? std::string_view("inline") : req.label;
+    append_query_record(
+        out, req.id, req.query, verdict, label,
+        req.query.property_automaton.empty() ? std::string_view() : label,
         engine.cache_totals());
+    out += '\n';
   }
 
   // --- requests (mutex released) ----------------------------------------
@@ -443,7 +447,7 @@ struct Server::Impl {
         if (!open) {
           apply_limits(job.req.query, options.limits);
           if (auto verdict = engine.lookup(job.req.query, job.lookup)) {
-            add_line(replies, render_record(job.req, *verdict));
+            add_record(replies, job.req, *verdict);
             std::lock_guard lock(mutex);
             --counters.inflight;
             --conn.inflight;
@@ -454,7 +458,8 @@ struct Server::Impl {
         break;
       }
       case RequestOp::kMonitorStep:
-        add_line(replies, step_monitor(conn, req));
+        step_monitor(conn, req, replies);
+        replies += '\n';
         break;
       case RequestOp::kMonitorClose: {
         bool owned = false;
@@ -472,7 +477,8 @@ struct Server::Impl {
     return true;
   }
 
-  std::string step_monitor(Connection& conn, const Request& req) {
+  /// Appends the reply to a monitor_step (no newline) to `out`.
+  void step_monitor(Connection& conn, const Request& req, std::string& out) {
     const bool capped =
         req.actions.size() > options.limits.max_steps_per_request;
     bool owned = false;
@@ -482,20 +488,20 @@ struct Server::Impl {
       owned = conn.sessions.count(req.session) != 0;
     }
     if (capped) {
-      return render_error(
-          req.id, "too_many_steps",
+      return append_error(
+          out, req.id, "too_many_steps",
           "batch cap is " +
               std::to_string(options.limits.max_steps_per_request));
     }
     // A connection may only step sessions it opened; a foreign (or
     // already-closed) id is indistinguishable from an unknown one.
-    if (!owned) return render_error(req.id, "unknown_session", {});
-    MonitorStepResult r = engine.step_monitor(req.session, req.actions);
+    if (!owned) return append_error(out, req.id, "unknown_session", {});
+    const MonitorStepResult r = engine.step_monitor(req.session, req.actions);
     if (r.error == "unknown_session") {
       std::lock_guard lock(mutex);
       conn.sessions.erase(req.session);  // idle-swept under us
     }
-    return render_monitor_step(req.id, r);
+    append_monitor_step(out, req.id, r);
   }
 
   // --- events ------------------------------------------------------------
@@ -578,14 +584,16 @@ struct Server::Impl {
   /// queued job, which keeps this thread's compute slot.
   std::optional<Job> run_job(Job job) {
     const bool open = job.req.op == RequestOp::kMonitorOpen;
-    std::string reply;
+    // Rendered with the mutex released, into a buffer this thread reuses.
+    thread_local std::string reply;
+    reply.clear();
     std::uint64_t session = 0;
     if (open) {
       const MonitorOpenResult result = engine.open_monitor(job.req.monitor);
       session = result.session;
-      reply = render_monitor_open(job.req.id, result);
+      add_line(reply, render_monitor_open(job.req.id, result));
     } else {
-      reply = render_record(job.req, engine.compute(job.req.query, job.lookup));
+      add_record(reply, job.req, engine.compute(job.req.query, job.lookup));
     }
 
     std::unique_lock lock(mutex);
@@ -602,7 +610,7 @@ struct Server::Impl {
       if (session != 0) (void)engine.close_monitor(session);
     } else {
       if (session != 0) conn->sessions.insert(session);
-      add_line(conn->out, reply);
+      conn->out += reply;
       if (!conn->busy) {  // else its owner sends the reply
         conn->busy = true;
         flush(*conn, lock);

@@ -112,6 +112,130 @@ TEST(NetJson, AsUintRejectsIntegersADoubleCannotHoldExactly) {
       std::runtime_error);
 }
 
+TEST(NetJson, PinsErrorOffsetsOfMalformedDocuments) {
+  // Offsets and messages as the recursive DOM parser reported them, which
+  // the pull reader replaced: a client echoing an error sees the same byte.
+  struct Case {
+    std::string_view doc;
+    std::size_t offset;
+    std::string_view message;
+  };
+  static constexpr Case kCases[] = {
+    {"", 0, "unexpected end of input"},
+    {"   ", 3, "unexpected end of input"},
+    {"{", 1, "unexpected end of input"},
+    {"[", 1, "unexpected end of input"},
+    {"{\"a\"", 4, "unexpected end of input"},
+    {"{\"a\":", 5, "unexpected end of input"},
+    {"{\"a\":1", 6, "unexpected end of input"},
+    {"{\"a\":1,", 7, "unexpected end of input"},
+    {"[1", 2, "unexpected end of input"},
+    {"[1,", 3, "unexpected end of input"},
+    {"[1 2]", 4, "expected ',' or ']'"},
+    {"{\"a\" 1}", 6, "expected ':'"},
+    {"{\"a\":1 \"b\":2}", 8, "expected ',' or '}'"},
+    {"{1:2}", 1, "expected object key"},
+    {"{,}", 1, "expected object key"},
+    {"[,]", 1, "invalid number"},
+    {"[1,]", 3, "invalid number"},
+    {"{\"a\":1,}", 7, "expected object key"},
+    {"{\"a\":1 , }", 9, "expected object key"},
+    {"tru", 0, "invalid literal"},
+    {"nul", 0, "invalid literal"},
+    {"[falsey]", 7, "expected ',' or ']'"},
+    {"[nulL]", 1, "invalid literal"},
+    {"-", 1, "invalid number"},
+    {"-a", 1, "invalid number"},
+    {"01", 1, "trailing bytes after JSON document"},
+    {"[01]", 3, "expected ',' or ']'"},
+    {"1.", 2, "invalid number"},
+    {"1.e5", 2, "invalid number"},
+    {"1e", 2, "invalid number"},
+    {"1e+", 3, "invalid number"},
+    {".5", 0, "invalid number"},
+    {"+1", 0, "invalid number"},
+    {"[}", 1, "invalid number"},
+    {"{\"a\":}", 5, "invalid number"},
+    {"{\"a\":1]", 7, "expected ',' or '}'"},
+    {"[1}", 3, "expected ',' or ']'"},
+    {"\"abc", 4, "unexpected end of input"},
+    {"\"a\\", 3, "unexpected end of input"},
+    {"\"a\\x\"", 4, "invalid escape"},
+    {"\"\\u12\"", 6, "invalid \\u escape"},
+    {"\"\\u12G4\"", 6, "invalid \\u escape"},
+    {"\"\\ud83d\"", 8, "unpaired surrogate"},
+    {"\"\\ud83dx\"", 8, "unpaired surrogate"},
+    {"\"\\ud83d\\x\"", 9, "unpaired surrogate"},
+    {"\"\\ud83d\\u0041\"", 13, "unpaired surrogate"},
+    {"\"\\ude00\"", 7, "unpaired surrogate"},
+    {"\"a\x1b\"", 3, "unescaped control character in string"},
+    {"\"tab\there\"", 5, "unescaped control character in string"},
+    {"{\"id\":1,\"id\":2}", 12, "duplicate object key 'id'"},
+    {"{\"id\":1,\"\\u0069d\":2}", 17, "duplicate object key 'id'"},
+    {"{\"a\":{\"b\":1,\"b\":2}}", 15, "duplicate object key 'b'"},
+    {"[{\"k\":1},{\"k\":1,\"k\":2}]", 19, "duplicate object key 'k'"},
+    {"{} x", 3, "trailing bytes after JSON document"},
+    {"[] ]", 3, "trailing bytes after JSON document"},
+    {"'single'", 0, "invalid number"},
+    {"\xef\xbb\xbf{}", 0, "invalid number"},
+    {"nan", 0, "invalid literal"},
+    {"{\"a\"  :  1 ,  \"b\" }", 19, "expected ':'"},
+    {"[ 1 ,  ]", 7, "invalid number"},
+    {"{\"s\":\"\\u00e9\",\"s\":0}", 17, "duplicate object key 's'"},
+  };
+  for (const Case& c : kCases) {
+    try {
+      (void)parse_json(c.doc);
+      ADD_FAILURE() << "accepted: " << c.doc;
+    } catch (const net::JsonError& e) {
+      EXPECT_EQ(e.offset(), c.offset) << c.doc;
+      EXPECT_EQ(std::string(e.what()),
+                std::string(c.message) + " (at byte " +
+                    std::to_string(c.offset) + ")")
+          << c.doc;
+    }
+  }
+  // The depth bound: a value inside 65 open containers is one too deep.
+  const auto nested = [](int depth, std::string_view inner) {
+    return std::string(depth, '[') + std::string(inner) +
+           std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)parse_json(nested(64, "1")));
+  EXPECT_NO_THROW((void)parse_json(nested(65, " ")));
+  for (const std::string& deep : {nested(65, "1"), nested(66, "")}) {
+    try {
+      (void)parse_json(deep);
+      ADD_FAILURE() << "accepted " << deep;
+    } catch (const net::JsonError& e) {
+      EXPECT_EQ(e.offset(), 65u);
+      EXPECT_NE(std::string(e.what()).find("nesting too deep"),
+                std::string::npos);
+    }
+  }
+}
+
+TEST(NetJson, ReaderHandsOutViewsAndUnescapesOnlyEscapedStrings) {
+  const std::string text = R"({"plain":"abc","esc\u0061ped":"x\ty"})";
+  net::JsonReader reader(text);
+  reader.begin_object();
+  std::string_view key;
+  ASSERT_TRUE(reader.next_key(key));
+  EXPECT_EQ(key, "plain");
+  EXPECT_FALSE(reader.escaped());
+  const std::string_view plain = reader.string();
+  EXPECT_EQ(plain, "abc");
+  EXPECT_FALSE(reader.escaped());
+  EXPECT_GE(plain.data(), text.data());  // a view into the input
+  EXPECT_LT(plain.data(), text.data() + text.size());
+  ASSERT_TRUE(reader.next_key(key));
+  EXPECT_EQ(key, "escaped");
+  EXPECT_TRUE(reader.escaped());
+  EXPECT_EQ(reader.string(), "x\ty");
+  EXPECT_TRUE(reader.escaped());
+  EXPECT_FALSE(reader.next_key(key));
+  reader.finish();
+}
+
 // ---------------------------------------------------------------------------
 // JSON writer.
 
@@ -311,6 +435,105 @@ TEST(NetProtocol, StripCrNormalizesWindowsLineEndings) {
   const net::Request req = net::parse_request(
       strip_cr("{\"system\":\"S\",\"formula\":\"G F a\"}\r"));
   EXPECT_EQ(req.query.system, "S");
+}
+
+TEST(NetProtocol, DecodesKeysAfterUnescapingThem) {
+  // An escaped key is the field it spells...
+  EXPECT_EQ(net::parse_request(R"({"\u006fp":"ping"})").op,
+            net::RequestOp::kPing);
+  // ...so a duplicate that differs only by escaping is still a duplicate,
+  EXPECT_THROW((void)net::parse_request(R"({"id":1,"\u0069d":2})"),
+               std::runtime_error);
+  // and an unknown one is reported unescaped.
+  try {
+    (void)net::parse_request(R"({"\u0078":1})");
+    ADD_FAILURE() << "accepted an unknown field";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown field 'x'");
+  }
+}
+
+TEST(NetProtocol, FieldsMayComeInAnyOrder) {
+  const std::string line =
+      R"({"actions":["request","yes"],"id":4,"session":9,)"
+      R"("op":"monitor_step"})";
+  const net::Request req = net::parse_request(line);
+  EXPECT_EQ(req.op, net::RequestOp::kMonitorStep);
+  EXPECT_EQ(req.id, 4u);
+  EXPECT_EQ(req.session, 9u);
+  ASSERT_EQ(req.actions.size(), 2u);
+  EXPECT_EQ(req.actions[0], "request");
+  EXPECT_EQ(req.actions[1], "yes");
+  // Fields an op does not read may hold anything, whichever comes first.
+  EXPECT_EQ(net::parse_request(
+                R"({"session":"x","certify":0,"actions":7,"op":"ping"})")
+                .op,
+            net::RequestOp::kPing);
+  EXPECT_THROW((void)net::parse_request(
+                   R"({"session":"x","op":"monitor_close"})"),
+               std::runtime_error);
+  EXPECT_THROW((void)net::parse_request(
+                   R"({"actions":[1],"op":"monitor_step","session":1})"),
+               std::runtime_error);
+}
+
+TEST(NetProtocol, StepActionsResolveFromViewsAfterAMove) {
+  const std::string long_name = "an_action_name_past_the_short_string_buffer";
+  Engine engine;
+  MonitorSpec spec;
+  spec.system = "alphabet: request " + long_name +
+                "\nstates: 1\ninitial: 0\naccepting: all\n0 request 0\n0 " +
+                long_name + " 0\n";
+  spec.formula = "G F request";
+  const MonitorOpenResult open = engine.open_monitor(spec);
+  ASSERT_TRUE(open.ok()) << open.error;
+
+  // One escaped short name, one long plain name, one long escaped name.
+  std::string escaped_long = long_name;
+  escaped_long.replace(0, 1, "\\u0061");
+  const std::string line =
+      R"({"op":"monitor_step","session":)" + std::to_string(open.session) +
+      R"(,"actions":["re\u0071uest",")" + long_name + R"(",")" +
+      escaped_long + R"("]})";
+  net::Request parsed = net::parse_request(line);
+  const net::Request req = std::move(parsed);
+  ASSERT_EQ(req.actions.size(), 3u);
+  EXPECT_EQ(req.actions[0], "request");
+  EXPECT_EQ(req.actions[1], long_name);
+  EXPECT_EQ(req.actions[2], long_name);
+  // The plain name is a view into the line; the escaped ones are not.
+  EXPECT_EQ(req.actions[1].data(), line.data() + line.find(long_name));
+
+  const MonitorStepResult stepped =
+      engine.step_monitor(req.session, req.actions);
+  ASSERT_TRUE(stepped.ok()) << stepped.error << " " << stepped.error_detail;
+  EXPECT_EQ(stepped.events, 3u);
+  EXPECT_EQ(engine.step_monitor(req.session, {"re"}).error, "unknown_action");
+}
+
+TEST(NetProtocol, ParseResponseValidatesWhatItSkips) {
+  const net::Response r = net::parse_response(
+      R"({"id":3,"ok":true,"holds":false,"stages":{"parse":0.5},)"
+      R"("cache":{"hits":1},"witness_prefix":["a","b"],"events":2})");
+  EXPECT_EQ(r.id, 3u);
+  EXPECT_TRUE(r.ok);
+  EXPECT_TRUE(r.has_holds);
+  EXPECT_FALSE(r.holds);
+  EXPECT_EQ(r.events, 2u);
+  // Members it does not keep are still read to the end: a malformed
+  // value, or a duplicate key, nested in one is rejected.
+  EXPECT_THROW((void)net::parse_response(
+                   R"({"id":1,"stages":{"bogus":tru}})"),
+               std::runtime_error);
+  EXPECT_THROW((void)net::parse_response(
+                   R"({"id":1,"cache":{"x":{"hits":1,"hits":2}}})"),
+               std::runtime_error);
+  EXPECT_THROW((void)net::parse_response(R"({"stages":{},"stages":{}})"),
+               std::runtime_error);
+  // A well-typed field is still type-checked; a bare value carries none.
+  EXPECT_THROW((void)net::parse_response(R"({"ok":"yes"})"),
+               std::runtime_error);
+  EXPECT_EQ(net::parse_response("[1,2]").id, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -84,6 +84,8 @@
 #include "rlv/petri/scenario.hpp"
 #include "rlv/util/budget.hpp"
 
+#include "cli_flags.hpp"
+
 namespace {
 
 using namespace rlv;
@@ -209,11 +211,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--net-hom") {
       net_hom = true;
     } else if (arg == "--petri-max-states" && i + 1 < argc) {
-      petri_max_states = std::atol(argv[++i]);
-      if (petri_max_states <= 0) return usage();
+      if (!cli::parse_number(argv[++i], petri_max_states, 1)) return usage();
     } else if (arg == "--petri-timeout-ms" && i + 1 < argc) {
-      petri_timeout_ms = std::atol(argv[++i]);
-      if (petri_timeout_ms <= 0) return usage();
+      if (!cli::parse_number(argv[++i], petri_timeout_ms, 1,
+                             cli::kMaxMillis)) {
+        return usage();
+      }
     } else {
       return usage();
     }

@@ -31,6 +31,8 @@
 // text, formula) and exits 1. Deterministic for a fixed seed.
 //
 // Options:
+//   --parsers      fuzz the wire readers instead (tools/fuzz_parsers.cpp);
+//                  each instance mutates every seed line once
 //   --seed N       base seed (default 1)
 //   --instances N  number of random instances (default 1000)
 //   --states N     max system states (default 6, min 2)
@@ -70,13 +72,16 @@
 #include "rlv/util/budget.hpp"
 #include "rlv/util/rng.hpp"
 
+#include "cli_flags.hpp"
+#include "fuzz_parsers.hpp"
+
 namespace {
 
 using namespace rlv;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: rlv_fuzz [--petri] [--seed N] [--instances N]"
+               "usage: rlv_fuzz [--petri|--parsers] [--seed N] [--instances N]"
                " [--states N] [--alphabet N] [--depth N] [--verbose]\n");
   return 2;
 }
@@ -520,44 +525,37 @@ int main(int argc, char** argv) {
   std::size_t max_depth = 3;
   bool verbose = false;
   bool petri = false;
+  bool parsers = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next_num = [&](std::size_t min_value) -> long long {
-      if (i + 1 >= argc) return -1;
-      const long long n = std::atoll(argv[++i]);
-      return n >= static_cast<long long>(min_value) ? n : -1;
+    const auto number = [&](auto& out, std::uint64_t min) {
+      return i + 1 < argc && cli::parse_number(argv[++i], out, min);
     };
     if (arg == "--seed") {
-      const long long n = next_num(0);
-      if (n < 0) return usage();
-      seed = static_cast<std::uint64_t>(n);
+      if (!number(seed, 0)) return usage();
     } else if (arg == "--instances") {
-      const long long n = next_num(1);
-      if (n < 0) return usage();
-      instances = static_cast<std::size_t>(n);
+      if (!number(instances, 1)) return usage();
     } else if (arg == "--states") {
-      const long long n = next_num(2);
-      if (n < 0) return usage();
-      max_states = static_cast<std::size_t>(n);
+      if (!number(max_states, 2)) return usage();
     } else if (arg == "--alphabet") {
-      const long long n = next_num(2);
-      if (n < 0) return usage();
-      max_alphabet = static_cast<std::size_t>(n);
+      if (!number(max_alphabet, 2)) return usage();
     } else if (arg == "--depth") {
-      const long long n = next_num(1);
-      if (n < 0) return usage();
-      max_depth = static_cast<std::size_t>(n);
+      if (!number(max_depth, 1)) return usage();
     } else if (arg == "--verbose") {
       verbose = true;
     } else if (arg == "--petri") {
       petri = true;
+    } else if (arg == "--parsers") {
+      parsers = true;
     } else {
       return usage();
     }
   }
 
+  if (petri && parsers) return usage();
   if (petri) return run_petri_fuzz(seed, instances, verbose);
+  if (parsers) return run_parser_fuzz(seed, instances, verbose);
 
   Rng rng(seed);
   // The non-limit-closed leg draws from its own stream, so the

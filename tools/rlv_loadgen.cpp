@@ -58,6 +58,8 @@
 #include "rlv/petri/reachability.hpp"
 #include "rlv/petri/scenario.hpp"
 
+#include "cli_flags.hpp"
+
 namespace {
 
 using namespace rlv;
@@ -425,7 +427,7 @@ std::uint64_t run_query_leg(const std::string& host, int port,
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  int port = 0;
+  std::uint16_t port = 0;
   std::size_t connections = 4;
   std::size_t requests = 64;
   bool certify = false;
@@ -438,24 +440,28 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (arg == "--host" && i + 1 < argc) {
+    const bool has_value = i + 1 < argc;
+    const auto number = [&](std::size_t& out, std::uint64_t max = UINT64_MAX) {
+      return cli::parse_number(argv[++i], out, 1, max);
+    };
+    if (arg == "--port" && has_value) {
+      if (!cli::parse_number(argv[++i], port, 1)) return usage();
+    } else if (arg == "--host" && has_value) {
       host = argv[++i];
-    } else if (arg == "--connections" && i + 1 < argc) {
-      connections = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--requests" && i + 1 < argc) {
-      requests = static_cast<std::size_t>(std::atoi(argv[++i]));
+    } else if (arg == "--connections" && has_value) {
+      if (!number(connections, cli::kMaxThreads)) return usage();
+    } else if (arg == "--requests" && has_value) {
+      if (!number(requests)) return usage();
     } else if (arg == "--monitor") {
       monitor_mode = true;
     } else if (arg == "--petri") {
       petri_mode = true;
-    } else if (arg == "--sessions" && i + 1 < argc) {
-      sessions = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--events" && i + 1 < argc) {
-      events = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (arg == "--batch" && i + 1 < argc) {
-      batch = static_cast<std::size_t>(std::atoi(argv[++i]));
+    } else if (arg == "--sessions" && has_value) {
+      if (!number(sessions)) return usage();
+    } else if (arg == "--events" && has_value) {
+      if (!number(events)) return usage();
+    } else if (arg == "--batch" && has_value) {
+      if (!number(batch)) return usage();
     } else if (arg == "--certify") {
       certify = true;
     } else if (arg == "--stats") {
@@ -464,12 +470,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (port <= 0 || port > 65535 || connections == 0 || requests == 0) {
-    return usage();
-  }
-  if (monitor_mode && (sessions == 0 || events == 0 || batch == 0)) {
-    return usage();
-  }
+  if (port == 0) return usage();
 
   // Fail fast (exit 2) when the server is not there at all.
   try {

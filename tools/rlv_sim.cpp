@@ -17,6 +17,8 @@
 #include "rlv/ltl/parser.hpp"
 #include "rlv/omega/limit.hpp"
 
+#include "cli_flags.hpp"
+
 namespace {
 
 using namespace rlv;
@@ -41,9 +43,9 @@ int main(int argc, char** argv) {
     if (arg == "--ltl" && i + 1 < argc) {
       formula_text = argv[++i];
     } else if (arg == "--steps" && i + 1 < argc) {
-      options.steps = std::strtoul(argv[++i], nullptr, 10);
+      if (!cli::parse_number(argv[++i], options.steps)) return usage();
     } else if (arg == "--seed" && i + 1 < argc) {
-      options.seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!cli::parse_number(argv[++i], options.seed)) return usage();
     } else {
       return usage();
     }

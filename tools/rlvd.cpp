@@ -97,6 +97,8 @@
 #include "rlv/io/json_writer.hpp"
 #include "rlv/net/server.hpp"
 
+#include "cli_flags.hpp"
+
 namespace {
 
 using namespace rlv;
@@ -240,59 +242,57 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--serve" && i + 1 < argc) {
-      const int port = std::atoi(argv[++i]);
-      if (port < 0 || port > 65535) return usage();
-      server_options.port = static_cast<std::uint16_t>(port);
+    // Each numeric flag: its value, or usage on anything but digits in range.
+    const auto number = [&](auto& out, std::uint64_t min = 0,
+                            std::uint64_t max = UINT64_MAX) {
+      return cli::parse_number(argv[++i], out, min, max);
+    };
+    const bool has_value = i + 1 < argc;
+    if (arg == "--serve" && has_value) {
+      if (!number(server_options.port)) return usage();
       serve_mode = true;
-    } else if (arg == "--bind" && i + 1 < argc) {
+    } else if (arg == "--bind" && has_value) {
       server_options.bind_address = argv[++i];
-    } else if (arg == "--max-inflight" && i + 1 < argc) {
-      server_options.max_inflight =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (server_options.max_inflight == 0) return usage();
-    } else if (arg == "--max-conn-inflight" && i + 1 < argc) {
-      server_options.max_inflight_per_connection =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (server_options.max_inflight_per_connection == 0) return usage();
-    } else if (arg == "--max-connections" && i + 1 < argc) {
-      server_options.max_connections =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (server_options.max_connections == 0) return usage();
-    } else if (arg == "--idle-timeout-ms" && i + 1 < argc) {
-      server_options.idle_timeout_ms =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--drain-timeout-ms" && i + 1 < argc) {
-      server_options.drain_timeout_ms =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--session-idle-timeout-ms" && i + 1 < argc) {
-      server_options.session_idle_timeout_ms =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--max-sessions" && i + 1 < argc) {
-      options.max_sessions = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--max-conn-sessions" && i + 1 < argc) {
-      server_options.limits.max_sessions_per_connection =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (server_options.limits.max_sessions_per_connection == 0) {
+    } else if (arg == "--max-inflight" && has_value) {
+      if (!number(server_options.max_inflight, 1)) return usage();
+    } else if (arg == "--max-conn-inflight" && has_value) {
+      if (!number(server_options.max_inflight_per_connection, 1)) {
         return usage();
       }
-    } else if (arg == "--max-steps-per-request" && i + 1 < argc) {
-      server_options.limits.max_steps_per_request =
-          static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (server_options.limits.max_steps_per_request == 0) return usage();
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      options.jobs = static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (options.jobs == 0) return usage();
+    } else if (arg == "--max-connections" && has_value) {
+      if (!number(server_options.max_connections, 1)) return usage();
+    } else if (arg == "--idle-timeout-ms" && has_value) {
+      if (!number(server_options.idle_timeout_ms, 0, cli::kMaxMillis)) {
+        return usage();
+      }
+    } else if (arg == "--drain-timeout-ms" && has_value) {
+      if (!number(server_options.drain_timeout_ms, 0, cli::kMaxMillis)) {
+        return usage();
+      }
+    } else if (arg == "--session-idle-timeout-ms" && has_value) {
+      if (!number(server_options.session_idle_timeout_ms, 0,
+                  cli::kMaxMillis)) {
+        return usage();
+      }
+    } else if (arg == "--max-sessions" && has_value) {
+      if (!number(options.max_sessions)) return usage();
+    } else if (arg == "--max-conn-sessions" && has_value) {
+      if (!number(server_options.limits.max_sessions_per_connection, 1)) {
+        return usage();
+      }
+    } else if (arg == "--max-steps-per-request" && has_value) {
+      if (!number(server_options.limits.max_steps_per_request, 1)) {
+        return usage();
+      }
+    } else if (arg == "--jobs" && has_value) {
+      if (!number(options.jobs, 1, cli::kMaxThreads)) return usage();
       jobs_given = true;
-    } else if (arg == "--cache" && i + 1 < argc) {
-      options.cache_capacity = static_cast<std::size_t>(std::atoi(argv[++i]));
-      if (options.cache_capacity == 0) return usage();
-    } else if (arg == "--timeout-ms" && i + 1 < argc) {
-      options.timeout_ms =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (arg == "--max-states" && i + 1 < argc) {
-      options.max_states =
-          static_cast<std::uint64_t>(std::atoll(argv[++i]));
+    } else if (arg == "--cache" && has_value) {
+      if (!number(options.cache_capacity, 1)) return usage();
+    } else if (arg == "--timeout-ms" && has_value) {
+      if (!number(options.timeout_ms, 0, cli::kMaxMillis)) return usage();
+    } else if (arg == "--max-states" && has_value) {
+      if (!number(options.max_states)) return usage();
     } else if (arg == "--certify") {
       options.certify_verdicts = true;
     } else if (arg == "--metrics") {
