@@ -91,8 +91,7 @@ CheckResult check(CheckKind kind, CheckOperands& operands, Budget* budget) {
     case CheckKind::kRelativeLiveness: {
       const Buchi& property = operands.property();
       RelativeLivenessResult rl = decide_relative_liveness(
-          behaviors, operands.prefixes(), property,
-          InclusionAlgorithm::kAntichain, budget);
+          behaviors, operands.prefixes(), property, budget);
       result.holds = rl.holds;
       result.violating_prefix = std::move(rl.violating_prefix);
       break;

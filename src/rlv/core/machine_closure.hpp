@@ -5,7 +5,6 @@
 // notes that P is a relative liveness property of L_ω exactly when
 // (L_ω, P ∩ L_ω) is machine closed — validated as a property test.
 
-#include "rlv/lang/inclusion.hpp"
 #include "rlv/omega/buchi.hpp"
 
 namespace rlv {
@@ -13,8 +12,7 @@ namespace rlv {
 /// Is (L_ω(system), L_ω(live_part)) a machine closed live structure?
 /// `live_part`'s language must be a subset of `system`'s (asserted only in
 /// debug sampling by the caller; not enforced here).
-[[nodiscard]] bool is_machine_closed(
-    const Buchi& system, const Buchi& live_part,
-    InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain);
+[[nodiscard]] bool is_machine_closed(const Buchi& system,
+                                     const Buchi& live_part);
 
 }  // namespace rlv

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "rlv/core/check.hpp"
+#include "rlv/lang/inclusion.hpp"
 #include "rlv/omega/live.hpp"
 
 namespace rlv {
@@ -11,12 +12,11 @@ namespace rlv {
 RelativeLivenessResult decide_relative_liveness(const Buchi& system,
                                                 const Nfa& pre_system,
                                                 const Buchi& property,
-                                                InclusionAlgorithm algorithm,
                                                 Budget* budget) {
   // Lemma 4.3: pre(L_ω) ⊆ pre(L_ω ∩ P); the reverse inclusion is automatic.
   const Nfa pre_both = prefix_of_intersection(system, property, budget);
-  const InclusionResult inc =
-      check_inclusion(pre_system, pre_both, algorithm, budget);
+  const InclusionResult inc = check_inclusion(
+      pre_system, pre_both, InclusionAlgorithm::kAntichain, budget);
   RelativeLivenessResult result;
   result.holds = inc.included;
   result.violating_prefix = inc.counterexample;
@@ -55,12 +55,13 @@ Result governed(Decide&& decide) {
   }
 }
 
-RelativeLivenessResult liveness(CheckOperands operands,
-                                InclusionAlgorithm algorithm, Budget* budget) {
+RelativeLivenessResult liveness(CheckOperands operands, Budget* budget) {
   return governed<RelativeLivenessResult>([&] {
-    const Buchi& property = operands.property();
-    return decide_relative_liveness(operands.behaviors(), operands.prefixes(),
-                                    property, algorithm, budget);
+    CheckResult checked =
+        check(CheckKind::kRelativeLiveness, operands, budget);
+    return RelativeLivenessResult{checked.holds,
+                                  std::move(checked.violating_prefix),
+                                  std::nullopt};
   });
 }
 
@@ -78,18 +79,16 @@ Result lasso_check(CheckKind kind, CheckOperands operands, Budget* budget) {
 
 RelativeLivenessResult relative_liveness(const Buchi& system,
                                          const Buchi& property,
-                                         InclusionAlgorithm algorithm,
                                          Budget* budget) {
   return liveness(CheckOperands::of_automaton(system, property, budget),
-                  algorithm, budget);
+                  budget);
 }
 
 RelativeLivenessResult relative_liveness(const Buchi& system, Formula f,
                                          const Labeling& lambda,
-                                         InclusionAlgorithm algorithm,
                                          Budget* budget) {
   return liveness(CheckOperands::of_formula(system, f, lambda, budget),
-                  algorithm, budget);
+                  budget);
 }
 
 RelativeSafetyResult relative_safety(const Buchi& system,

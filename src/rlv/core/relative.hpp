@@ -17,8 +17,7 @@
 // The two lemma bodies live once, in decide_relative_liveness and
 // decide_relative_safety below. check() (rlv/core/check.hpp) dispatches
 // every check kind to its kernel, and the entry points below are thin
-// wrappers over it — except that relative_liveness calls the Lemma 4.3
-// body itself, since it keeps the choice of inclusion algorithm.
+// wrappers over it.
 //
 // Also provides classical satisfaction L_ω ⊆ P and the Theorem 4.7
 // decomposition (satisfaction ⟺ relative liveness ∧ relative safety).
@@ -35,7 +34,7 @@
 
 #include <optional>
 
-#include "rlv/lang/inclusion.hpp"
+#include "rlv/lang/nfa.hpp"
 #include "rlv/ltl/ast.hpp"
 #include "rlv/omega/buchi.hpp"
 #include "rlv/omega/emptiness.hpp"
@@ -60,15 +59,17 @@ struct RelativeSafetyResult {
   std::optional<Stage> exhausted;
 };
 
-/// Lemma 4.3 body: pre(L_ω) ⊆ pre(L_ω ∩ P) by NFA inclusion. `pre_system`
-/// must accept pre(L_ω(system)) (prefix_nfa(system)); taking it as an
-/// argument lets a caller that caches it pass the cached copy. The property
-/// shares the system's alphabet object. A violating prefix is the inclusion
-/// counterexample (BFS-shortest under kSubset). Throws ResourceExhausted
-/// when the budget trips — the entry points below catch it.
+/// Lemma 4.3 body: pre(L_ω) ⊆ pre(L_ω ∩ P) by antichain NFA inclusion.
+/// `pre_system` must accept pre(L_ω(system)) (prefix_nfa(system)); taking
+/// it as an argument lets a caller that caches it pass the cached copy. The
+/// property shares the system's alphabet object. A violating prefix is the
+/// inclusion counterexample. Throws ResourceExhausted when the budget trips
+/// — the entry points below catch it. (A caller that wants the subset
+/// construction's BFS-shortest witness runs check_inclusion(prefix_nfa(
+/// system), prefix_of_intersection(system, property), kSubset) itself.)
 [[nodiscard]] RelativeLivenessResult decide_relative_liveness(
     const Buchi& system, const Nfa& pre_system, const Buchi& property,
-    InclusionAlgorithm algorithm, Budget* budget);
+    Budget* budget);
 
 /// Lemma 4.4 body: L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P = ∅, searched on the fly.
 /// When every system state is accepting, L_ω is limit-closed, so
@@ -82,18 +83,12 @@ struct RelativeSafetyResult {
     const Buchi& negated_property, Budget* budget);
 
 /// Is L_ω(property) a relative liveness property of L_ω(system)? (Def 4.1)
-/// `algorithm` stays selectable here only so that tests and rlv_fuzz can
-/// use kSubset's BFS-shortest witness as a reference; check() and
-/// everything served always run kAntichain.
 [[nodiscard]] RelativeLivenessResult relative_liveness(
-    const Buchi& system, const Buchi& property,
-    InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain,
-    Budget* budget = nullptr);
+    const Buchi& system, const Buchi& property, Budget* budget = nullptr);
 
 /// Formula flavor: the property is { x | x,λ ⊨ f }.
 [[nodiscard]] RelativeLivenessResult relative_liveness(
     const Buchi& system, Formula f, const Labeling& lambda,
-    InclusionAlgorithm algorithm = InclusionAlgorithm::kAntichain,
     Budget* budget = nullptr);
 
 /// Is L_ω(property) a relative safety property of L_ω(system)? (Def 4.2)

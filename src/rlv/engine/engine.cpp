@@ -217,6 +217,17 @@ struct Engine::Impl {
   std::atomic<std::uint64_t> certificates_failed{0};
   std::array<AtomicStageTotals, kNumStages> stage_totals;
 
+  /// The seven caches' counters, into the fields EngineStats::total() sums.
+  void cache_counters(EngineStats& stats) const {
+    stats.systems = systems.counters();
+    stats.behaviors = behaviors.counters();
+    stats.prefixes = prefixes.counters();
+    stats.translations = translations.counters();
+    stats.properties = properties.counters();
+    stats.verdicts = verdicts.counters();
+    stats.monitors = monitors.counters();
+  }
+
   void merge_profile(const QueryProfile& profile) {
     for (std::size_t i = 0; i < kNumStages; ++i) {
       stage_totals[i].merge(profile.stages[i]);
@@ -409,53 +420,73 @@ struct Engine::Impl {
     return verdict;
   }
 
+  /// Arms a request's budget: its own limits where it set them (the
+  /// serving path: client limits clamped to the server's caps), the engine
+  /// defaults otherwise. Unarmed budgets never trip and only collect the
+  /// per-stage profile, so budget-disabled verdicts are identical to
+  /// pre-budget execution.
+  void arm(Budget& budget, std::uint64_t timeout_ms,
+           std::uint64_t max_states) const {
+    if (timeout_ms == 0) timeout_ms = options.timeout_ms;
+    if (max_states == 0) max_states = options.max_states;
+    if (timeout_ms > 0) {
+      budget.set_deadline_in(std::chrono::milliseconds(timeout_ms));
+    }
+    if (max_states > 0) budget.set_max_states(max_states);
+  }
+
+  /// A request's system and property, resolved through the caches: the
+  /// formula for the formula flavor, the parsed automaton (on the system's
+  /// alphabet) otherwise.
+  struct Resolved {
+    std::shared_ptr<const ParsedSystem> sys;
+    std::optional<Formula> f;
+    std::shared_ptr<const ParsedProperty> prop;
+  };
+
+  /// Parses (or fetches) the system text, then the formula or the property
+  /// automaton, reusing what `found` (null when nobody looked) already
+  /// holds. Parsing runs under Stage::kParse.
+  Resolved resolve(const std::string& system_text, const std::string& formula,
+                   const std::string& property_text, const QueryLookup* found,
+                   Budget* budget) {
+    Resolved r;
+    {
+      StageScope scope(budget, Stage::kParse);
+      r.sys = systems.get_or_compute_own<ResourceExhausted>(
+          found ? found->system_text : fingerprint_text(system_text), [&] {
+            Nfa nfa = parse_system(system_text, budget);
+            const std::uint64_t fp = fingerprint_nfa(nfa);
+            return ParsedSystem{std::move(nfa), fp};
+          });
+      if (property_text.empty()) {
+        r.f = found && found->formula ? found->formula : parse_ltl(formula);
+      }
+    }
+    if (!property_text.empty()) {
+      r.prop = property(property_text, r.sys->nfa.alphabet(), budget);
+    }
+    return r;
+  }
+
   /// The computing half of run_one: every cache through get_or_compute, so
   /// whatever is missing gets built (and counted) here.
   Verdict compute(const Query& query, const QueryLookup& lookup,
                   Clock::time_point start) {
     queries_run.fetch_add(1, std::memory_order_relaxed);
-
-    // One budget per query, armed from the engine options unless the query
-    // carries its own override (the serving path: client limits clamped to
-    // the server's caps). Unarmed budgets never trip and only collect the
-    // per-stage profile, so budget-disabled verdicts are identical to
-    // pre-budget execution.
     Budget budget;
-    const std::uint64_t timeout_ms =
-        query.timeout_ms > 0 ? query.timeout_ms : options.timeout_ms;
-    if (timeout_ms > 0) {
-      budget.set_deadline_in(std::chrono::milliseconds(timeout_ms));
-    }
-    const std::uint64_t max_states =
-        query.max_states > 0 ? query.max_states : options.max_states;
-    if (max_states > 0) budget.set_max_states(max_states);
+    arm(budget, query.timeout_ms, query.max_states);
 
     Verdict verdict;
     try {
-      std::shared_ptr<const ParsedSystem> sys;
-      std::optional<Formula> f;
-      {
-        StageScope scope(&budget, Stage::kParse);
-        sys = systems.get_or_compute_own<ResourceExhausted>(
-            lookup.system_text, [&] {
-              Nfa nfa = parse_system(query.system, &budget);
-              const std::uint64_t fp = fingerprint_nfa(nfa);
-              return ParsedSystem{std::move(nfa), fp};
-            });
-        if (query.property_automaton.empty()) {
-          f = lookup.formula ? lookup.formula : parse_ltl(query.formula);
-        }
-      }
-      std::shared_ptr<const ParsedProperty> prop;
-      if (!query.property_automaton.empty()) {
-        prop = property(query.property_automaton, sys->nfa.alphabet(), &budget);
-      }
+      const Resolved r = resolve(query.system, query.formula,
+                                 query.property_automaton, &lookup, &budget);
       // A ResourceExhausted escaping decide() propagates out of
       // get_or_compute, which drops the entry — exhausted outcomes are
       // never cached, so a retry with a larger budget recomputes.
       verdict = *verdicts.get_or_compute(
-          verdict_key(*sys, f, prop.get(), query),
-          [&] { return decide(*sys, f, prop, query, &budget); });
+          verdict_key(*r.sys, r.f, r.prop.get(), query),
+          [&] { return decide(*r.sys, r.f, r.prop, query, &budget); });
     } catch (const ResourceExhausted& e) {
       verdict = Verdict{};
       verdict.resource_exhausted = true;
@@ -489,10 +520,7 @@ struct Engine::Impl {
     MonitorOpenResult result;
 
     Budget budget;
-    if (options.timeout_ms > 0) {
-      budget.set_deadline_in(std::chrono::milliseconds(options.timeout_ms));
-    }
-    if (options.max_states > 0) budget.set_max_states(options.max_states);
+    arm(budget, 0, 0);
 
     try {
       if (!spec.formula.empty() && !spec.property_automaton.empty()) {
@@ -502,30 +530,16 @@ struct Engine::Impl {
       if (spec.formula.empty() && spec.property_automaton.empty()) {
         throw std::runtime_error("missing 'formula' or 'property_automaton'");
       }
-      std::shared_ptr<const ParsedSystem> sys;
-      std::optional<Formula> f;
-      {
-        StageScope scope(&budget, Stage::kParse);
-        sys = systems.get_or_compute_own<ResourceExhausted>(
-            fingerprint_text(spec.system), [&] {
-              Nfa nfa = parse_system(spec.system, &budget);
-              const std::uint64_t fp = fingerprint_nfa(nfa);
-              return ParsedSystem{std::move(nfa), fp};
-            });
-        if (spec.property_automaton.empty()) f = parse_ltl(spec.formula);
-      }
-      std::shared_ptr<const ParsedProperty> prop;
-      if (!spec.property_automaton.empty()) {
-        prop = property(spec.property_automaton, sys->nfa.alphabet(), &budget);
-      }
-      const MonitorKey key{sys->fingerprint, f ? f->raw() : nullptr,
-                           prop ? prop->fingerprint : 0, spec.certify};
+      const Resolved r = resolve(spec.system, spec.formula,
+                                 spec.property_automaton, nullptr, &budget);
+      const MonitorKey key{r.sys->fingerprint, r.f ? r.f->raw() : nullptr,
+                           r.prop ? r.prop->fingerprint : 0, spec.certify};
       // Compile once per distinct spec; an exception (including a tripped
       // budget or a refuted witness) drops the cache entry, so a retry
       // recompiles instead of serving a half-built automaton.
       const auto automaton = monitors.get_or_compute(key, [&] {
         return with_operands(
-            *sys, f, prop, spec.property_automaton, &budget,
+            *r.sys, r.f, r.prop, spec.property_automaton, &budget,
             [&](CheckOperands& operands, const ParsedProperty*,
                 const Labeling&) {
               return monitor::MonitorAutomaton(operands.behaviors(),
@@ -687,25 +701,14 @@ std::size_t Engine::sweep_idle_sessions(std::uint64_t max_idle_ms) {
 }
 
 CacheCounters Engine::cache_totals() const {
-  CacheCounters total = impl_->systems.counters();
-  total += impl_->behaviors.counters();
-  total += impl_->prefixes.counters();
-  total += impl_->translations.counters();
-  total += impl_->properties.counters();
-  total += impl_->verdicts.counters();
-  total += impl_->monitors.counters();
-  return total;
+  EngineStats stats;
+  impl_->cache_counters(stats);
+  return stats.total();
 }
 
 EngineStats Engine::stats() const {
   EngineStats stats;
-  stats.systems = impl_->systems.counters();
-  stats.behaviors = impl_->behaviors.counters();
-  stats.prefixes = impl_->prefixes.counters();
-  stats.translations = impl_->translations.counters();
-  stats.properties = impl_->properties.counters();
-  stats.verdicts = impl_->verdicts.counters();
-  stats.monitors = impl_->monitors.counters();
+  impl_->cache_counters(stats);
   {
     // Counter snapshot is lock-free (relaxed atomics inside SessionTable);
     // stats polling must not contend with the monitor stepping hot path.

@@ -1,85 +1,34 @@
 #include "rlv/fair/fair_check.hpp"
 
 #include <cassert>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "rlv/lang/ops.hpp"
 #include "rlv/ltl/translate.hpp"
 #include "rlv/omega/streett.hpp"
-#include "rlv/util/hash.hpp"
 
 namespace rlv {
 
 namespace {
 
-struct EdgeInfo {
-  std::uint32_t system_edge;    // flat id of the projected system edge
-  bool neg_accepting_target;    // ¬P component enters an accepting state
+/// The system × ¬P pair product, built under Stage::kProduct, with its
+/// StreettAutomaton. Both number a pair's edges in out() order, so Streett
+/// edge e is product edge e: it projects to system edge left_edge[e], and
+/// its ¬P component enters right(edges[e].target).
+struct Product {
+  PairProduct pairs;
+  StreettAutomaton streett;
 };
 
-/// Product of the system structure with the ¬P automaton, remembering for
-/// every product edge which system edge it projects to and whether its
-/// ¬P-target is accepting. `edge_info[s][i]` describes the i-th out-edge of
-/// product state s, matching StreettAutomaton's flat edge numbering.
-struct FairProduct {
-  Nfa structure;
-  std::vector<std::uint32_t> system_state;        // per product state
-  std::vector<std::vector<EdgeInfo>> edge_info;   // per product state
-  // Flat ids of the system's own edges: those of system state s are
-  // system_edge_offset[s] .. system_edge_offset[s+1].
-  std::vector<std::uint32_t> system_edge_offset;
-};
-
-FairProduct build_product(const Buchi& system, const Buchi& negated,
-                          Budget* budget) {
-  require_same_alphabet(system.alphabet(), negated.alphabet(),
-                        "fair_check product");
+Product build_product(const Buchi& system, const Buchi& negated,
+                      Budget* budget) {
   StageScope scope(budget, Stage::kProduct);
-  FairProduct product{Nfa(system.alphabet()), {}, {}, {}};
-
-  std::vector<std::uint32_t>& sys_edge_offset = product.system_edge_offset;
-  sys_edge_offset.assign(system.num_states() + 1, 0);
-  for (State s = 0; s < system.num_states(); ++s) {
-    sys_edge_offset[s + 1] =
-        sys_edge_offset[s] + static_cast<std::uint32_t>(system.out(s).size());
-  }
-
-  std::unordered_map<std::pair<State, State>, State, PairHash> ids;
-  std::vector<std::pair<State, State>> worklist;
-  auto intern = [&](State p, State q) -> State {
-    auto [it, inserted] = ids.emplace(std::make_pair(p, q), kNoState);
-    if (inserted) {
-      budget_charge(budget);
-      it->second = product.structure.add_state(true);
-      product.system_state.push_back(p);
-      product.edge_info.emplace_back();
-      worklist.emplace_back(p, q);
-    }
-    return it->second;
-  };
-
-  for (const State p : system.initial()) {
-    for (const State q : negated.initial()) {
-      product.structure.set_initial(intern(p, q));
-    }
-  }
-  while (!worklist.empty()) {
-    const auto [p, q] = worklist.back();
-    worklist.pop_back();
-    const State from = ids.at({p, q});
-    for (std::uint32_t i = 0; i < system.out(p).size(); ++i) {
-      const Transition& ts = system.out(p)[i];
-      budget_tick(budget);
-      for (const auto& tn : negated.out(q)) {
-        if (ts.symbol != tn.symbol) continue;
-        const State to = intern(ts.target, tn.target);
-        product.structure.add_transition(from, ts.symbol, to);
-        product.edge_info[from].push_back(
-            {sys_edge_offset[p] + i, negated.is_accepting(tn.target)});
-      }
-    }
-  }
+  PairProduct pairs =
+      pair_product(system.structure(), negated.structure(), budget);
+  Nfa structure = pairs.to_nfa(system.alphabet(), true);
+  Product product{std::move(pairs), StreettAutomaton(std::move(structure))};
+  assert(product.streett.num_edges() == product.pairs.edges.size());
   return product;
 }
 
@@ -89,21 +38,10 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
                                                 const Buchi& negated,
                                                 FairnessKind kind,
                                                 Budget* budget) {
-  const FairProduct product = build_product(system, negated, budget);
-  const StreettAutomaton streett(product.structure);
-  const std::vector<std::uint32_t>& sys_edge_offset =
-      product.system_edge_offset;
-
-  // Flatten the per-state edge info in StreettAutomaton's edge order.
-  std::vector<EdgeInfo> flat_info;
-  flat_info.reserve(streett.num_edges());
-  for (State s = 0; s < product.structure.num_states(); ++s) {
-    assert(product.edge_info[s].size() == product.structure.out(s).size());
-    for (const EdgeInfo& info : product.edge_info[s]) {
-      flat_info.push_back(info);
-    }
-  }
-  assert(flat_info.size() == streett.num_edges());
+  const Product product = build_product(system, negated, budget);
+  const PairProduct& pairs = product.pairs;
+  const StreettAutomaton& streett = product.streett;
+  const Nfa& sys = system.structure();
 
   // The fairness pairs lifted through the product (see fairness.hpp for the
   // encodings), one per *system* edge e with source s:
@@ -118,27 +56,27 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
   // refiner instead: inside an SCC, a pair is violated exactly when the
   // SCC visits s ("touched") but never takes e ("starved").
   std::vector<std::uint8_t> touched(system.num_states(), 0);
-  std::vector<std::uint8_t> taken(sys_edge_offset.back(), 0);
+  std::vector<std::uint8_t> taken(sys.num_transitions(), 0);
   std::vector<State> touched_list;
   std::vector<std::uint32_t> taken_list;
   const auto refine = [&](const DynBitset& scc) {
     bool accepting = false;
     scc.for_each([&](std::size_t pe) {
-      const State s = product.system_state[streett.edge_source(
-          static_cast<EdgeId>(pe))];
+      const State s = pairs.left(streett.edge_source(static_cast<EdgeId>(pe)));
       if (!touched[s]) {
         touched[s] = 1;
         touched_list.push_back(s);
       }
-      const EdgeInfo& info = flat_info[pe];
-      if (!taken[info.system_edge]) {
-        taken[info.system_edge] = 1;
-        taken_list.push_back(info.system_edge);
+      const std::uint32_t system_edge = pairs.left_edge[pe];
+      if (!taken[system_edge]) {
+        taken[system_edge] = 1;
+        taken_list.push_back(system_edge);
       }
-      accepting = accepting || info.neg_accepting_target;
+      accepting = accepting ||
+                  negated.is_accepting(pairs.right(pairs.edges[pe].target));
     });
     const auto starved = [&](State s) {
-      for (std::uint32_t e = sys_edge_offset[s]; e < sys_edge_offset[s + 1];
+      for (std::uint32_t e = sys.first_edge(s); e < sys.first_edge(s + 1);
            ++e) {
         if (!taken[e]) return true;
       }
@@ -154,8 +92,8 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
         if (starved(s)) touched[s] = 2;
       }
       scc.for_each([&](std::size_t pe) {
-        const State s = product.system_state[streett.edge_source(
-            static_cast<EdgeId>(pe))];
+        const State s =
+            pairs.left(streett.edge_source(static_cast<EdgeId>(pe)));
         if (touched[s] == 2) removed.set(pe);
       });
     } else if (touched_list.size() == 1 && starved(touched_list.front())) {
@@ -187,16 +125,9 @@ FairCheckResult check_process_fair_satisfaction(
     const Buchi& system, Formula f, const Labeling& lambda,
     const std::vector<std::string>& process_prefixes) {
   const Buchi negated = translate_ltl_negated(f, lambda);
-  const FairProduct product = build_product(system, negated, nullptr);
-  StreettAutomaton streett(product.structure);
-
-  std::vector<EdgeInfo> flat_info;
-  flat_info.reserve(streett.num_edges());
-  for (State s = 0; s < product.structure.num_states(); ++s) {
-    for (const EdgeInfo& info : product.edge_info[s]) {
-      flat_info.push_back(info);
-    }
-  }
+  Product product = build_product(system, negated, nullptr);
+  const PairProduct& pairs = product.pairs;
+  StreettAutomaton& streett = product.streett;
 
   // Group *system* edges by prefix, then lift:
   //   E_P = product edges leaving states whose system component can take a
@@ -204,27 +135,20 @@ FairCheckResult check_process_fair_satisfaction(
   //   F_P = product edges projecting to a P-edge.
   const std::size_t k = process_prefixes.size();
   std::vector<std::vector<bool>> sys_edge_in_group(
-      k, std::vector<bool>(0));
+      k, std::vector<bool>(system.structure().num_transitions(), false));
   std::vector<std::vector<bool>> sys_state_enables(
       k, std::vector<bool>(system.num_states(), false));
-  {
-    std::size_t num_sys_edges = 0;
-    for (State s = 0; s < system.num_states(); ++s) {
-      num_sys_edges += system.out(s).size();
-    }
-    for (auto& v : sys_edge_in_group) v.assign(num_sys_edges, false);
-    std::size_t flat = 0;
-    for (State s = 0; s < system.num_states(); ++s) {
-      for (const auto& t : system.out(s)) {
-        const std::string& action = system.alphabet()->name(t.symbol);
-        for (std::size_t g = 0; g < k; ++g) {
-          if (action.starts_with(process_prefixes[g])) {
-            sys_edge_in_group[g][flat] = true;
-            sys_state_enables[g][s] = true;
-          }
+  std::size_t flat = 0;  // system edges in first_edge numbering
+  for (State s = 0; s < system.num_states(); ++s) {
+    for (const auto& t : system.out(s)) {
+      const std::string& action = system.alphabet()->name(t.symbol);
+      for (std::size_t g = 0; g < k; ++g) {
+        if (action.starts_with(process_prefixes[g])) {
+          sys_edge_in_group[g][flat] = true;
+          sys_state_enables[g][s] = true;
         }
-        ++flat;
       }
+      ++flat;
     }
   }
 
@@ -233,10 +157,10 @@ FairCheckResult check_process_fair_satisfaction(
     bool any = false;
     for (EdgeId pe = 0; pe < streett.num_edges(); ++pe) {
       const State src = streett.edge_source(pe);
-      if (sys_state_enables[g][product.system_state[src]]) {
+      if (sys_state_enables[g][pairs.left(src)]) {
         pair.antecedent.set(pe);
       }
-      if (sys_edge_in_group[g][flat_info[pe].system_edge]) {
+      if (sys_edge_in_group[g][pairs.left_edge[pe]]) {
         pair.goal.set(pe);
         any = true;
       }
@@ -250,7 +174,9 @@ FairCheckResult check_process_fair_satisfaction(
     DynBitset acc = streett.edge_set();
     for (EdgeId pe = 0; pe < streett.num_edges(); ++pe) {
       all.set(pe);
-      if (flat_info[pe].neg_accepting_target) acc.set(pe);
+      if (negated.is_accepting(pairs.right(pairs.edges[pe].target))) {
+        acc.set(pe);
+      }
     }
     streett.add_pair({std::move(all), std::move(acc)});
   }

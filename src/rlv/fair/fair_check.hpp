@@ -4,7 +4,10 @@
 // transition-fair run of a system satisfy a PLTL property? Decided by
 // searching for a fair run of the system that is accepted by the automaton
 // of ¬f — a Streett emptiness problem (fairness pairs lifted through the
-// product, plus one Streett pair encoding the Büchi acceptance of ¬f).
+// product, plus one Streett pair encoding the Büchi acceptance of ¬f). The
+// product is pair_product(system, ¬f) (rlv/lang/ops.hpp), whose flat edge
+// ids are the Streett automaton's: each product edge names the system edge
+// it projects to.
 //
 // This is the validation oracle for Theorem 5.1: the synthesized
 // implementation must pass check_fair_satisfaction for the property it was

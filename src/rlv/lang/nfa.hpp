@@ -101,6 +101,14 @@ class Nfa {
     return {csr_.data() + sym_off_[cell], csr_.data() + sym_off_[cell + 1]};
   }
 
+  /// Flat id of `s`'s first out-edge in the CSR edge array: the edges of `s`
+  /// are first_edge(s) .. first_edge(s + 1), in out() order, and
+  /// first_edge(num_states()) is the number of edges.
+  [[nodiscard]] std::uint32_t first_edge(State s) const {
+    ensure_index();
+    return sym_off_[static_cast<std::size_t>(s) * sigma_->size()];
+  }
+
   /// Builds the CSR transition index now (idempotent). Kernels call this on
   /// the coordinating thread before fanning out workers so the lazy build
   /// never runs inside a hot loop.

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
-#include <map>
 #include <numeric>
 #include <queue>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "rlv/util/hash.hpp"
 #include "rlv/util/intern.hpp"
@@ -229,37 +227,87 @@ Dfa complement(const Dfa& input) {
   return result;
 }
 
-Nfa intersect(const Nfa& a, const Nfa& b) {
-  require_same_alphabet(a.alphabet(), b.alphabet(), "intersect");
-  Nfa result(a.alphabet());
+PairProduct pair_product(const Nfa& a, const Nfa& b, Budget* budget) {
+  require_same_alphabet(a.alphabet(), b.alphabet(), "pair_product");
+  a.finalize();
+  b.finalize();
 
-  std::unordered_map<std::pair<State, State>, State, PairHash> ids;
-  std::vector<std::pair<State, State>> worklist;
-  auto intern = [&](State p, State q) -> State {
-    auto [it, inserted] = ids.emplace(std::make_pair(p, q), kNoState);
-    if (inserted) {
-      it->second =
-          result.add_state(a.is_accepting(p) && b.is_accepting(q));
-      worklist.emplace_back(p, q);
-    }
-    return it->second;
+  PairProduct product;
+  const auto hash_of = [](State p, State q) {
+    return hash_combine(hash_combine(0, p), q);
+  };
+  IdTable table;
+  const auto intern = [&](State p, State q) -> State {
+    const std::size_t h = hash_of(p, q);
+    const State found = table.find(h, [&](State id) {
+      return product.left(id) == p && product.right(id) == q;
+    });
+    if (found != IdTable::kNoId) return found;
+    budget_charge(budget);
+    const auto id = static_cast<State>(product.size());
+    product.pairs.push_back(p);
+    product.pairs.push_back(q);
+    table.insert(h, id, [&](State x) {
+      return hash_of(product.left(x), product.right(x));
+    });
+    return id;
   };
 
   for (const State p : a.initial()) {
     for (const State q : b.initial()) {
-      result.set_initial(intern(p, q));
-    }
-  }
-  while (!worklist.empty()) {
-    const auto [p, q] = worklist.back();
-    worklist.pop_back();
-    const State from = ids.at({p, q});
-    for (const auto& ta : a.out(p)) {
-      for (const auto& tb : b.out(q)) {
-        if (ta.symbol != tb.symbol) continue;
-        result.add_transition(from, ta.symbol, intern(ta.target, tb.target));
+      const State id = intern(p, q);
+      if (std::find(product.initial.begin(), product.initial.end(), id) ==
+          product.initial.end()) {
+        product.initial.push_back(id);
       }
     }
+  }
+  // Pairs are expanded in id order and each appends its successors as it
+  // goes, so the edges come out grouped by source without a sort.
+  for (State s = 0; s < product.size(); ++s) {
+    budget_tick(budget);
+    product.edge_off.push_back(
+        static_cast<std::uint32_t>(product.edges.size()));
+    const State p = product.left(s);
+    const State q = product.right(s);
+    const std::uint32_t first = a.first_edge(p);
+    const std::span<const Transition> ea = a.out(p);
+    for (std::size_t i = 0; i < ea.size();) {
+      const Symbol sym = ea[i].symbol;
+      std::size_t end = i;
+      while (end < ea.size() && ea[end].symbol == sym) ++end;
+      const std::span<const Transition> eb = b.block(q, sym);
+      for (; i < end; ++i) {
+        for (const Transition& tb : eb) {
+          product.edges.push_back(
+              Transition{sym, intern(ea[i].target, tb.target)});
+          product.left_edge.push_back(first + static_cast<std::uint32_t>(i));
+        }
+      }
+    }
+  }
+  product.edge_off.push_back(static_cast<std::uint32_t>(product.edges.size()));
+  return product;
+}
+
+Nfa PairProduct::to_nfa(const AlphabetRef& sigma, bool accepting) const {
+  Nfa result(sigma);
+  for (State s = 0; s < size(); ++s) result.add_state(accepting);
+  for (const State s : initial) result.set_initial(s);
+  for (State s = 0; s < size(); ++s) {
+    for (std::uint32_t e = edge_off[s]; e < edge_off[s + 1]; ++e) {
+      result.add_transition(s, edges[e].symbol, edges[e].target);
+    }
+  }
+  return result;
+}
+
+Nfa intersect(const Nfa& a, const Nfa& b) {
+  const PairProduct product = pair_product(a, b);
+  Nfa result = product.to_nfa(a.alphabet(), false);
+  for (State s = 0; s < product.size(); ++s) {
+    result.set_accepting(
+        s, a.is_accepting(product.left(s)) && b.is_accepting(product.right(s)));
   }
   return result;
 }

@@ -30,6 +30,42 @@ namespace rlv {
 /// Complement w.r.t. Σ*: completes and flips acceptance.
 [[nodiscard]] Dfa complement(const Dfa& dfa);
 
+/// The reachable part of the synchronous product of two automata over one
+/// alphabet object: the one builder behind intersect, product_gen,
+/// prefix_of_intersection and the fair product. Pairs (p, q) are interned to
+/// dense ids in discovery order and expanded in id order; each of a's
+/// per-symbol edge groups is joined with b's block for the same symbol, so a
+/// pair's out-edges come out grouped by symbol, in the order of Nfa::out and
+/// of StreettAutomaton's flat edge ids. Each pair charges one state to
+/// `budget` under the caller's stage.
+struct PairProduct {
+  /// Pair s is (left(s), right(s)) = (pairs[2s], pairs[2s+1]).
+  std::vector<State> pairs;
+  /// Distinct ids of the initial pairs.
+  std::vector<State> initial;
+  /// The out-edges of pair s are edges[edge_off[s] .. edge_off[s+1]).
+  std::vector<std::uint32_t> edge_off;
+  std::vector<Transition> edges;
+  /// Per edge: the flat id (Nfa::first_edge numbering) of the edge of `a`
+  /// it projects to.
+  std::vector<std::uint32_t> left_edge;
+
+  [[nodiscard]] std::size_t size() const { return pairs.size() / 2; }
+  [[nodiscard]] State left(State s) const { return pairs[2 * std::size_t{s}]; }
+  [[nodiscard]] State right(State s) const {
+    return pairs[2 * std::size_t{s} + 1];
+  }
+
+  /// The product as an automaton over `sigma`, every state accepting or
+  /// none; state ids and out() order are those of the pairs and edges.
+  [[nodiscard]] Nfa to_nfa(const AlphabetRef& sigma, bool accepting) const;
+};
+
+/// Builds the reachable pair product of `a` and `b` (std::invalid_argument
+/// unless they share one alphabet object).
+[[nodiscard]] PairProduct pair_product(const Nfa& a, const Nfa& b,
+                                       Budget* budget = nullptr);
+
 /// Product-intersection of two NFAs over the same alphabet.
 [[nodiscard]] Nfa intersect(const Nfa& a, const Nfa& b);
 

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "rlv/util/hash.hpp"
-#include "rlv/util/intern.hpp"
+#include "rlv/lang/ops.hpp"
 #include "rlv/util/scc.hpp"
 
 namespace rlv {
@@ -84,72 +83,14 @@ Nfa prefix_nfa(const Buchi& a) {
 }
 
 Nfa prefix_of_intersection(const Buchi& a, const Buchi& b, Budget* budget) {
-  require_same_alphabet(a.alphabet(), b.alphabet(), "prefix_of_intersection");
-  a.structure().finalize();
-  b.structure().finalize();
-
-  // Pair i is (pairs[2i], pairs[2i+1]); its out-edges are
-  // edges[edge_off[i] .. edge_off[i+1]). Pairs are expanded in id order and
-  // each appends its successors as it goes, so the edges come out grouped
-  // by source without a sort.
-  std::vector<State> pairs;
-  std::vector<State> initial;
-  std::vector<std::uint32_t> edge_off;
-  std::vector<Transition> edges;
-  {
+  const PairProduct product = [&] {
     StageScope scope(budget, Stage::kProduct);
-    const auto hash_of = [](State p, State q) {
-      return hash_combine(hash_combine(0, p), q);
-    };
-    IdTable table;
-    const auto intern = [&](State p, State q) -> State {
-      const std::size_t h = hash_of(p, q);
-      const State found = table.find(h, [&](State id) {
-        return pairs[2 * std::size_t{id}] == p &&
-               pairs[2 * std::size_t{id} + 1] == q;
-      });
-      if (found != IdTable::kNoId) return found;
-      budget_charge(budget);
-      const auto id = static_cast<State>(pairs.size() / 2);
-      pairs.push_back(p);
-      pairs.push_back(q);
-      table.insert(h, id, [&](State x) {
-        return hash_of(pairs[2 * std::size_t{x}], pairs[2 * std::size_t{x} + 1]);
-      });
-      return id;
-    };
+    return pair_product(a.structure(), b.structure(), budget);
+  }();
+  const std::vector<std::uint32_t>& edge_off = product.edge_off;
+  const std::vector<Transition>& edges = product.edges;
 
-    for (const State p : a.initial()) {
-      for (const State q : b.initial()) {
-        const State id = intern(p, q);
-        if (std::find(initial.begin(), initial.end(), id) == initial.end()) {
-          initial.push_back(id);
-        }
-      }
-    }
-    for (State s = 0; s < pairs.size() / 2; ++s) {
-      edge_off.push_back(static_cast<std::uint32_t>(edges.size()));
-      const State p = pairs[2 * std::size_t{s}];
-      const State q = pairs[2 * std::size_t{s} + 1];
-      // a's edges arrive grouped by symbol (CSR): join each group with b's
-      // block for the same symbol.
-      const std::span<const Transition> ea = a.out(p);
-      for (std::size_t i = 0; i < ea.size();) {
-        const Symbol sym = ea[i].symbol;
-        std::size_t end = i;
-        while (end < ea.size() && ea[end].symbol == sym) ++end;
-        const std::span<const Transition> eb = b.block(q, sym);
-        for (; i < end; ++i) {
-          for (const Transition& tb : eb) {
-            edges.push_back(Transition{sym, intern(ea[i].target, tb.target)});
-          }
-        }
-      }
-    }
-    edge_off.push_back(static_cast<std::uint32_t>(edges.size()));
-  }
-
-  const auto n = static_cast<State>(pairs.size() / 2);
+  const auto n = static_cast<State>(product.size());
   std::vector<bool> live(n, false);
   StageScope scope(budget, Stage::kPreTrim);
   {
@@ -209,8 +150,8 @@ Nfa prefix_of_intersection(const Buchi& a, const Buchi& b, Budget* budget) {
         bool meets_b = false;
         for (std::size_t i = first; i < stack.size(); ++i) {
           const State m = stack[i];
-          meets_a = meets_a || a.is_accepting(pairs[2 * std::size_t{m}]);
-          meets_b = meets_b || b.is_accepting(pairs[2 * std::size_t{m} + 1]);
+          meets_a = meets_a || a.is_accepting(product.left(m));
+          meets_b = meets_b || b.is_accepting(product.right(m));
           for (std::uint32_t e = edge_off[m]; e < edge_off[m + 1]; ++e) {
             const State w = edges[e].target;
             if (comp[w] == num_comps) {
@@ -235,7 +176,7 @@ Nfa prefix_of_intersection(const Buchi& a, const Buchi& b, Budget* budget) {
   for (State s = 0; s < n; ++s) {
     if (live[s]) remap[s] = result.add_state(true);
   }
-  for (const State s : initial) {
+  for (const State s : product.initial) {
     if (live[s]) result.set_initial(remap[s]);
   }
   for (State s = 0; s < n; ++s) {

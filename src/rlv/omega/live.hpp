@@ -8,7 +8,8 @@
 //
 // prefix_of_intersection builds pre(L_ω(A) ∩ L_ω(B)) — the object both
 // Lemma 4.3 and Lemma 4.4 turn on — straight from the reachable pair
-// product, without degeneralizing it into a Büchi automaton first.
+// product (pair_product, rlv/lang/ops.hpp), without degeneralizing it into
+// a Büchi automaton first.
 
 #include "rlv/lang/nfa.hpp"
 #include "rlv/omega/buchi.hpp"
@@ -27,9 +28,8 @@ namespace rlv {
 
 /// NFA accepting pre(L_ω(a) ∩ L_ω(b)); equal as a language to
 /// prefix_nfa(intersect_buchi(a, b)) but built in one pass:
-///   * product (Stage::kProduct): reachable pairs (p, q) are interned to
-///     dense ids in discovery order and expanded in id order by joining the
-///     operands' per-symbol successor blocks; one state charged per pair;
+///   * product (Stage::kProduct): pair_product of the two structures, one
+///     state charged per reachable pair;
 ///   * liveness (Stage::kPreTrim): one iterative Tarjan pass. An SCC is live
 ///     when it has an internal edge and meets both acceptance sets, or has
 ///     an edge into a live SCC; Tarjan closes SCCs in reverse topological

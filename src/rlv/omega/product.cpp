@@ -2,57 +2,26 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "rlv/lang/ops.hpp"
 #include "rlv/util/hash.hpp"
 
 namespace rlv {
 
 GenBuchi product_gen(const Buchi& a, const Buchi& b, Budget* budget) {
-  require_same_alphabet(a.alphabet(), b.alphabet(), "product_gen");
   StageScope scope(budget, Stage::kProduct);
+  const PairProduct product =
+      pair_product(a.structure(), b.structure(), budget);
   GenBuchi result(a.alphabet());
+  result.structure = product.to_nfa(a.alphabet(), false);
 
-  std::unordered_map<std::pair<State, State>, State, PairHash> ids;
-  std::vector<std::pair<State, State>> worklist;
-  std::vector<std::pair<State, State>> states;
-  auto intern = [&](State p, State q) -> State {
-    auto [it, inserted] = ids.emplace(std::make_pair(p, q), kNoState);
-    if (inserted) {
-      budget_charge(budget);
-      it->second = result.structure.add_state(false);
-      worklist.emplace_back(p, q);
-      states.emplace_back(p, q);
-    }
-    return it->second;
-  };
-
-  for (const State p : a.initial()) {
-    for (const State q : b.initial()) {
-      result.structure.set_initial(intern(p, q));
-    }
-  }
-  while (!worklist.empty()) {
-    const auto [p, q] = worklist.back();
-    worklist.pop_back();
-    const State from = ids.at({p, q});
-    for (const auto& ta : a.out(p)) {
-      for (const auto& tb : b.out(q)) {
-        if (ta.symbol != tb.symbol) continue;
-        result.structure.add_transition(from, ta.symbol,
-                                        intern(ta.target, tb.target));
-      }
-    }
-  }
-
-  const std::size_t n = result.structure.num_states();
-  DynBitset fa(n);
-  DynBitset fb(n);
-  for (State s = 0; s < n; ++s) {
-    if (a.is_accepting(states[s].first)) fa.set(s);
-    if (b.is_accepting(states[s].second)) fb.set(s);
+  DynBitset fa(product.size());
+  DynBitset fb(product.size());
+  for (State s = 0; s < product.size(); ++s) {
+    if (a.is_accepting(product.left(s))) fa.set(s);
+    if (b.is_accepting(product.right(s))) fb.set(s);
   }
   result.sets.push_back(std::move(fa));
   result.sets.push_back(std::move(fb));

@@ -1,10 +1,10 @@
 #pragma once
 
-// Büchi intersection. L_ω ∩ P — the right-hand side of the Lemma 4.3
-// characterization — is computed as a generalized-Büchi product (one
-// acceptance set per operand) followed by degeneralization. The reachable
-// part only is constructed. Each product state (and each degeneralization
-// level copy) is charged to the optional Budget under Stage::kProduct.
+// Büchi intersection. L_ω ∩ P is computed as a generalized-Büchi product
+// (one acceptance set per operand) over the reachable pair product
+// (pair_product, rlv/lang/ops.hpp), followed by degeneralization. Each
+// product state (and each degeneralization level copy) is charged to the
+// optional Budget under Stage::kProduct.
 //
 // OnTheFlyProduct is the lazy counterpart: an n-ary degeneralized product
 // whose states are interned and whose successors are expanded only when an

@@ -1,35 +1,15 @@
 #pragma once
 
-// Small hashing helpers: combine, and hashers for pairs / integer vectors,
-// used as keys in the many memoizing constructions (subset construction,
-// product automata, tableau states).
+// hash_combine: folds one value into a running hash. The interned keys of
+// the explicit-state kernels (product pairs and tuples, cache keys) hash
+// their fields through it.
 
 #include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <utility>
-#include <vector>
 
 namespace rlv {
 
 inline std::size_t hash_combine(std::size_t seed, std::size_t value) {
   return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
-
-struct PairHash {
-  template <typename A, typename B>
-  std::size_t operator()(const std::pair<A, B>& p) const {
-    return hash_combine(std::hash<A>{}(p.first), std::hash<B>{}(p.second));
-  }
-};
-
-struct VecHash {
-  template <typename T>
-  std::size_t operator()(const std::vector<T>& v) const {
-    std::size_t h = v.size();
-    for (const auto& x : v) h = hash_combine(h, std::hash<T>{}(x));
-    return h;
-  }
-};
 
 }  // namespace rlv

@@ -226,8 +226,7 @@ TEST(Budget, RelativeLivenessFormulaFlavorUnaffectedByGenerousBudget) {
 
     const RelativeLivenessResult plain = relative_liveness(system, f, lambda);
     const RelativeLivenessResult budgeted =
-        relative_liveness(system, f, lambda, InclusionAlgorithm::kAntichain,
-                          &generous);
+        relative_liveness(system, f, lambda, &generous);
     ASSERT_FALSE(plain.exhausted.has_value());
     ASSERT_FALSE(budgeted.exhausted.has_value());
     EXPECT_EQ(plain.holds, budgeted.holds) << "round " << round;

@@ -16,6 +16,7 @@
 #include "rlv/engine/record.hpp"
 #include "rlv/gen/random.hpp"
 #include "rlv/io/format.hpp"
+#include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/ltl/eval.hpp"
 #include "rlv/ltl/parser.hpp"
@@ -235,15 +236,17 @@ TEST_P(RlWitness, AntichainAndSubsetWitnessesCertify) {
     const Labeling lambda = Labeling::canonical(sigma);
     const Buchi behaviors = limit_of_prefix_closed(system);
 
-    const auto antichain = relative_liveness(behaviors, f, lambda,
-                                             InclusionAlgorithm::kAntichain);
-    const auto subset =
-        relative_liveness(behaviors, f, lambda, InclusionAlgorithm::kSubset);
+    const Buchi property = translate_ltl(f, lambda);
+    const Nfa pre_sys = prefix_nfa(behaviors);
+    const RelativeLivenessResult antichain =
+        relative_liveness(behaviors, f, lambda);
+    const InclusionResult inc =
+        check_inclusion(pre_sys, prefix_of_intersection(behaviors, property),
+                        InclusionAlgorithm::kSubset);
+    const RelativeLivenessResult subset{inc.included, inc.counterexample, {}};
     ASSERT_EQ(antichain.holds, subset.holds) << f.to_string();
     if (antichain.holds) continue;
     ++negatives;
-    const Buchi property = translate_ltl(f, lambda);
-    const Nfa pre_sys = prefix_nfa(behaviors);
     const Nfa pre_both = prefix_nfa(intersect_buchi(behaviors, property));
     for (const auto* res : {&antichain, &subset}) {
       ASSERT_TRUE(res->violating_prefix.has_value());

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "rlv/cert/certificate.hpp"
 #include "rlv/gen/random.hpp"
 #include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/ops.hpp"
@@ -591,7 +592,33 @@ void expect_trim_and_live(const Nfa& out) {
             out.num_states());
 }
 
-TEST(PrefixOfIntersection, MatchesDegeneralizedChainOnRandomPairs) {
+/// pre(L_ω(a) ∩ L_ω(b)) from the certificate layer's naive explicit
+/// product, which shares no code with pair_product: its live states (all
+/// reachable by construction), every one accepting.
+Nfa explicit_prefix_of_intersection(const Buchi& a, const Buchi& b) {
+  const cert::GenProduct product = cert::explicit_product({&a, &b});
+  const DynBitset live = cert::gen_live(product);
+  const Nfa& structure = product.structure;
+  Nfa result(a.alphabet());
+  std::vector<State> remap(structure.num_states(), kNoState);
+  for (State s = 0; s < structure.num_states(); ++s) {
+    if (live.test(s)) remap[s] = result.add_state(true);
+  }
+  for (const State s : structure.initial()) {
+    if (live.test(s)) result.set_initial(remap[s]);
+  }
+  for (State s = 0; s < structure.num_states(); ++s) {
+    if (!live.test(s)) continue;
+    for (const Transition& t : structure.out(s)) {
+      if (live.test(t.target)) {
+        result.add_transition(remap[s], t.symbol, remap[t.target]);
+      }
+    }
+  }
+  return result;
+}
+
+TEST(PrefixOfIntersection, MatchesExplicitProductOnRandomPairs) {
   Rng rng(2024);
   std::size_t neither_all_accepting = 0;
   std::size_t several_initial = 0;
@@ -606,7 +633,7 @@ TEST(PrefixOfIntersection, MatchesDegeneralizedChainOnRandomPairs) {
       b.set_initial(static_cast<State>(rng.next_below(b.num_states())));
     }
     const Nfa out = prefix_of_intersection(a, b);
-    const Nfa reference = prefix_nfa(intersect_buchi(a, b));
+    const Nfa reference = explicit_prefix_of_intersection(a, b);
     ASSERT_TRUE(nfa_equivalent(out, reference))
         << "instance " << i << "\n" << a.to_string() << b.to_string();
     expect_trim_and_live(out);
@@ -625,6 +652,46 @@ TEST(PrefixOfIntersection, MatchesDegeneralizedChainOnRandomPairs) {
   EXPECT_GT(several_initial, 50u);
   EXPECT_GT(empty_intersection, 50u);
   EXPECT_GT(self_loop_singletons, 50u);
+}
+
+TEST(PairProduct, ReachablePairsMatchExplicitProductAndEdgesProject) {
+  Rng rng(4242);
+  for (int i = 0; i < 300; ++i) {
+    const AlphabetRef sigma = random_alphabet(2 + rng.next_below(2));
+    Buchi a = random_buchi(rng, 1 + rng.next_below(5), sigma);
+    Buchi b = random_buchi(rng, 1 + rng.next_below(5), sigma);
+    if (rng.chance(1, 3)) {
+      a.set_initial(static_cast<State>(rng.next_below(a.num_states())));
+      b.set_initial(static_cast<State>(rng.next_below(b.num_states())));
+    }
+    const PairProduct p = pair_product(a.structure(), b.structure());
+    // Every builder on top of it keeps the reachable pairs, no more.
+    const std::size_t reachable =
+        cert::explicit_product({&a, &b}).structure.num_states();
+    ASSERT_EQ(p.size(), reachable) << "instance " << i;
+    EXPECT_EQ(intersect(a.structure(), b.structure()).num_states(), reachable);
+    EXPECT_EQ(product_gen(a, b).structure.num_states(), reachable);
+
+    // to_nfa keeps the edge order (the fair product's Streett edge ids are
+    // the builder's), and each edge projects onto its left_edge.
+    const Nfa nfa = p.to_nfa(sigma, true);
+    ASSERT_EQ(nfa.num_transitions(), p.edges.size());
+    for (State s = 0; s < p.size(); ++s) {
+      const std::span<const Transition> out = nfa.out(s);
+      ASSERT_EQ(out.size(), p.edge_off[s + 1] - p.edge_off[s]);
+      const State left = p.left(s);
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        const std::uint32_t e = p.edge_off[s] + static_cast<std::uint32_t>(k);
+        EXPECT_EQ(out[k], p.edges[e]);
+        const std::uint32_t first = a.structure().first_edge(left);
+        ASSERT_GE(p.left_edge[e], first);
+        ASSERT_LT(p.left_edge[e], a.structure().first_edge(left + 1));
+        const Transition& ta = a.out(left)[p.left_edge[e] - first];
+        EXPECT_EQ(ta.symbol, p.edges[e].symbol);
+        EXPECT_EQ(ta.target, p.left(p.edges[e].target));
+      }
+    }
+  }
 }
 
 TEST(PrefixOfIntersection, SccMeetingOneAcceptanceSetIsDead) {

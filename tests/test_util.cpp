@@ -166,11 +166,10 @@ TEST(Rng, RoughUniformity) {
 }
 
 TEST(Hash, CombineSpreadsPairs) {
-  PairHash h;
   std::set<std::size_t> values;
-  for (int a = 0; a < 30; ++a) {
-    for (int b = 0; b < 30; ++b) {
-      values.insert(h(std::make_pair(a, b)));
+  for (std::size_t a = 0; a < 30; ++a) {
+    for (std::size_t b = 0; b < 30; ++b) {
+      values.insert(hash_combine(hash_combine(0, a), b));
     }
   }
   EXPECT_EQ(values.size(), 900u);  // no collisions on this tiny grid

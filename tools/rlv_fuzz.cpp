@@ -61,11 +61,13 @@
 #include "rlv/hom/image.hpp"
 #include "rlv/hom/simplicity.hpp"
 #include "rlv/io/format.hpp"
+#include "rlv/lang/inclusion.hpp"
 #include "rlv/ltl/eval.hpp"
 #include "rlv/ltl/pnf.hpp"
 #include "rlv/ltl/translate.hpp"
 #include "rlv/omega/lasso.hpp"
 #include "rlv/omega/limit.hpp"
+#include "rlv/omega/live.hpp"
 #include "rlv/petri/format.hpp"
 #include "rlv/petri/reachability.hpp"
 #include "rlv/petri/scenario.hpp"
@@ -185,14 +187,16 @@ std::string differential(const Buchi& system, Formula f,
   }
   // Theorem 4.7: satisfaction ⟺ relative liveness ∧ relative safety.
   if (sat != (rl && rs)) return "Thm 4.7 identity violated: sat != (rl && rs)";
-  const RelativeLivenessResult subset =
-      relative_liveness(system, f, lambda, InclusionAlgorithm::kSubset);
-  if (subset.holds != rl) {
+  const InclusionResult subset = check_inclusion(
+      operands.prefixes(),
+      prefix_of_intersection(system, operands.property()),
+      InclusionAlgorithm::kSubset);
+  if (subset.included != rl) {
     return disagreement(CheckKind::kRelativeLiveness, "antichain", rl,
-                        "subset", subset.holds);
+                        "subset", subset.included);
   }
   return certify(CheckKind::kRelativeLiveness,
-                 {subset.holds, subset.violating_prefix, std::nullopt});
+                 {subset.included, subset.counterexample, std::nullopt});
 }
 
 /// The engine leg: the instance as query text, every check kind run twice
