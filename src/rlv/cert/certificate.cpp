@@ -67,12 +67,13 @@ DynBitset can_reach(const Nfa& structure, const DynBitset& targets) {
   return reached;
 }
 
-std::vector<std::vector<std::uint32_t>> adjacency(const Nfa& structure) {
-  std::vector<std::vector<std::uint32_t>> succ(structure.num_states());
-  for (State s = 0; s < structure.num_states(); ++s) {
-    for (const Transition& t : structure.out(s)) succ[s].push_back(t.target);
-  }
-  return succ;
+/// The SCCs of `structure`'s graph, read from its CSR edges.
+SccResult sccs(const Nfa& structure) {
+  const std::span<const Transition> edges = structure.edges();
+  return tarjan_scc(
+      static_cast<std::uint32_t>(structure.num_states()),
+      [&](State s) { return structure.first_edge(s); },
+      [&](std::uint32_t e) { return edges[e].target; });
 }
 
 /// Checks that every finite prefix of u·v^ω lies in pre(L_ω(system) ∩ P),
@@ -207,7 +208,7 @@ GenProduct explicit_product(const std::vector<const Buchi*>& operands,
 
 DynBitset buchi_live(const Buchi& a) {
   const std::size_t n = a.num_states();
-  const SccResult scc = tarjan_scc(adjacency(a.structure()));
+  const SccResult scc = sccs(a.structure());
   std::vector<bool> accepting_component(scc.count, false);
   for (State s = 0; s < n; ++s) {
     if (a.is_accepting(s) && scc.nontrivial[scc.component[s]]) {
@@ -224,7 +225,7 @@ DynBitset buchi_live(const Buchi& a) {
 DynBitset gen_live(const GenProduct& p) {
   const std::size_t n = p.structure.num_states();
   const std::size_t k = p.sets.size();
-  const SccResult scc = tarjan_scc(adjacency(p.structure));
+  const SccResult scc = sccs(p.structure);
   // A component accepts when it is nontrivial and intersects every set.
   std::vector<std::vector<bool>> covers(
       k, std::vector<bool>(scc.count, false));

@@ -1,5 +1,6 @@
 #include "rlv/core/preservation.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 #include <vector>
@@ -46,23 +47,19 @@ bool has_maximal_words(const Nfa& nfa) {
 
 bool hides_divergence(const Nfa& system, const Homomorphism& h) {
   const Nfa trimmed = trim(system);
-  // Hidden-only successor graph; any cycle in it (non-trivial SCC or
-  // hidden self-loop) witnesses an infinite all-ε continuation.
-  std::vector<std::vector<std::uint32_t>> succ(trimmed.num_states());
-  const std::size_t sigma = trimmed.alphabet()->size();
-  for (State s = 0; s < trimmed.num_states(); ++s) {
-    for (Symbol a = 0; a < sigma; ++a) {
-      if (!h.hides(a)) continue;
-      for (const State t : trimmed.successors(s, a)) {
-        succ[s].push_back(t);
-      }
-    }
+  // Hidden-only subgraph; any cycle in it (non-trivial SCC or hidden
+  // self-loop) witnesses an infinite all-ε continuation.
+  const std::span<const Transition> edges = trimmed.edges();
+  DynBitset hidden(edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (h.hides(edges[e].symbol)) hidden.set(e);
   }
-  const SccResult scc = tarjan_scc(succ);
-  for (std::uint32_t c = 0; c < scc.count; ++c) {
-    if (scc.nontrivial[c]) return true;
-  }
-  return false;
+  const SccResult scc = tarjan_scc(
+      static_cast<std::uint32_t>(trimmed.num_states()),
+      [&](State s) { return trimmed.first_edge(s); },
+      [&](std::uint32_t e) { return edges[e].target; }, &hidden);
+  return std::find(scc.nontrivial.begin(), scc.nontrivial.end(), true) !=
+         scc.nontrivial.end();
 }
 
 bool abstract_relative_liveness(const Nfa& system, const Homomorphism& h,

@@ -1,6 +1,5 @@
 #include "rlv/fair/fair_check.hpp"
 
-#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -13,9 +12,10 @@ namespace rlv {
 namespace {
 
 /// The system × ¬P pair product, built under Stage::kProduct, with its
-/// StreettAutomaton. Both number a pair's edges in out() order, so Streett
-/// edge e is product edge e: it projects to system edge left_edge[e], and
-/// its ¬P component enters right(edges[e].target).
+/// StreettAutomaton. The automaton takes the product's edge table (its
+/// initial, edge_off and edges arrays are moved out), so Streett edge e is
+/// product edge e: it projects to system edge pairs.left_edge[e], and its ¬P
+/// component enters pairs.right(streett.edge(e).target).
 struct Product {
   PairProduct pairs;
   StreettAutomaton streett;
@@ -26,10 +26,9 @@ Product build_product(const Buchi& system, const Buchi& negated,
   StageScope scope(budget, Stage::kProduct);
   PairProduct pairs =
       pair_product(system.structure(), negated.structure(), budget);
-  Nfa structure = pairs.to_nfa(system.alphabet(), true);
-  Product product{std::move(pairs), StreettAutomaton(std::move(structure))};
-  assert(product.streett.num_edges() == product.pairs.edges.size());
-  return product;
+  StreettAutomaton streett(system.alphabet(), std::move(pairs.initial),
+                           std::move(pairs.edge_off), std::move(pairs.edges));
+  return {std::move(pairs), std::move(streett)};
 }
 
 }  // namespace
@@ -73,7 +72,8 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
         taken_list.push_back(system_edge);
       }
       accepting = accepting ||
-                  negated.is_accepting(pairs.right(pairs.edges[pe].target));
+                  negated.is_accepting(pairs.right(
+                      streett.edge(static_cast<EdgeId>(pe)).target));
     });
     const auto starved = [&](State s) {
       for (std::uint32_t e = sys.first_edge(s); e < sys.first_edge(s + 1);
@@ -152,9 +152,11 @@ FairCheckResult check_process_fair_satisfaction(
     }
   }
 
+  // A pair with an empty goal still counts: where ¬P never lets an enabled
+  // process act, the fair runs are those that leave it enabled finitely
+  // often. Only a pair whose process is never enabled is vacuous.
   for (std::size_t g = 0; g < k; ++g) {
     StreettPair pair{streett.edge_set(), streett.edge_set()};
-    bool any = false;
     for (EdgeId pe = 0; pe < streett.num_edges(); ++pe) {
       const State src = streett.edge_source(pe);
       if (sys_state_enables[g][pairs.left(src)]) {
@@ -162,10 +164,9 @@ FairCheckResult check_process_fair_satisfaction(
       }
       if (sys_edge_in_group[g][pairs.left_edge[pe]]) {
         pair.goal.set(pe);
-        any = true;
       }
     }
-    if (any) streett.add_pair(std::move(pair));
+    if (pair.antecedent.any()) streett.add_pair(std::move(pair));
   }
 
   // Büchi acceptance of ¬P as a Streett pair.
@@ -174,7 +175,7 @@ FairCheckResult check_process_fair_satisfaction(
     DynBitset acc = streett.edge_set();
     for (EdgeId pe = 0; pe < streett.num_edges(); ++pe) {
       all.set(pe);
-      if (negated.is_accepting(pairs.right(pairs.edges[pe].target))) {
+      if (negated.is_accepting(pairs.right(streett.edge(pe).target))) {
         acc.set(pe);
       }
     }

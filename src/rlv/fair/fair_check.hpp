@@ -5,9 +5,9 @@
 // searching for a fair run of the system that is accepted by the automaton
 // of ¬f — a Streett emptiness problem (fairness pairs lifted through the
 // product, plus one Streett pair encoding the Büchi acceptance of ¬f). The
-// product is pair_product(system, ¬f) (rlv/lang/ops.hpp), whose flat edge
-// ids are the Streett automaton's: each product edge names the system edge
-// it projects to.
+// product is pair_product(system, ¬f) (rlv/lang/ops.hpp), and the Streett
+// automaton takes its edge table as it stands: a Streett edge id is the
+// product's edge index, which names the system edge it projects to.
 //
 // This is the validation oracle for Theorem 5.1: the synthesized
 // implementation must pass check_fair_satisfaction for the property it was
@@ -50,6 +50,10 @@ struct FairCheckResult {
 /// Process-fairness flavor: does every strongly process-fair run satisfy f?
 /// Processes are given as action-name prefixes (see group_edges_by_prefix);
 /// actions matching no prefix belong to no process and are unconstrained.
+/// Each process enabled somewhere in the product gets its pair, also when ¬f
+/// never lets it act: a run that leaves such a process enabled infinitely
+/// often is not fair. With one prefix per action and no name a prefix of
+/// another, this is strong transition fairness.
 [[nodiscard]] FairCheckResult check_process_fair_satisfaction(
     const Buchi& system, Formula f, const Labeling& lambda,
     const std::vector<std::string>& process_prefixes);

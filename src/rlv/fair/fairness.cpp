@@ -6,11 +6,10 @@ namespace rlv {
 
 void add_process_fairness_pairs(StreettAutomaton& automaton,
                                 const std::vector<DynBitset>& process_edges) {
-  const Nfa& nfa = automaton.structure();
   for (const DynBitset& group : process_edges) {
     if (group.none()) continue;
     // States where the process has an outgoing edge.
-    DynBitset active_states(nfa.num_states());
+    DynBitset active_states(automaton.num_states());
     group.for_each([&](std::size_t e) {
       active_states.set(automaton.edge_source(static_cast<EdgeId>(e)));
     });
@@ -28,10 +27,10 @@ void add_process_fairness_pairs(StreettAutomaton& automaton,
 std::vector<DynBitset> group_edges_by_prefix(
     const StreettAutomaton& automaton,
     const std::vector<std::string>& prefixes) {
-  const Nfa& nfa = automaton.structure();
   std::vector<DynBitset> groups(prefixes.size(), automaton.edge_set());
   for (EdgeId e = 0; e < automaton.num_edges(); ++e) {
-    const std::string& action = nfa.alphabet()->name(automaton.edge(e).symbol);
+    const std::string& action =
+        automaton.alphabet()->name(automaton.edge(e).symbol);
     for (std::size_t k = 0; k < prefixes.size(); ++k) {
       if (action.starts_with(prefixes[k])) groups[k].set(e);
     }
@@ -40,12 +39,10 @@ std::vector<DynBitset> group_edges_by_prefix(
 }
 
 void add_fairness_pairs(StreettAutomaton& automaton, FairnessKind kind) {
-  const Nfa& nfa = automaton.structure();
-
   DynBitset all_edges = automaton.edge_set();
   for (EdgeId e = 0; e < automaton.num_edges(); ++e) all_edges.set(e);
 
-  for (State s = 0; s < nfa.num_states(); ++s) {
+  for (State s = 0; s < automaton.num_states(); ++s) {
     const EdgeId begin = automaton.first_edge(s);
     const EdgeId end = automaton.first_edge(s + 1);
     if (begin == end) continue;
@@ -72,19 +69,11 @@ void add_fairness_pairs(StreettAutomaton& automaton, FairnessKind kind) {
   }
 }
 
-void add_strong_fairness_pairs(StreettAutomaton& automaton) {
-  add_fairness_pairs(automaton, FairnessKind::kStrongTransition);
-}
-
 StreettAutomaton make_fairness_streett(const Nfa& structure,
                                        FairnessKind kind) {
   StreettAutomaton automaton(structure);
   add_fairness_pairs(automaton, kind);
   return automaton;
-}
-
-StreettAutomaton strong_fairness_streett(const Nfa& structure) {
-  return make_fairness_streett(structure, FairnessKind::kStrongTransition);
 }
 
 }  // namespace rlv

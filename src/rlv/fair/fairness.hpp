@@ -39,13 +39,9 @@ enum class FairnessKind {
 [[nodiscard]] StreettAutomaton make_fairness_streett(
     const Nfa& structure, FairnessKind kind = FairnessKind::kStrongTransition);
 
-/// Back-compat name for the strong notion.
-[[nodiscard]] StreettAutomaton strong_fairness_streett(const Nfa& structure);
-
 /// Adds the fairness pairs for the automaton's own structure to an existing
 /// Streett automaton.
 void add_fairness_pairs(StreettAutomaton& automaton, FairnessKind kind);
-void add_strong_fairness_pairs(StreettAutomaton& automaton);
 
 /// Strong *process* fairness: edges are partitioned (or grouped) into
 /// processes; a process that is enabled infinitely often — the run visits

@@ -109,6 +109,13 @@ class Nfa {
     return sym_off_[static_cast<std::size_t>(s) * sigma_->size()];
   }
 
+  /// Every out-edge in first_edge numbering: edge e is edges()[e]. The span
+  /// is invalidated by any later mutation of the automaton.
+  [[nodiscard]] std::span<const Transition> edges() const {
+    ensure_index();
+    return csr_;
+  }
+
   /// Builds the CSR transition index now (idempotent). Kernels call this on
   /// the coordinating thread before fanning out workers so the lazy build
   /// never runs inside a hot loop.

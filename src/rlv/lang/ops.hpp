@@ -35,9 +35,10 @@ namespace rlv {
 /// prefix_of_intersection and the fair product. Pairs (p, q) are interned to
 /// dense ids in discovery order and expanded in id order; each of a's
 /// per-symbol edge groups is joined with b's block for the same symbol, so a
-/// pair's out-edges come out grouped by symbol, in the order of Nfa::out and
-/// of StreettAutomaton's flat edge ids. Each pair charges one state to
-/// `budget` under the caller's stage.
+/// pair's out-edges come out grouped by symbol, in the order of Nfa::out.
+/// The fair checks move initial, edge_off and edges into a StreettAutomaton,
+/// whose edge ids are then these edge indices. Each pair charges one state
+/// to `budget` under the caller's stage.
 struct PairProduct {
   /// Pair s is (left(s), right(s)) = (pairs[2s], pairs[2s+1]).
   std::vector<State> pairs;

@@ -212,19 +212,16 @@ bool product_empty(const std::vector<const Buchi*>& operands, Budget* budget) {
 std::optional<Lasso> find_accepting_lasso(const Buchi& a, Budget* budget) {
   StageScope scope(budget, Stage::kEmptiness);
   const std::size_t n = a.num_states();
-  const DynBitset live = live_states(a);
+  const Nfa& nfa = a.structure();
+  const std::span<const Transition> edges = nfa.edges();
+  const SccResult scc = tarjan_scc(
+      static_cast<std::uint32_t>(n), [&](State s) { return nfa.first_edge(s); },
+      [&](std::uint32_t e) { return edges[e].target; });
 
-  // Recompute accepting SCCs to aim the prefix at an accepting state inside
-  // a non-trivial SCC.
-  std::vector<std::vector<std::uint32_t>> succ(n);
-  for (State s = 0; s < n; ++s) {
-    for (const auto& t : a.out(s)) succ[s].push_back(t.target);
-  }
-  const SccResult scc = tarjan_scc(succ);
-
+  // An anchor is an accepting state inside a non-trivial SCC: a cycle
+  // through it exists, so it is live.
   auto is_anchor = [&](State s) {
-    return a.is_accepting(s) && scc.nontrivial[scc.component[s]] &&
-           live.test(s);
+    return a.is_accepting(s) && scc.nontrivial[scc.component[s]];
   };
 
   // BFS from initial states to the nearest anchor, recording parent edges.

@@ -7,6 +7,64 @@
 
 namespace rlv {
 
+namespace {
+
+/// The v-step relation of a lasso check in CSR form: the edges of p are
+/// edges[off[p] .. off[p + 1]), each tagged with the acceptance sets some
+/// run of v along it visits (a bit mask).
+struct Relation {
+  struct Edge {
+    State target;
+    std::uint32_t mask;
+  };
+  std::vector<std::uint32_t> off{0};
+  std::vector<Edge> edges;
+};
+
+/// True when some SCC of `rel` reachable from `from` is non-trivial and the
+/// masks of its internal edges cover `full`: v^ω then has a run from `from`
+/// that visits every set infinitely often.
+bool reaches_covering_scc(const Relation& rel, const DynBitset& from,
+                          std::uint32_t full) {
+  const auto n = static_cast<std::uint32_t>(rel.off.size() - 1);
+  std::vector<bool> accepting_scc;
+  const SccResult scc = tarjan_scc(
+      n, [&](State p) { return rel.off[p]; },
+      [&](std::uint32_t e) { return rel.edges[e].target; }, nullptr,
+      [&](std::uint32_t id, std::span<const State> members,
+          const SccResult& partial) {
+        std::uint32_t covered = 0;
+        for (const State p : members) {
+          for (std::uint32_t e = rel.off[p]; e < rel.off[p + 1]; ++e) {
+            if (partial.component[rel.edges[e].target] == id) {
+              covered |= rel.edges[e].mask;
+            }
+          }
+        }
+        accepting_scc.push_back(partial.nontrivial[id] &&
+                                (covered & full) == full);
+      });
+
+  DynBitset reach = from;
+  std::vector<State> work;
+  from.for_each([&](std::size_t s) { work.push_back(static_cast<State>(s)); });
+  while (!work.empty()) {
+    const State s = work.back();
+    work.pop_back();
+    if (accepting_scc[scc.component[s]]) return true;
+    for (std::uint32_t e = rel.off[s]; e < rel.off[s + 1]; ++e) {
+      const State t = rel.edges[e].target;
+      if (!reach.test(t)) {
+        reach.set(t);
+        work.push_back(t);
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 bool accepts_lasso(const Buchi& a, const Word& u, const Word& v) {
   if (v.empty()) {
     // An assert would vanish under NDEBUG and silently answer membership of
@@ -25,12 +83,8 @@ bool accepts_lasso(const Buchi& a, const Word& u, const Word& v) {
   // visiting p at the loop point happens infinitely often too).
   //
   // Computed by per-source BFS over (automaton state, position in v) with a
-  // "seen accepting" bit.
-  struct Edge {
-    State target;
-    bool accepting;
-  };
-  std::vector<std::vector<Edge>> rel(n);
+  // "seen accepting" bit; the flag is the edge's one-set mask.
+  Relation rel;
   const std::size_t m = v.size();
   const DynBitset acc_mask = a.structure().accepting_set();
   for (State p = 0; p < n; ++p) {
@@ -55,49 +109,17 @@ bool accepts_lasso(const Buchi& a, const Word& u, const Word& v) {
       cur1 = std::move(next1);
     }
     cur0.for_each([&](std::size_t q) {
-      rel[p].push_back({static_cast<State>(q), false});
+      rel.edges.push_back({static_cast<State>(q), 0});
     });
     cur1.for_each([&](std::size_t q) {
-      rel[p].push_back({static_cast<State>(q), true});
+      rel.edges.push_back({static_cast<State>(q), 1});
     });
+    rel.off.push_back(static_cast<std::uint32_t>(rel.edges.size()));
   }
 
-  // Find an SCC of the v-relation graph, reachable from `after_u`, that
-  // contains an internal accepting-flagged edge.
-  std::vector<std::vector<std::uint32_t>> succ(n);
-  for (State p = 0; p < n; ++p) {
-    for (const Edge& e : rel[p]) succ[p].push_back(e.target);
-  }
-  const SccResult scc = tarjan_scc(succ);
-
-  std::vector<bool> scc_has_acc_edge(scc.count, false);
-  for (State p = 0; p < n; ++p) {
-    for (const Edge& e : rel[p]) {
-      if (e.accepting && scc.component[p] == scc.component[e.target]) {
-        scc_has_acc_edge[scc.component[p]] = true;
-      }
-    }
-  }
-
-  // Forward reachability from after_u over the v-relation.
-  DynBitset reach(n);
-  std::vector<State> work;
-  after_u.for_each([&](std::size_t s) {
-    reach.set(s);
-    work.push_back(static_cast<State>(s));
-  });
-  while (!work.empty()) {
-    const State s = work.back();
-    work.pop_back();
-    if (scc_has_acc_edge[scc.component[s]]) return true;
-    for (const std::uint32_t t : succ[s]) {
-      if (!reach.test(t)) {
-        reach.set(t);
-        work.push_back(t);
-      }
-    }
-  }
-  return false;
+  // An SCC of the v-relation graph, reachable from `after_u`, with an
+  // internal accepting-flagged edge.
+  return reaches_covering_scc(rel, after_u, 1);
 }
 
 bool accepts_lasso_gen(const GenBuchi& a, const Word& u, const Word& v) {
@@ -128,11 +150,7 @@ bool accepts_lasso_gen(const GenBuchi& a, const Word& u, const Word& v) {
   };
 
   // v-step relation with visited-sets mask.
-  struct Edge {
-    State target;
-    std::uint32_t mask;
-  };
-  std::vector<std::vector<Edge>> rel(n);
+  Relation rel;
   const std::size_t m = v.size();
   for (State p = 0; p < n; ++p) {
     // Layered BFS over (state, mask).
@@ -158,47 +176,14 @@ bool accepts_lasso_gen(const GenBuchi& a, const Word& u, const Word& v) {
       cur = std::move(next);
     }
     for (State q = 0; q < n; ++q) {
-      for (const std::uint32_t mask : cur[q]) rel[p].push_back({q, mask});
+      for (const std::uint32_t mask : cur[q]) rel.edges.push_back({q, mask});
     }
+    rel.off.push_back(static_cast<std::uint32_t>(rel.edges.size()));
   }
 
-  // SCCs of the relation graph; an SCC accepts when the union of its
-  // internal edge masks covers every set.
-  std::vector<std::vector<std::uint32_t>> succ(n);
-  for (State p = 0; p < n; ++p) {
-    for (const Edge& e : rel[p]) succ[p].push_back(e.target);
-  }
-  const SccResult scc = tarjan_scc(succ);
-  std::vector<std::uint32_t> covered(scc.count, 0);
-  std::vector<bool> has_internal(scc.count, false);
-  for (State p = 0; p < n; ++p) {
-    for (const Edge& e : rel[p]) {
-      if (scc.component[p] == scc.component[e.target]) {
-        covered[scc.component[p]] |= e.mask;
-        has_internal[scc.component[p]] = true;
-      }
-    }
-  }
-
-  DynBitset reach(n);
-  std::vector<State> work;
-  after_u.for_each([&](std::size_t s) {
-    reach.set(s);
-    work.push_back(static_cast<State>(s));
-  });
-  while (!work.empty()) {
-    const State s = work.back();
-    work.pop_back();
-    const std::uint32_t c = scc.component[s];
-    if (has_internal[c] && (covered[c] & full) == full) return true;
-    for (const std::uint32_t t : succ[s]) {
-      if (!reach.test(t)) {
-        reach.set(t);
-        work.push_back(static_cast<State>(t));
-      }
-    }
-  }
-  return false;
+  // An SCC accepts when it is non-trivial and the union of its internal
+  // edge masks covers every set.
+  return reaches_covering_scc(rel, after_u, full);
 }
 
 }  // namespace rlv

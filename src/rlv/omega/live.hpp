@@ -16,7 +16,10 @@
 
 namespace rlv {
 
-/// States from which an accepting run exists (regardless of reachability).
+/// States from which an accepting run exists (regardless of reachability):
+/// one tarjan_scc pass (rlv/util/scc.hpp) over the automaton's CSR edges, in
+/// which an SCC is live when it has an internal edge and an accepting state,
+/// or an edge into a live SCC.
 [[nodiscard]] DynBitset live_states(const Buchi& a);
 
 /// Removes states that are unreachable or not live. The ω-language is
@@ -30,10 +33,11 @@ namespace rlv {
 /// prefix_nfa(intersect_buchi(a, b)) but built in one pass:
 ///   * product (Stage::kProduct): pair_product of the two structures, one
 ///     state charged per reachable pair;
-///   * liveness (Stage::kPreTrim): one iterative Tarjan pass. An SCC is live
-///     when it has an internal edge and meets both acceptance sets, or has
-///     an edge into a live SCC; Tarjan closes SCCs in reverse topological
-///     order, so the second clause is already decided when it is read.
+///   * liveness (Stage::kPreTrim): one tarjan_scc pass over the product's
+///     edges as they stand. An SCC is live when it has an internal edge and
+///     meets both acceptance sets, or has an edge into a live SCC; Tarjan
+///     closes SCCs in reverse topological order, so the second clause is
+///     already decided when it is read.
 /// The result holds the live pairs only, every one accepting and reachable
 /// (no degeneralization levels: the level copies of a pair share its prefix
 /// language). It is therefore trim and live, so

@@ -10,6 +10,12 @@
 // often" — is one Streett pair per transition (E = all edges leaving the
 // transition's source, F = the transition itself), see rlv/fair/fairness.hpp
 // and the validation of Theorem 5.1.
+//
+// The automaton is one flat edge table in CSR form: the edges of state s are
+// ids first_edge(s) .. first_edge(s + 1). The fair checks move a
+// pair_product's table in (rlv/lang/ops.hpp), so a Streett edge id is the
+// product's edge index; the SCC search runs the shared tarjan_scc
+// (rlv/util/scc.hpp) over that table, restricted by an alive-edge bitset.
 
 #include <cstdint>
 #include <functional>
@@ -33,19 +39,26 @@ struct StreettPair {
 
 class StreettAutomaton {
  public:
-  explicit StreettAutomaton(Nfa structure);
+  /// Takes a flat edge table over `sigma`: the edges of state s are
+  /// edges[edge_off[s] .. edge_off[s + 1]), and edge_off has one entry per
+  /// state plus one.
+  StreettAutomaton(AlphabetRef sigma, std::vector<State> initial,
+                   std::vector<EdgeId> edge_off, std::vector<Transition> edges);
 
-  [[nodiscard]] const Nfa& structure() const { return structure_; }
-  [[nodiscard]] std::size_t num_edges() const { return edge_source_.size(); }
+  /// Copies `structure`'s edges; edge ids are its Nfa::first_edge ids.
+  explicit StreettAutomaton(const Nfa& structure);
+
+  [[nodiscard]] const AlphabetRef& alphabet() const { return sigma_; }
+  [[nodiscard]] const std::vector<State>& initial() const { return initial_; }
+  [[nodiscard]] std::size_t num_states() const { return edge_off_.size() - 1; }
+  [[nodiscard]] std::size_t num_edges() const { return edges_.size(); }
 
   /// Source state / transition of an edge id.
   [[nodiscard]] State edge_source(EdgeId e) const { return edge_source_[e]; }
-  [[nodiscard]] const Transition& edge(EdgeId e) const {
-    return structure_.out(edge_source_[e])[edge_index_[e]];
-  }
+  [[nodiscard]] const Transition& edge(EdgeId e) const { return edges_[e]; }
 
   /// First edge id of state `s`; edges of `s` are contiguous.
-  [[nodiscard]] EdgeId first_edge(State s) const { return edge_offset_[s]; }
+  [[nodiscard]] EdgeId first_edge(State s) const { return edge_off_[s]; }
 
   void add_pair(StreettPair pair) { pairs_.push_back(std::move(pair)); }
   [[nodiscard]] const std::vector<StreettPair>& pairs() const { return pairs_; }
@@ -54,21 +67,18 @@ class StreettAutomaton {
   [[nodiscard]] DynBitset edge_set() const { return DynBitset(num_edges()); }
 
  private:
-  Nfa structure_;
+  AlphabetRef sigma_;
+  std::vector<State> initial_;
+  std::vector<EdgeId> edge_off_;
+  std::vector<Transition> edges_;
   std::vector<State> edge_source_;
-  std::vector<std::uint32_t> edge_index_;
-  std::vector<EdgeId> edge_offset_;
   std::vector<StreettPair> pairs_;
 };
-
-/// True when some run from an initial state satisfies every Streett pair.
-[[nodiscard]] bool streett_nonempty(const StreettAutomaton& a,
-                                    Budget* budget = nullptr);
 
 /// A witness lasso whose period traverses every edge of a fair SCC (hence
 /// satisfies every pair), when one exists. The SCC search runs under
 /// Stage::kEmptiness and ticks the optional Budget's deadline once per
-/// edge it indexes.
+/// edge it collects into an SCC.
 [[nodiscard]] std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a,
                                                    Budget* budget = nullptr);
 

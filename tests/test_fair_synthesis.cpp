@@ -99,7 +99,7 @@ TEST(Synthesis, Figure2BoxDiamondResult) {
 
 TEST(Fairness, StreettEncodingCountsPairs) {
   const Nfa structure = section5_ab_system();
-  const StreettAutomaton st = strong_fairness_streett(structure);
+  const StreettAutomaton st = make_fairness_streett(structure);
   EXPECT_EQ(st.pairs().size(), structure.num_transitions());
   EXPECT_EQ(st.num_edges(), structure.num_transitions());
 }

@@ -355,7 +355,7 @@ TEST(Streett, UnsatisfiablePairs) {
   StreettPair pair{st.edge_set(), st.edge_set()};
   pair.antecedent.set(0);
   st.add_pair(std::move(pair));
-  EXPECT_FALSE(streett_nonempty(st));
+  EXPECT_FALSE(find_fair_lasso(st).has_value());
 }
 
 TEST(Streett, StrongFairnessPicksBothLoops) {
@@ -672,8 +672,8 @@ TEST(PairProduct, ReachablePairsMatchExplicitProductAndEdgesProject) {
     EXPECT_EQ(intersect(a.structure(), b.structure()).num_states(), reachable);
     EXPECT_EQ(product_gen(a, b).structure.num_states(), reachable);
 
-    // to_nfa keeps the edge order (the fair product's Streett edge ids are
-    // the builder's), and each edge projects onto its left_edge.
+    // to_nfa keeps the edge order, and each edge projects onto its
+    // left_edge.
     const Nfa nfa = p.to_nfa(sigma, true);
     ASSERT_EQ(nfa.num_transitions(), p.edges.size());
     for (State s = 0; s < p.size(); ++s) {
@@ -690,6 +690,24 @@ TEST(PairProduct, ReachablePairsMatchExplicitProductAndEdgesProject) {
         EXPECT_EQ(ta.symbol, p.edges[e].symbol);
         EXPECT_EQ(ta.target, p.left(p.edges[e].target));
       }
+    }
+
+    // A Streett automaton that takes the product's table reads the same
+    // edges under the same ids as one built from the Nfa.
+    PairProduct moved = p;
+    const StreettAutomaton flat(sigma, std::move(moved.initial),
+                                std::move(moved.edge_off),
+                                std::move(moved.edges));
+    const StreettAutomaton from_nfa(nfa);
+    ASSERT_EQ(flat.num_states(), from_nfa.num_states());
+    ASSERT_EQ(flat.num_edges(), from_nfa.num_edges());
+    EXPECT_EQ(flat.initial(), from_nfa.initial());
+    for (State s = 0; s <= p.size(); ++s) {
+      EXPECT_EQ(flat.first_edge(s), from_nfa.first_edge(s));
+    }
+    for (EdgeId e = 0; e < flat.num_edges(); ++e) {
+      EXPECT_EQ(flat.edge(e), from_nfa.edge(e));
+      EXPECT_EQ(flat.edge_source(e), from_nfa.edge_source(e));
     }
   }
 }

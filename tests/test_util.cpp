@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "rlv/util/bitset.hpp"
 #include "rlv/util/hash.hpp"
@@ -94,10 +98,38 @@ TEST(DynBitset, EqualityAndHash) {
   EXPECT_FALSE(DynBitset(3) == DynBitset(4));
 }
 
+/// A graph in the CSR form tarjan_scc reads: node v's edges are the ids
+/// off[v] .. off[v + 1], edge e ends at target[e].
+struct Csr {
+  std::vector<std::uint32_t> off{0};
+  std::vector<std::uint32_t> target;
+
+  [[nodiscard]] std::uint32_t size() const {
+    return static_cast<std::uint32_t>(off.size() - 1);
+  }
+};
+
+Csr csr(const std::vector<std::vector<std::uint32_t>>& adjacency) {
+  Csr g;
+  for (const auto& succ : adjacency) {
+    g.target.insert(g.target.end(), succ.begin(), succ.end());
+    g.off.push_back(static_cast<std::uint32_t>(g.target.size()));
+  }
+  return g;
+}
+
+template <class OnClose = IgnoreScc>
+SccResult scc_of(const Csr& g, const DynBitset* alive = nullptr,
+                 OnClose&& on_close = {}) {
+  return tarjan_scc(
+      g.size(), [&](std::uint32_t v) { return g.off[v]; },
+      [&](std::uint32_t e) { return g.target[e]; }, alive,
+      std::forward<OnClose>(on_close));
+}
+
 TEST(Scc, LinearChain) {
   // 0 -> 1 -> 2: three trivial components, reverse topological ids.
-  const std::vector<std::vector<std::uint32_t>> g = {{1}, {2}, {}};
-  const SccResult r = tarjan_scc(g);
+  const SccResult r = scc_of(csr({{1}, {2}, {}}));
   EXPECT_EQ(r.count, 3u);
   EXPECT_FALSE(r.nontrivial[r.component[0]]);
   // Reverse topological order: a component reaches only lower ids.
@@ -107,8 +139,7 @@ TEST(Scc, LinearChain) {
 
 TEST(Scc, CycleAndSelfLoop) {
   // 0 <-> 1 form one SCC; 2 has a self-loop; 3 is trivial.
-  const std::vector<std::vector<std::uint32_t>> g = {{1}, {0, 2}, {2}, {}};
-  const SccResult r = tarjan_scc(g);
+  const SccResult r = scc_of(csr({{1}, {0, 2}, {2}, {}}));
   EXPECT_EQ(r.component[0], r.component[1]);
   EXPECT_NE(r.component[0], r.component[2]);
   EXPECT_TRUE(r.nontrivial[r.component[0]]);
@@ -117,21 +148,110 @@ TEST(Scc, CycleAndSelfLoop) {
 }
 
 TEST(Scc, DisconnectedAndEmpty) {
-  EXPECT_EQ(tarjan_scc({}).count, 0u);
-  const std::vector<std::vector<std::uint32_t>> g = {{}, {}};
-  EXPECT_EQ(tarjan_scc(g).count, 2u);
+  EXPECT_EQ(scc_of(csr({})).count, 0u);
+  EXPECT_EQ(scc_of(csr({{}, {}})).count, 2u);
 }
 
 TEST(Scc, LargeCycleIterative) {
   // Deep structure that would overflow a recursive implementation.
   const std::size_t n = 200000;
-  std::vector<std::vector<std::uint32_t>> g(n);
+  std::vector<std::vector<std::uint32_t>> adjacency(n);
   for (std::size_t i = 0; i < n; ++i) {
-    g[i].push_back(static_cast<std::uint32_t>((i + 1) % n));
+    adjacency[i].push_back(static_cast<std::uint32_t>((i + 1) % n));
   }
-  const SccResult r = tarjan_scc(g);
+  const SccResult r = scc_of(csr(adjacency));
   EXPECT_EQ(r.count, 1u);
   EXPECT_TRUE(r.nontrivial[0]);
+}
+
+TEST(Scc, MatchesMutualReachabilityOnRandomGraphs) {
+  Rng rng(2718);
+  for (int i = 0; i < 300; ++i) {
+    // Random multigraph: self-loops, parallel edges and isolated nodes all
+    // occur at these sizes.
+    const auto n = static_cast<std::uint32_t>(rng.next_below(13));
+    std::vector<std::vector<std::uint32_t>> adjacency(n);
+    const std::uint64_t m = n == 0 ? 0 : rng.next_below(3 * n + 1);
+    for (std::uint64_t k = 0; k < m; ++k) {
+      const auto u = static_cast<std::uint32_t>(rng.next_below(n));
+      const auto v = rng.chance(1, 6) ? u
+                                      : static_cast<std::uint32_t>(
+                                            rng.next_below(n));
+      adjacency[u].push_back(v);
+      if (rng.chance(1, 8)) adjacency[u].push_back(v);  // parallel edge
+    }
+    const Csr g = csr(adjacency);
+    DynBitset mask(g.target.size());
+    for (std::size_t e = 0; e < g.target.size(); ++e) {
+      if (rng.chance(2, 3)) mask.set(e);
+    }
+
+    for (const DynBitset* alive : {static_cast<const DynBitset*>(nullptr),
+                                   static_cast<const DynBitset*>(&mask)}) {
+      const auto live_edge = [&](std::uint32_t e) {
+        return alive == nullptr || alive->test(e);
+      };
+      // Reference: reach[u] = nodes reachable from u over live edges, by
+      // plain BFS (u reaches itself).
+      std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
+      for (std::uint32_t u = 0; u < n; ++u) {
+        std::vector<std::uint32_t> queue{u};
+        reach[u][u] = true;
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+          const std::uint32_t x = queue[head];
+          for (std::uint32_t e = g.off[x]; e < g.off[x + 1]; ++e) {
+            if (live_edge(e) && !reach[u][g.target[e]]) {
+              reach[u][g.target[e]] = true;
+              queue.push_back(g.target[e]);
+            }
+          }
+        }
+      }
+
+      std::uint32_t closed = 0;
+      const SccResult r = scc_of(
+          g, alive,
+          [&](std::uint32_t id, std::span<const std::uint32_t> members,
+              const SccResult& partial) {
+            // Components close in id order, each with exactly its members.
+            EXPECT_EQ(id, closed++);
+            for (const std::uint32_t v : members) {
+              EXPECT_EQ(partial.component[v], id);
+            }
+          });
+      const std::string where = "graph " + std::to_string(i) +
+                                (alive ? " masked" : " unmasked");
+      ASSERT_EQ(r.component.size(), n) << where;
+      ASSERT_EQ(r.nontrivial.size(), r.count) << where;
+      EXPECT_EQ(closed, r.count) << where;
+      std::vector<bool> used(r.count, false);
+      for (std::uint32_t u = 0; u < n; ++u) {
+        ASSERT_LT(r.component[u], r.count) << where;
+        used[r.component[u]] = true;
+        for (std::uint32_t v = 0; v < n; ++v) {
+          EXPECT_EQ(r.component[u] == r.component[v],
+                    reach[u][v] && reach[v][u])
+              << where << ": nodes " << u << ", " << v;
+        }
+      }
+      for (std::uint32_t c = 0; c < r.count; ++c) EXPECT_TRUE(used[c]) << where;
+
+      std::vector<bool> nontrivial(r.count, false);
+      for (std::uint32_t u = 0; u < n; ++u) {
+        for (std::uint32_t e = g.off[u]; e < g.off[u + 1]; ++e) {
+          if (!live_edge(e)) continue;
+          const std::uint32_t v = g.target[e];
+          // Every live edge goes to an equal or lower component id.
+          EXPECT_GE(r.component[u], r.component[v]) << where;
+          if (reach[v][u]) nontrivial[r.component[u]] = true;
+        }
+      }
+      for (std::uint32_t c = 0; c < r.count; ++c) {
+        EXPECT_EQ(r.nontrivial[c], nontrivial[c])
+            << where << ": component " << c;
+      }
+    }
+  }
 }
 
 TEST(Rng, DeterministicAndBounded) {

@@ -314,5 +314,67 @@ TEST(FairCheck, RefinerMatchesExplicitPairs) {
   EXPECT_GT(violated[1], violated[0]);
 }
 
+TEST(FairCheck, ProcessThatNegatedPropertyBlocksMustStillAct) {
+  // One state with a- and b-loops; P = F a. Every run violating P takes
+  // only b, so ¬P never lets the always-enabled process {a} act: b^ω is not
+  // process-fair and every process-fair run satisfies P, as every strongly
+  // transition-fair run does.
+  const Nfa ab = section5_ab_system();
+  const Buchi system = limit_of_prefix_closed(ab);
+  const Labeling lambda = Labeling::canonical(ab.alphabet());
+  const Formula f = parse_ltl("F a");
+  EXPECT_TRUE(check_fair_satisfaction(system, f, lambda).all_fair_runs_satisfy);
+  const FairCheckResult process =
+      check_process_fair_satisfaction(system, f, lambda, {"a", "b"});
+  EXPECT_TRUE(process.all_fair_runs_satisfy);
+  EXPECT_FALSE(process.counterexample.has_value());
+}
+
+TEST(FairCheck, SingletonProcessesEqualStrongTransitionFairness) {
+  // Each edge of a random transition system gets its own fixed-width action
+  // name, so no name is a prefix of another and one prefix per action makes
+  // every process a single transition. Process fairness with singleton
+  // groups is strong transition fairness (fairness.hpp), so the stored
+  // pairs over an Nfa-built automaton and the refiner over the moved pair
+  // product must agree.
+  Rng rng(6007);
+  std::size_t violated = 0;
+  for (int i = 0; i < 200; ++i) {
+    const Nfa shape = random_transition_system(rng, 2 + rng.next_below(4),
+                                               random_alphabet(2));
+    std::vector<std::string> names;
+    for (std::size_t k = 0; k < shape.num_transitions(); ++k) {
+      names.push_back("e" + std::string(k < 10 ? "0" : "") +
+                      std::to_string(k));
+    }
+    const AlphabetRef sigma = Alphabet::make(names);
+    Nfa ts(sigma);
+    for (State s = 0; s < shape.num_states(); ++s) ts.add_state(true);
+    for (const State s : shape.initial()) ts.set_initial(s);
+    Symbol next = 0;
+    for (State s = 0; s < shape.num_states(); ++s) {
+      for (const Transition& t : shape.out(s)) {
+        ts.add_transition(s, next++, t.target);
+      }
+    }
+    const Buchi system = limit_of_prefix_closed(ts);
+    const Labeling lambda = Labeling::canonical(sigma);
+    const Formula f = random_formula(rng, names, 3);
+
+    const FairCheckResult strong = check_fair_satisfaction(
+        system, f, lambda, FairnessKind::kStrongTransition);
+    const FairCheckResult process =
+        check_process_fair_satisfaction(system, f, lambda, names);
+    ASSERT_EQ(strong.all_fair_runs_satisfy, process.all_fair_runs_satisfy)
+        << "instance " << i << ": " << f.to_string();
+    if (!process.all_fair_runs_satisfy) {
+      ++violated;
+      ASSERT_TRUE(process.counterexample.has_value());
+      EXPECT_TRUE(accepts_lasso(system, *process.counterexample));
+    }
+  }
+  EXPECT_GT(violated, 20u);
+}
+
 }  // namespace
 }  // namespace rlv
