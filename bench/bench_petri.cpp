@@ -81,8 +81,8 @@ void BM_Petri_PhilosophersBudgeted(benchmark::State& state) {
     budget.set_max_states(200000);
     const ReachabilityGraph graph = build_reachability_graph(net, {}, &budget);
     const StageMetrics& metrics = budget.profile()[Stage::kPetriUnfold];
-    charged = metrics.states_built.load(std::memory_order_relaxed);
-    peak_memory = metrics.peak_memory_bytes.load(std::memory_order_relaxed);
+    charged = metrics.states_built;
+    peak_memory = metrics.peak_memory_bytes;
     benchmark::DoNotOptimize(graph.system.num_states());
   }
   state.counters["charged_states"] = static_cast<double>(charged);

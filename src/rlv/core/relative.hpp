@@ -29,8 +29,8 @@
 // carries NO verdict and must not be read as a boolean answer.
 //
 // The safety and satisfaction checks explore their Büchi products on the
-// fly (find_accepting_lasso_product / product_empty), so they only pay for
-// the product states the nested DFS actually visits.
+// fly (find_accepting_lasso_product), so they only pay for the product
+// states the nested DFS actually visits.
 
 #include <optional>
 

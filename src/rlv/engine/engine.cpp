@@ -157,24 +157,17 @@ struct AtomicStageTotals {
 
   void merge(const StageMetrics& m) {
     calls.fetch_add(m.calls, std::memory_order_relaxed);
-    states_built.fetch_add(m.states_built.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    note_peak(peak_antichain,
-              m.peak_antichain.load(std::memory_order_relaxed));
-    note_peak(peak_memory_bytes,
-              m.peak_memory_bytes.load(std::memory_order_relaxed));
+    states_built.fetch_add(m.states_built, std::memory_order_relaxed);
+    note_peak(peak_antichain, m.peak_antichain);
+    note_peak(peak_memory_bytes, m.peak_memory_bytes);
     nanos.fetch_add(m.nanos, std::memory_order_relaxed);
   }
 
   void snapshot_into(StageMetrics& out) const {
     out.calls = calls.load(std::memory_order_relaxed);
-    out.states_built.store(states_built.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    out.peak_antichain.store(peak_antichain.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-    out.peak_memory_bytes.store(
-        peak_memory_bytes.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
+    out.states_built = states_built.load(std::memory_order_relaxed);
+    out.peak_antichain = peak_antichain.load(std::memory_order_relaxed);
+    out.peak_memory_bytes = peak_memory_bytes.load(std::memory_order_relaxed);
     out.nanos = nanos.load(std::memory_order_relaxed);
   }
 };

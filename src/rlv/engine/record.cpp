@@ -60,10 +60,9 @@ std::string render_stats(const EngineStats& stats) {
   w.field("steps", mon.steps).field("dooms", mon.dooms).end_object();
   write_stages(w, stats.stages, [&w](const StageMetrics& m, double ms) {
     w.begin_object().field("calls", m.calls);
-    w.field("states", m.states_built.load(std::memory_order_relaxed));
-    w.field("peak_frontier", m.peak_antichain.load(std::memory_order_relaxed));
-    w.field("peak_kernel_bytes",
-            m.peak_memory_bytes.load(std::memory_order_relaxed));
+    w.field("states", m.states_built);
+    w.field("peak_frontier", m.peak_antichain);
+    w.field("peak_kernel_bytes", m.peak_memory_bytes);
     w.field("ms", ms).end_object();
   });
   w.end_object();

@@ -1,5 +1,7 @@
 #include "rlv/fair/fair_check.hpp"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,31 +33,102 @@ Product build_product(const Buchi& system, const Buchi& negated,
   return {std::move(pairs), std::move(streett)};
 }
 
-}  // namespace
+/// Fairness as groups of system edges. A group is enabled at the system
+/// states that have one of its edges, and acts when the run takes one. A run
+/// is strongly fair when every group enabled infinitely often acts
+/// infinitely often. Transition fairness has one group per system edge,
+/// read off the system's own edge table; process fairness has one group per
+/// process, stored as two CSR lists.
+struct TransitionGroups {
+  const Nfa& sys;
 
-FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
-                                                const Buchi& negated,
-                                                FairnessKind kind,
-                                                Budget* budget) {
+  [[nodiscard]] std::size_t size() const { return sys.num_transitions(); }
+  template <class F>
+  void for_each_of_edge(std::uint32_t e, F&& f) const {
+    f(e);
+  }
+  template <class P>
+  [[nodiscard]] bool any_enabled(State s, P&& p) const {
+    for (std::uint32_t e = sys.first_edge(s); e < sys.first_edge(s + 1); ++e) {
+      if (p(e)) return true;
+    }
+    return false;
+  }
+};
+
+struct ProcessGroups {
+  std::size_t count = 0;
+  std::vector<std::uint32_t> member_off{0};   // per system edge, plus one
+  std::vector<std::uint32_t> members;         // the groups of each edge
+  std::vector<std::uint32_t> enabled_off{0};  // per system state, plus one
+  std::vector<std::uint32_t> enabled;         // the groups enabled there
+
+  [[nodiscard]] std::size_t size() const { return count; }
+  template <class F>
+  void for_each_of_edge(std::uint32_t e, F&& f) const {
+    for (std::uint32_t i = member_off[e]; i < member_off[e + 1]; ++i) {
+      f(members[i]);
+    }
+  }
+  template <class P>
+  [[nodiscard]] bool any_enabled(State s, P&& p) const {
+    for (std::uint32_t i = enabled_off[s]; i < enabled_off[s + 1]; ++i) {
+      if (p(enabled[i])) return true;
+    }
+    return false;
+  }
+};
+
+/// One process per prefix: a system edge belongs to every process whose
+/// prefix starts its action name, so an edge may belong to several.
+ProcessGroups group_by_prefix(const Nfa& sys,
+                              const std::vector<std::string>& prefixes) {
+  ProcessGroups groups;
+  groups.count = prefixes.size();
+  for (State s = 0; s < sys.num_states(); ++s) {
+    const std::size_t first = groups.enabled.size();
+    for (std::uint32_t e = sys.first_edge(s); e < sys.first_edge(s + 1); ++e) {
+      const std::string& action = sys.alphabet()->name(sys.edges()[e].symbol);
+      for (std::uint32_t g = 0; g < prefixes.size(); ++g) {
+        if (!action.starts_with(prefixes[g])) continue;
+        groups.members.push_back(g);
+        if (std::find(groups.enabled.begin() + first, groups.enabled.end(),
+                      g) == groups.enabled.end()) {
+          groups.enabled.push_back(g);
+        }
+      }
+      groups.member_off.push_back(
+          static_cast<std::uint32_t>(groups.members.size()));
+    }
+    groups.enabled_off.push_back(
+        static_cast<std::uint32_t>(groups.enabled.size()));
+  }
+  return groups;
+}
+
+/// The Streett search over the product with the fairness groups lifted
+/// through it, plus the Büchi acceptance of ¬P. As Streett pairs that is
+/// one pair per group g,
+///   strong:  E = product edges whose source projects to a state enabling g,
+///            F = product edges projecting to an edge of g;
+///   weak (transition groups, g = {e} with e leaving s):
+///            E = all product edges,
+///            F = (product edges whose source projects to a state ≠ s)
+///                ∪ (product edges projecting to e);
+/// and the pair (all edges, edges entering ¬P-accepting states). Stored as
+/// bitsets these pairs would take groups × product edges bits, so the SCC
+/// search gets them as a refiner instead: inside an SCC, g's pair is
+/// violated exactly when the SCC visits a state enabling g ("touched") but
+/// takes no edge of g ("starved").
+template <class Groups>
+FairCheckResult search(const Buchi& system, const Buchi& negated,
+                       FairnessKind kind, const Groups& groups,
+                       Budget* budget) {
   const Product product = build_product(system, negated, budget);
   const PairProduct& pairs = product.pairs;
   const StreettAutomaton& streett = product.streett;
-  const Nfa& sys = system.structure();
-
-  // The fairness pairs lifted through the product (see fairness.hpp for the
-  // encodings), one per *system* edge e with source s:
-  //   strong:  E = product edges whose source projects to s,
-  //            F = product edges projecting to e;
-  //   weak:    E = all product edges,
-  //            F = (product edges whose source projects to a state ≠ s)
-  //                ∪ (product edges projecting to e);
-  // plus the Büchi acceptance of ¬P as the pair (all edges, edges entering
-  // ¬P-accepting states). Stored as bitsets these pairs would take
-  // system edges × product edges bits, so the SCC search gets them as a
-  // refiner instead: inside an SCC, a pair is violated exactly when the
-  // SCC visits s ("touched") but never takes e ("starved").
   std::vector<std::uint8_t> touched(system.num_states(), 0);
-  std::vector<std::uint8_t> taken(sys.num_transitions(), 0);
+  std::vector<std::uint8_t> taken(groups.size(), 0);
   std::vector<State> touched_list;
   std::vector<std::uint32_t> taken_list;
   const auto refine = [&](const DynBitset& scc) {
@@ -66,21 +139,18 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
         touched[s] = 1;
         touched_list.push_back(s);
       }
-      const std::uint32_t system_edge = pairs.left_edge[pe];
-      if (!taken[system_edge]) {
-        taken[system_edge] = 1;
-        taken_list.push_back(system_edge);
-      }
+      groups.for_each_of_edge(pairs.left_edge[pe], [&](std::uint32_t g) {
+        if (!taken[g]) {
+          taken[g] = 1;
+          taken_list.push_back(g);
+        }
+      });
       accepting = accepting ||
                   negated.is_accepting(pairs.right(
                       streett.edge(static_cast<EdgeId>(pe)).target));
     });
     const auto starved = [&](State s) {
-      for (std::uint32_t e = sys.first_edge(s); e < sys.first_edge(s + 1);
-           ++e) {
-        if (!taken[e]) return true;
-      }
-      return false;
+      return groups.any_enabled(s, [&](std::uint32_t g) { return !taken[g]; });
     };
 
     DynBitset removed = streett.edge_set();
@@ -101,7 +171,7 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
     }
 
     for (const State s : touched_list) touched[s] = 0;
-    for (const std::uint32_t e : taken_list) taken[e] = 0;
+    for (const std::uint32_t g : taken_list) taken[g] = 0;
     touched_list.clear();
     taken_list.clear();
     return removed;
@@ -114,6 +184,16 @@ FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
   return result;
 }
 
+}  // namespace
+
+FairCheckResult check_fair_satisfaction_negated(const Buchi& system,
+                                                const Buchi& negated,
+                                                FairnessKind kind,
+                                                Budget* budget) {
+  return search(system, negated, kind, TransitionGroups{system.structure()},
+                budget);
+}
+
 FairCheckResult check_fair_satisfaction(const Buchi& system, Formula f,
                                         const Labeling& lambda,
                                         FairnessKind kind, Budget* budget) {
@@ -124,69 +204,10 @@ FairCheckResult check_fair_satisfaction(const Buchi& system, Formula f,
 FairCheckResult check_process_fair_satisfaction(
     const Buchi& system, Formula f, const Labeling& lambda,
     const std::vector<std::string>& process_prefixes) {
-  const Buchi negated = translate_ltl_negated(f, lambda);
-  Product product = build_product(system, negated, nullptr);
-  const PairProduct& pairs = product.pairs;
-  StreettAutomaton& streett = product.streett;
-
-  // Group *system* edges by prefix, then lift:
-  //   E_P = product edges leaving states whose system component can take a
-  //         P-edge (the process is enabled there),
-  //   F_P = product edges projecting to a P-edge.
-  const std::size_t k = process_prefixes.size();
-  std::vector<std::vector<bool>> sys_edge_in_group(
-      k, std::vector<bool>(system.structure().num_transitions(), false));
-  std::vector<std::vector<bool>> sys_state_enables(
-      k, std::vector<bool>(system.num_states(), false));
-  std::size_t flat = 0;  // system edges in first_edge numbering
-  for (State s = 0; s < system.num_states(); ++s) {
-    for (const auto& t : system.out(s)) {
-      const std::string& action = system.alphabet()->name(t.symbol);
-      for (std::size_t g = 0; g < k; ++g) {
-        if (action.starts_with(process_prefixes[g])) {
-          sys_edge_in_group[g][flat] = true;
-          sys_state_enables[g][s] = true;
-        }
-      }
-      ++flat;
-    }
-  }
-
-  // A pair with an empty goal still counts: where ¬P never lets an enabled
-  // process act, the fair runs are those that leave it enabled finitely
-  // often. Only a pair whose process is never enabled is vacuous.
-  for (std::size_t g = 0; g < k; ++g) {
-    StreettPair pair{streett.edge_set(), streett.edge_set()};
-    for (EdgeId pe = 0; pe < streett.num_edges(); ++pe) {
-      const State src = streett.edge_source(pe);
-      if (sys_state_enables[g][pairs.left(src)]) {
-        pair.antecedent.set(pe);
-      }
-      if (sys_edge_in_group[g][pairs.left_edge[pe]]) {
-        pair.goal.set(pe);
-      }
-    }
-    if (pair.antecedent.any()) streett.add_pair(std::move(pair));
-  }
-
-  // Büchi acceptance of ¬P as a Streett pair.
-  {
-    DynBitset all = streett.edge_set();
-    DynBitset acc = streett.edge_set();
-    for (EdgeId pe = 0; pe < streett.num_edges(); ++pe) {
-      all.set(pe);
-      if (negated.is_accepting(pairs.right(streett.edge(pe).target))) {
-        acc.set(pe);
-      }
-    }
-    streett.add_pair({std::move(all), std::move(acc)});
-  }
-
-  FairCheckResult result;
-  auto lasso = find_fair_lasso(streett);
-  result.all_fair_runs_satisfy = !lasso.has_value();
-  result.counterexample = std::move(lasso);
-  return result;
+  return search(system, translate_ltl_negated(f, lambda),
+                FairnessKind::kStrongTransition,
+                group_by_prefix(system.structure(), process_prefixes),
+                nullptr);
 }
 
 }  // namespace rlv

@@ -49,11 +49,13 @@ struct FairCheckResult {
 
 /// Process-fairness flavor: does every strongly process-fair run satisfy f?
 /// Processes are given as action-name prefixes (see group_edges_by_prefix);
+/// an action belongs to every process whose prefix starts its name, and
 /// actions matching no prefix belong to no process and are unconstrained.
-/// Each process enabled somewhere in the product gets its pair, also when ¬f
+/// A process counts wherever it is enabled in the system, also when ¬f
 /// never lets it act: a run that leaves such a process enabled infinitely
-/// often is not fair. With one prefix per action and no name a prefix of
-/// another, this is strong transition fairness.
+/// often is not fair. The Streett search is the strong transition one with
+/// one edge group per process; with one prefix per action and no name a
+/// prefix of another, this is strong transition fairness.
 [[nodiscard]] FairCheckResult check_process_fair_satisfaction(
     const Buchi& system, Formula f, const Labeling& lambda,
     const std::vector<std::string>& process_prefixes);

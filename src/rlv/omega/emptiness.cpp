@@ -4,95 +4,9 @@
 #include <queue>
 #include <vector>
 
-#include "rlv/omega/live.hpp"
 #include "rlv/util/scc.hpp"
 
 namespace rlv {
-
-namespace {
-
-bool empty_scc(const Buchi& a) { return omega_empty(a); }
-
-/// Nested DFS (CVWY). The blue search explores the automaton; from the
-/// postorder visit of every accepting state, the red search looks for a
-/// cycle back onto the blue stack.
-bool empty_ndfs(const Buchi& a, Budget* budget) {
-  const std::size_t n = a.num_states();
-  std::vector<bool> blue(n, false);
-  std::vector<bool> red(n, false);
-  std::vector<bool> on_stack(n, false);
-
-  struct Frame {
-    State state;
-    std::size_t edge;
-  };
-
-  // Red search from `seed`: true iff it can reach a state on the blue stack.
-  auto red_search = [&](State seed) {
-    std::vector<Frame> stack;
-    if (!red[seed]) {
-      red[seed] = true;
-      stack.push_back({seed, 0});
-    }
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.edge < a.out(f.state).size()) {
-        const State t = a.out(f.state)[f.edge++].target;
-        if (on_stack[t]) return true;
-        if (!red[t]) {
-          red[t] = true;
-          stack.push_back({t, 0});
-        }
-      } else {
-        stack.pop_back();
-      }
-    }
-    return false;
-  };
-
-  for (const State init : a.initial()) {
-    if (blue[init]) continue;
-    std::vector<Frame> stack;
-    blue[init] = true;
-    on_stack[init] = true;
-    stack.push_back({init, 0});
-    while (!stack.empty()) {
-      budget_tick(budget);
-      Frame& f = stack.back();
-      if (f.edge < a.out(f.state).size()) {
-        const State t = a.out(f.state)[f.edge++].target;
-        if (!blue[t]) {
-          blue[t] = true;
-          on_stack[t] = true;
-          stack.push_back({t, 0});
-        }
-      } else {
-        // Postorder: run the red search from accepting states. The state is
-        // still on the stack, so a red path back to it closes a cycle.
-        if (a.is_accepting(f.state)) {
-          if (red_search(f.state)) return false;
-        }
-        on_stack[f.state] = false;
-        stack.pop_back();
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-bool buchi_empty(const Buchi& a, EmptinessAlgorithm algorithm,
-                 Budget* budget) {
-  StageScope scope(budget, Stage::kEmptiness);
-  switch (algorithm) {
-    case EmptinessAlgorithm::kScc:
-      return empty_scc(a);
-    case EmptinessAlgorithm::kNestedDfs:
-      return empty_ndfs(a, budget);
-  }
-  return true;  // unreachable
-}
 
 std::optional<Lasso> find_accepting_lasso_product(
     const std::vector<const Buchi*>& operands, Budget* budget) {
@@ -203,10 +117,6 @@ std::optional<Lasso> find_accepting_lasso_product(
     }
   }
   return std::nullopt;
-}
-
-bool product_empty(const std::vector<const Buchi*>& operands, Budget* budget) {
-  return !find_accepting_lasso_product(operands, budget).has_value();
 }
 
 std::optional<Lasso> find_accepting_lasso(const Buchi& a, Budget* budget) {

@@ -1,9 +1,11 @@
 #pragma once
 
-// Büchi emptiness checking and accepting-lasso extraction. Two independent
-// implementations — SCC-based (Tarjan) and the nested depth-first search of
-// Courcoubetis–Vardi–Wolper–Yannakakis — cross-checked in tests and compared
-// in bench_emptiness (experiment E12).
+// Accepting-lasso extraction, one search per form of the automaton: the
+// shortest-prefix SCC search over a materialized Büchi automaton, and the
+// nested depth-first search of Courcoubetis–Vardi–Wolper–Yannakakis over an
+// on-the-fly product. The verdict alone on a materialized automaton is
+// omega_empty (rlv/omega/live.hpp). The two searches are cross-checked in
+// tests and compared in bench_emptiness (experiment E12).
 
 #include <optional>
 #include <utility>
@@ -25,18 +27,6 @@ struct Lasso {
   friend bool operator==(const Lasso&, const Lasso&) = default;
 };
 
-enum class EmptinessAlgorithm {
-  kScc,
-  kNestedDfs,
-};
-
-/// True when L_ω(a) = ∅. Linear in the automaton, but the automaton handed
-/// in is often a product/complement blow-up, so the search loops still tick
-/// the optional Budget's deadline under Stage::kEmptiness.
-[[nodiscard]] bool buchi_empty(
-    const Buchi& a, EmptinessAlgorithm algorithm = EmptinessAlgorithm::kScc,
-    Budget* budget = nullptr);
-
 /// An accepted lasso u·v^ω when the language is non-empty.
 [[nodiscard]] std::optional<Lasso> find_accepting_lasso(
     const Buchi& a, Budget* budget = nullptr);
@@ -49,12 +39,10 @@ enum class EmptinessAlgorithm {
 /// intersection but, being DFS-extracted, is generally NOT the shortest one
 /// find_accepting_lasso would return on the materialized product —
 /// cross-validate by revalidation, not comparison. Product states are
-/// charged to `budget` under Stage::kEmptiness.
+/// charged to `budget` under Stage::kEmptiness. The intersection is empty
+/// exactly when this returns nullopt; with one operand the product is that
+/// operand itself.
 [[nodiscard]] std::optional<Lasso> find_accepting_lasso_product(
     const std::vector<const Buchi*>& operands, Budget* budget = nullptr);
-
-/// True when the intersection of the operands' ω-languages is empty.
-[[nodiscard]] bool product_empty(const std::vector<const Buchi*>& operands,
-                                 Budget* budget = nullptr);
 
 }  // namespace rlv

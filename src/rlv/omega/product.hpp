@@ -9,7 +9,7 @@
 // OnTheFlyProduct is the lazy counterpart: an n-ary degeneralized product
 // whose states are interned and whose successors are expanded only when an
 // exploration asks for them. The emptiness search over it (see
-// emptiness.hpp: product_empty / find_accepting_lasso_product) therefore
+// emptiness.hpp: find_accepting_lasso_product) therefore
 // pays only for the states it actually visits — on satisfied properties the
 // nested DFS often finds (or refutes) an accepting cycle after touching a
 // fraction of the full product, which the materializing path always builds

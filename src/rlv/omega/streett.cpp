@@ -74,50 +74,66 @@ std::optional<DynBitset> fair_scc_edges(const StreettAutomaton& a,
   return fair;
 }
 
-/// A breadth-first search tree: the states in the order reached, and each
-/// one's parent (state and symbol; kNoState for the sources and for states
-/// not reached).
-struct BfsTree {
-  std::vector<State> order;
-  std::vector<std::pair<State, Symbol>> parent;
+/// Breadth-first search over the edges in `usable` (every edge when null).
+/// The arrays are sized once per automaton; each run resets only the states
+/// the run before it reached.
+class Bfs {
+ public:
+  explicit Bfs(const StreettAutomaton& a)
+      : a_(a), parent_(a.num_states(), kNoEdge), seen_(a.num_states(), false) {}
 
-  /// The symbols along the tree path from a source to `s`.
-  [[nodiscard]] Word word_to(State s) const {
-    Word w;
-    for (State v = s; parent[v].first != kNoState; v = parent[v].first) {
-      w.push_back(parent[v].second);
+  /// Searches from `sources` until it reaches a state that satisfies `stop`
+  /// (sources included) and returns it; kNoState when it reaches none.
+  template <class Stop>
+  State run(std::span<const State> sources, const DynBitset* usable,
+            Stop stop) {
+    for (const State s : order_) {
+      seen_[s] = false;
+      parent_[s] = kNoEdge;
     }
-    std::reverse(w.begin(), w.end());
-    return w;
+    order_.clear();
+    for (const State s : sources) {
+      if (seen_[s]) continue;
+      seen_[s] = true;
+      order_.push_back(s);
+      if (stop(s)) return s;
+    }
+    for (std::size_t head = 0; head < order_.size(); ++head) {
+      const State s = order_[head];
+      for (EdgeId e = a_.first_edge(s); e < a_.first_edge(s + 1); ++e) {
+        const State t = a_.edge(e).target;
+        if ((usable != nullptr && !usable->test(e)) || seen_[t]) continue;
+        seen_[t] = true;
+        parent_[t] = e;
+        order_.push_back(t);
+        if (stop(t)) return t;
+      }
+    }
+    return kNoState;
   }
+
+  /// The states the last run reached, in the order it reached them.
+  [[nodiscard]] const std::vector<State>& order() const { return order_; }
+
+  /// The edges of the last run's tree path from a source to `s`.
+  [[nodiscard]] std::span<const EdgeId> path_to(State s) {
+    path_.clear();
+    for (EdgeId e = parent_[s]; e != kNoEdge; e = parent_[a_.edge_source(e)]) {
+      path_.push_back(e);
+    }
+    std::reverse(path_.begin(), path_.end());
+    return path_;
+  }
+
+ private:
+  static constexpr EdgeId kNoEdge = ~EdgeId{0};
+
+  const StreettAutomaton& a_;
+  std::vector<EdgeId> parent_;
+  std::vector<bool> seen_;
+  std::vector<State> order_;
+  std::vector<EdgeId> path_;
 };
-
-/// BFS from `sources` over the edges in `usable` (every edge when null),
-/// stopping as soon as `stop` is reached.
-BfsTree bfs(const StreettAutomaton& a, std::span<const State> sources,
-            const DynBitset* usable, State stop = kNoState) {
-  const std::size_t n = a.num_states();
-  BfsTree tree{{}, std::vector<std::pair<State, Symbol>>(n, {kNoState, 0})};
-  std::vector<bool> seen(n, false);
-  for (const State s : sources) {
-    if (!seen[s]) {
-      seen[s] = true;
-      tree.order.push_back(s);
-    }
-  }
-  for (std::size_t head = 0; head < tree.order.size(); ++head) {
-    const State s = tree.order[head];
-    for (EdgeId e = a.first_edge(s); e < a.first_edge(s + 1); ++e) {
-      const Transition& t = a.edge(e);
-      if ((usable != nullptr && !usable->test(e)) || seen[t.target]) continue;
-      seen[t.target] = true;
-      tree.parent[t.target] = {s, t.symbol};
-      if (t.target == stop) return tree;
-      tree.order.push_back(t.target);
-    }
-  }
-  return tree;
-}
 
 DynBitset states_of_edges(const StreettAutomaton& a, const DynBitset& edges) {
   DynBitset states(a.num_states());
@@ -128,13 +144,48 @@ DynBitset states_of_edges(const StreettAutomaton& a, const DynBitset& edges) {
   return states;
 }
 
-/// Shortest path between two states using only `edges`; returns the word
-/// (empty when `to` is unreachable, which a strongly connected edge set
-/// rules out).
-Word path_within(const StreettAutomaton& a, const DynBitset& edges, State from,
-                 State to) {
-  if (from == to) return {};
-  return bfs(a, {&from, 1}, &edges, to).word_to(to);
+/// A closed walk from `entry` that traverses every edge in `fair` (a
+/// strongly connected edge set through `entry`): it takes an untraversed
+/// edge wherever there is one, and only when stuck follows a shortest path
+/// to the nearest state that still has one; then it returns to `entry`.
+Word covering_walk(const StreettAutomaton& a, const DynBitset& fair,
+                   State entry, Bfs& bfs) {
+  DynBitset todo = fair;
+  std::size_t left = todo.count();
+  // cursor[s]: the first edge of s not yet known to be traversed.
+  std::vector<EdgeId> cursor(a.num_states());
+  for (State s = 0; s < cursor.size(); ++s) cursor[s] = a.first_edge(s);
+  const auto untraversed = [&](State s) {
+    EdgeId& e = cursor[s];
+    const EdgeId end = a.first_edge(s + 1);
+    while (e < end && !todo.test(e)) ++e;
+    return e < end;
+  };
+
+  Word period;
+  State at = entry;
+  const auto take = [&](EdgeId e) {
+    period.push_back(a.edge(e).symbol);
+    if (todo.test(e)) {
+      todo.reset(e);
+      --left;
+    }
+    at = a.edge(e).target;
+  };
+  while (left > 0) {
+    if (untraversed(at)) {
+      take(cursor[at]);
+      continue;
+    }
+    const State to = bfs.run({&at, 1}, &fair, untraversed);
+    if (to == kNoState) return {};  // cannot happen: `fair` is an SCC
+    for (const EdgeId e : bfs.path_to(to)) take(e);
+  }
+  if (at != entry) {
+    (void)bfs.run({&at, 1}, &fair, [entry](State s) { return s == entry; });
+    for (const EdgeId e : bfs.path_to(entry)) take(e);
+  }
+  return period;
 }
 
 }  // namespace
@@ -163,9 +214,10 @@ std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a,
                                      Budget* budget) {
   StageScope scope(budget, Stage::kEmptiness);
   // Restrict to edges reachable from the initial states.
-  const BfsTree reach = bfs(a, a.initial(), nullptr);
+  Bfs bfs(a);
+  (void)bfs.run(a.initial(), nullptr, [](State) { return false; });
   DynBitset alive = a.edge_set();
-  for (const State s : reach.order) {
+  for (const State s : bfs.order()) {
     for (EdgeId e = a.first_edge(s); e < a.first_edge(s + 1); ++e) {
       alive.set(e);
     }
@@ -177,29 +229,15 @@ std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a,
   // Enter the SCC at its state nearest to an initial state.
   const DynBitset scc_states = states_of_edges(a, *fair);
   const auto entry_it =
-      std::find_if(reach.order.begin(), reach.order.end(),
+      std::find_if(bfs.order().begin(), bfs.order().end(),
                    [&](State s) { return scc_states.test(s); });
-  if (entry_it == reach.order.end()) return std::nullopt;  // cannot happen
+  if (entry_it == bfs.order().end()) return std::nullopt;  // cannot happen
   const State entry = *entry_it;
-  Word prefix = reach.word_to(entry);
+  Word prefix;
+  for (const EdgeId e : bfs.path_to(entry)) prefix.push_back(a.edge(e).symbol);
 
-  // Build a period that traverses every edge of the fair SCC once: from the
-  // entry state, repeatedly path to the next untraversed edge's source, take
-  // it, and finally close back to the entry state.
-  Word period;
-  State at = entry;
-  std::vector<EdgeId> todo;
-  fair->for_each([&](std::size_t e) { todo.push_back(static_cast<EdgeId>(e)); });
-  for (const EdgeId e : todo) {
-    const Word hop = path_within(a, *fair, at, a.edge_source(e));
-    period.insert(period.end(), hop.begin(), hop.end());
-    period.push_back(a.edge(e).symbol);
-    at = a.edge(e).target;
-  }
-  const Word back = path_within(a, *fair, at, entry);
-  period.insert(period.end(), back.begin(), back.end());
+  Word period = covering_walk(a, *fair, entry, bfs);
   if (period.empty()) return std::nullopt;  // cannot happen: SCC has edges
-
   return Lasso{std::move(prefix), std::move(period)};
 }
 

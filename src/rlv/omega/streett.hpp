@@ -9,7 +9,9 @@
 // fairness — "every transition enabled infinitely often is taken infinitely
 // often" — is one Streett pair per transition (E = all edges leaving the
 // transition's source, F = the transition itself), see rlv/fair/fairness.hpp
-// and the validation of Theorem 5.1.
+// and the validation of Theorem 5.1. The fair checks (rlv/fair/fair_check.hpp)
+// hand the search their pairs as a refiner; pairs stored as bitsets are the
+// reference encoding the tests compare it against.
 //
 // The automaton is one flat edge table in CSR form: the edges of state s are
 // ids first_edge(s) .. first_edge(s + 1). The fair checks move a
@@ -76,9 +78,11 @@ class StreettAutomaton {
 };
 
 /// A witness lasso whose period traverses every edge of a fair SCC (hence
-/// satisfies every pair), when one exists. The SCC search runs under
-/// Stage::kEmptiness and ticks the optional Budget's deadline once per
-/// edge it collects into an SCC.
+/// satisfies every pair), when one exists. The period is one covering walk
+/// of the SCC: it takes an untraversed edge wherever there is one and
+/// searches for the nearest state that still has one only when stuck. The
+/// SCC search runs under Stage::kEmptiness and ticks the optional Budget's
+/// deadline once per edge it collects into an SCC.
 [[nodiscard]] std::optional<Lasso> find_fair_lasso(const StreettAutomaton& a,
                                                    Budget* budget = nullptr);
 

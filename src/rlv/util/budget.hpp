@@ -16,16 +16,13 @@
 // a wrong boolean. A null Budget* (the default everywhere) is a no-op, so
 // budget-disabled results are identical to unbudgeted execution.
 //
-// A Budget governs ONE check. charge()/tick()/note_frontier() are safe to
-// call concurrently (the counters are atomic, so the state cap is enforced
-// exactly under concurrency); StageScope construction/destruction must
-// stay on the coordinating thread, and no other thread may charge across a
-// stage boundary.
+// A Budget governs ONE check on ONE thread: every kernel charges it from
+// the thread that runs the check, so its counters are plain integers.
 // The engine creates a fresh Budget per query and merges the profile into
 // its cumulative stats afterwards.
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <stdexcept>
@@ -69,55 +66,16 @@ class ResourceExhausted : public std::runtime_error {
   Kind kind_;
 };
 
-/// Per-stage observability counters. `states_built` and `peak_antichain`
-/// are atomic so that concurrent charges stay exact; `calls` and `nanos`
-/// are only touched by StageScope on the coordinating thread. The copy
-/// operations take relaxed snapshots — copy a profile only after the
-/// governed kernel has quiesced (the engine copies per-query profiles after
-/// the check returns).
+/// Per-stage observability counters.
 struct StageMetrics {
-  std::uint64_t calls = 0;                    // StageScope entries
-  std::atomic<std::uint64_t> states_built{0}; // states/configs constructed
-  std::atomic<std::uint64_t> peak_antichain{0}; // peak antichain/frontier
-  std::atomic<std::uint64_t> peak_memory_bytes{0};  // arena + intern storage
-  std::uint64_t nanos = 0;                    // exclusive wall time
-
-  StageMetrics() = default;
-  StageMetrics(const StageMetrics& o) { *this = o; }
-  StageMetrics& operator=(const StageMetrics& o) {
-    calls = o.calls;
-    states_built.store(o.states_built.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-    peak_antichain.store(o.peak_antichain.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-    peak_memory_bytes.store(
-        o.peak_memory_bytes.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    nanos = o.nanos;
-    return *this;
-  }
-
-  StageMetrics& operator+=(const StageMetrics& o) {
-    calls += o.calls;
-    states_built.fetch_add(o.states_built.load(std::memory_order_relaxed),
-                           std::memory_order_relaxed);
-    const std::uint64_t other_peak =
-        o.peak_antichain.load(std::memory_order_relaxed);
-    if (other_peak > peak_antichain.load(std::memory_order_relaxed)) {
-      peak_antichain.store(other_peak, std::memory_order_relaxed);
-    }
-    const std::uint64_t other_mem =
-        o.peak_memory_bytes.load(std::memory_order_relaxed);
-    if (other_mem > peak_memory_bytes.load(std::memory_order_relaxed)) {
-      peak_memory_bytes.store(other_mem, std::memory_order_relaxed);
-    }
-    nanos += o.nanos;
-    return *this;
-  }
+  std::uint64_t calls = 0;              // StageScope entries
+  std::uint64_t states_built = 0;       // states/configs constructed
+  std::uint64_t peak_antichain = 0;     // peak antichain/frontier
+  std::uint64_t peak_memory_bytes = 0;  // arena + intern storage
+  std::uint64_t nanos = 0;              // exclusive wall time
 };
 
-/// One profile per check: the metrics of every stage. Merging profiles sums
-/// additive counters and maxes the peaks.
+/// One profile per check: the metrics of every stage.
 struct QueryProfile {
   std::array<StageMetrics, kNumStages> stages{};
 
@@ -128,20 +86,9 @@ struct QueryProfile {
     return stages[static_cast<std::size_t>(s)];
   }
 
-  QueryProfile& operator+=(const QueryProfile& o) {
-    for (std::size_t i = 0; i < kNumStages; ++i) stages[i] += o.stages[i];
-    return *this;
-  }
-
   [[nodiscard]] std::uint64_t total_nanos() const {
     std::uint64_t total = 0;
     for (const StageMetrics& m : stages) total += m.nanos;
-    return total;
-  }
-
-  [[nodiscard]] std::uint64_t total_states() const {
-    std::uint64_t total = 0;
-    for (const StageMetrics& m : stages) total += m.states_built;
     return total;
   }
 };
@@ -169,16 +116,11 @@ class Budget {
   void set_max_states(std::uint64_t max_states) { max_states_ = max_states; }
 
   /// Records `states` newly constructed states/configs under the current
-  /// stage and enforces both limits. Throws ResourceExhausted. Safe to call
-  /// concurrently: the cap check rides a single fetch_add, so no two
-  /// threads can both observe a total at or below the cap once it is
-  /// crossed.
+  /// stage and enforces both limits. Throws ResourceExhausted.
   void charge(std::uint64_t states = 1) {
-    profile_[stage_].states_built.fetch_add(states,
-                                            std::memory_order_relaxed);
-    const std::uint64_t used =
-        states_used_.fetch_add(states, std::memory_order_relaxed) + states;
-    if (used > max_states_) {
+    profile_[stage_].states_built += states;
+    states_used_ += states;
+    if (states_used_ > max_states_) {
       throw ResourceExhausted(stage_, ResourceExhausted::Kind::kStates);
     }
     maybe_check_deadline();
@@ -186,46 +128,33 @@ class Budget {
 
   /// Deadline check only — for inner loops that do work without building
   /// states (e.g. the ranking odometer of the complement construction).
-  /// Cheap: consults the clock once every 64 calls (across all threads).
+  /// Cheap: consults the clock once every 64 calls.
   void tick() { maybe_check_deadline(); }
 
-  /// Updates the peak antichain/frontier size of the current stage
-  /// (monotone max, lock-free).
+  /// Updates the peak antichain/frontier size of the current stage.
   void note_frontier(std::uint64_t size) {
-    note_peak(profile_[stage_].peak_antichain, size);
+    std::uint64_t& peak = profile_[stage_].peak_antichain;
+    peak = std::max(peak, size);
   }
 
   /// Updates the peak kernel-memory footprint (arena + intern storage
-  /// bytes) of the current stage (monotone max, lock-free). Observability
-  /// only — the enforced limits stay the state cap and the deadline.
+  /// bytes) of the current stage. Observability only — the enforced limits
+  /// stay the state cap and the deadline.
   void note_memory(std::uint64_t bytes) {
-    note_peak(profile_[stage_].peak_memory_bytes, bytes);
+    std::uint64_t& peak = profile_[stage_].peak_memory_bytes;
+    peak = std::max(peak, bytes);
   }
 
   [[nodiscard]] Stage stage() const { return stage_; }
   [[nodiscard]] const QueryProfile& profile() const { return profile_; }
-  [[nodiscard]] std::uint64_t states_used() const {
-    return states_used_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t states_used() const { return states_used_; }
 
  private:
   friend class StageScope;
 
-  static void note_peak(std::atomic<std::uint64_t>& peak,
-                        std::uint64_t value) {
-    std::uint64_t seen = peak.load(std::memory_order_relaxed);
-    while (value > seen &&
-           !peak.compare_exchange_weak(seen, value,
-                                       std::memory_order_relaxed)) {
-    }
-  }
-
   void maybe_check_deadline() {
     if (!has_deadline_) return;
-    if ((deadline_ticks_.fetch_add(1, std::memory_order_relaxed) & 0x3f) !=
-        0x3f) {
-      return;
-    }
+    if ((deadline_ticks_++ & 0x3f) != 0x3f) return;
     check_deadline_now();
   }
 
@@ -238,10 +167,8 @@ class Budget {
   Clock::time_point deadline_{};
   bool has_deadline_ = false;
   std::uint64_t max_states_ = ~std::uint64_t{0};
-  std::atomic<std::uint64_t> states_used_{0};
-  std::atomic<std::uint32_t> deadline_ticks_{0};
-  // Written only by StageScope on the coordinating thread; no other thread
-  // may charge across a stage boundary.
+  std::uint64_t states_used_ = 0;
+  std::uint32_t deadline_ticks_ = 0;
   Stage stage_ = Stage::kOther;
   StageScope* top_ = nullptr;
   QueryProfile profile_;

@@ -20,6 +20,7 @@
 #include "rlv/ltl/parser.hpp"
 #include "rlv/ltl/translate.hpp"
 #include "rlv/omega/complement.hpp"
+#include "rlv/omega/lasso.hpp"
 #include "rlv/omega/limit.hpp"
 #include "rlv/omega/product.hpp"
 #include "rlv/util/budget.hpp"
@@ -454,6 +455,28 @@ TEST(Budget, FairCheckHonoursTheDeadline) {
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(1000));
 #endif
+}
+
+TEST(Budget, FairPeriodIsOneWalkOverTheProduct) {
+  // On the 8-bit hypercube every state enables every action, so the fair
+  // SCC of the system × ¬(F G t0) product is nearly all of it. Its period
+  // takes an untraversed edge wherever there is one and searches only when
+  // stuck, so it stays within the product's edges plus its states.
+  const Nfa system_nfa = parse_system(hypercube_text(8));
+  const Buchi system = limit_of_prefix_closed(system_nfa);
+  const Labeling lambda = Labeling::canonical(system.alphabet());
+  const Buchi negated = translate_ltl_negated(parse_ltl("F G t0"), lambda);
+  const PairProduct product =
+      pair_product(system.structure(), negated.structure());
+  EXPECT_EQ(product.size(), 513u);
+  EXPECT_EQ(product.edges.size(), 7'695u);
+
+  const FairCheckResult r = check_fair_satisfaction_negated(system, negated);
+  ASSERT_TRUE(r.counterexample.has_value());
+  EXPECT_TRUE(accepts_lasso(system, *r.counterexample));
+  EXPECT_TRUE(accepts_lasso(negated, *r.counterexample));
+  EXPECT_LE(r.counterexample->period.size(),
+            product.edges.size() + product.size());
 }
 
 TEST(Budget, FairVerdictsUnaffectedByGenerousBudget) {

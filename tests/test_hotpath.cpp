@@ -24,6 +24,7 @@
 #include "rlv/lang/nfa.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/omega/emptiness.hpp"
+#include "rlv/omega/live.hpp"
 #include "rlv/omega/product.hpp"
 #include "rlv/util/arena.hpp"
 #include "rlv/util/budget.hpp"
@@ -363,14 +364,10 @@ TEST(Differential, LazyProductMatchesMaterializedIntersection) {
     auto sigma = random_alphabet(2);
     const Buchi a = random_buchi(rng, 2 + rng.next_below(5), sigma);
     const Buchi b = random_buchi(rng, 2 + rng.next_below(5), sigma);
-    const bool lazy = product_empty({&a, &b});
-    const bool materialized = buchi_empty(intersect_buchi(a, b));
-    ASSERT_EQ(lazy, materialized) << "round " << round;
-    if (!lazy) {
-      ++nonempty;
-      const auto lasso = find_accepting_lasso_product({&a, &b});
-      ASSERT_TRUE(lasso.has_value());
-    }
+    const auto lasso = find_accepting_lasso_product({&a, &b});
+    const bool materialized = omega_empty(intersect_buchi(a, b));
+    ASSERT_EQ(!lasso.has_value(), materialized) << "round " << round;
+    if (lasso) ++nonempty;
   }
   EXPECT_GT(nonempty, 5);
 }
@@ -402,7 +399,7 @@ TEST(BudgetMemory, InclusionReportsKernelBytes) {
   Budget budget;
   (void)check_inclusion(a, b, InclusionAlgorithm::kAntichain, &budget);
   const StageMetrics& m = budget.profile()[Stage::kInclusion];
-  EXPECT_GT(m.peak_memory_bytes.load(), 0u);
+  EXPECT_GT(m.peak_memory_bytes, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -237,8 +237,7 @@ TEST(Product, InfAAndInfB) {
 TEST(Product, DisjointIsEmpty) {
   const Buchi never = intersect_buchi(inf_a(), fin_a());
   EXPECT_TRUE(omega_empty(never));
-  EXPECT_TRUE(buchi_empty(never, EmptinessAlgorithm::kScc));
-  EXPECT_TRUE(buchi_empty(never, EmptinessAlgorithm::kNestedDfs));
+  EXPECT_FALSE(find_accepting_lasso_product({&never}).has_value());
 }
 
 TEST(Union, AcceptsEither) {
@@ -487,9 +486,12 @@ TEST_P(RandomBuchiProperty, DegeneralizationMatchesGeneralizedMembership) {
 TEST_P(RandomBuchiProperty, EmptinessAlgorithmsAgree) {
   Rng rng(GetParam());
   const Buchi buchi = random_buchi(rng, 3 + rng.next_below(5));
-  const bool scc = buchi_empty(buchi, EmptinessAlgorithm::kScc);
-  const bool ndfs = buchi_empty(buchi, EmptinessAlgorithm::kNestedDfs);
-  EXPECT_EQ(scc, ndfs);
+  const bool scc = omega_empty(buchi);
+  const auto ndfs = find_accepting_lasso_product({&buchi});
+  EXPECT_EQ(ndfs.has_value(), !scc);
+  if (ndfs) {
+    EXPECT_TRUE(accepts_lasso(buchi, *ndfs));
+  }
   const auto lasso = find_accepting_lasso(buchi);
   EXPECT_EQ(lasso.has_value(), !scc);
   if (lasso) {

@@ -3,8 +3,8 @@
 //   * subset vs antichain check_inclusion — the boolean verdict must be
 //     identical on every random instance; a counterexample is validated by
 //     revalidation (membership in L(a) \ L(b)), never by comparing words;
-//   * materialized (intersect_buchi + buchi_empty/find_accepting_lasso) vs
-//     on-the-fly (product_empty / find_accepting_lasso_product) emptiness,
+//   * materialized (intersect_buchi + omega_empty) vs on-the-fly
+//     (find_accepting_lasso_product) emptiness,
 //     2-ary and 3-ary;
 //   * relative_liveness with both inclusion algorithms, rs/sat through the
 //     lazy products, and the Theorem 4.7 identity;
@@ -74,22 +74,22 @@ TEST_P(EmptinessDifferential, LazyProductMatchesMaterialized) {
   const Buchi c = random_buchi(rng, 2 + rng.next_below(3), sigma);
 
   // 2-ary.
-  const bool materialized2 = buchi_empty(intersect_buchi(a, b));
-  EXPECT_EQ(product_empty({&a, &b}), materialized2);
-  if (const auto lasso = find_accepting_lasso_product({&a, &b})) {
-    EXPECT_FALSE(materialized2);
-    EXPECT_TRUE(accepts_lasso(a, *lasso));
-    EXPECT_TRUE(accepts_lasso(b, *lasso));
+  const bool materialized2 = omega_empty(intersect_buchi(a, b));
+  const auto lasso2 = find_accepting_lasso_product({&a, &b});
+  EXPECT_EQ(!lasso2.has_value(), materialized2);
+  if (lasso2) {
+    EXPECT_TRUE(accepts_lasso(a, *lasso2));
+    EXPECT_TRUE(accepts_lasso(b, *lasso2));
   }
 
   // 3-ary: one lazy triple product vs a chain of materialized pairs.
-  const bool materialized3 = buchi_empty(intersect_buchi(intersect_buchi(a, b), c));
-  EXPECT_EQ(product_empty({&a, &b, &c}), materialized3);
-  if (const auto lasso = find_accepting_lasso_product({&a, &b, &c})) {
-    EXPECT_FALSE(materialized3);
-    EXPECT_TRUE(accepts_lasso(a, *lasso));
-    EXPECT_TRUE(accepts_lasso(b, *lasso));
-    EXPECT_TRUE(accepts_lasso(c, *lasso));
+  const bool materialized3 = omega_empty(intersect_buchi(intersect_buchi(a, b), c));
+  const auto lasso3 = find_accepting_lasso_product({&a, &b, &c});
+  EXPECT_EQ(!lasso3.has_value(), materialized3);
+  if (lasso3) {
+    EXPECT_TRUE(accepts_lasso(a, *lasso3));
+    EXPECT_TRUE(accepts_lasso(b, *lasso3));
+    EXPECT_TRUE(accepts_lasso(c, *lasso3));
   }
 }
 
@@ -136,7 +136,7 @@ TEST_P(CheckDifferential, VerdictsAgreeAcrossAlgorithms) {
   const auto sat = satisfies(system, f, lambda);
   ASSERT_FALSE(sat.exhausted.has_value());
   const Buchi negated = translate_ltl_negated(f, lambda);
-  EXPECT_EQ(sat.holds, buchi_empty(intersect_buchi(system, negated)))
+  EXPECT_EQ(sat.holds, omega_empty(intersect_buchi(system, negated)))
       << f.to_string();
 
   // Relative safety (lazy triple product): Theorem 4.7 cross-check —

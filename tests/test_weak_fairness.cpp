@@ -192,16 +192,18 @@ TEST(ProcessFairness, GroupingByPrefix) {
 }
 
 // ---------------------------------------------------------------------------
-// check_fair_satisfaction_negated hands the Streett search its fairness
-// pairs as a refiner. Reference: the same product with every pair stored
-// explicitly, one per system edge, searched by the pair-based
-// find_fair_lasso.
+// The fair checks hand the Streett search their fairness pairs as a
+// refiner. Reference: the same product built from scratch, with the pairs
+// of a Streett automaton over the system's own edges (fairness.hpp) stored
+// explicitly and lifted to the product edges that project to their system
+// edges, searched by the pair-based find_fair_lasso.
 
-bool explicit_pairs_find_fair_violation(const Buchi& system,
-                                        const Buchi& negated,
-                                        FairnessKind kind) {
+bool stored_pairs_find_fair_violation(const Buchi& system,
+                                      const Buchi& negated,
+                                      const StreettAutomaton& fairness) {
   // Reachable product of the system with ¬P, keeping for each product edge
   // the system edge it projects to.
+  const Nfa& sys = system.structure();
   Nfa product(system.alphabet());
   std::vector<std::pair<State, State>> pairs;
   std::vector<std::vector<std::pair<Transition, std::uint32_t>>> edges_of;
@@ -215,23 +217,18 @@ bool explicit_pairs_find_fair_violation(const Buchi& system,
     }
     return it->second;
   };
-  std::vector<std::uint32_t> sys_offset(system.num_states() + 1, 0);
-  for (State s = 0; s < system.num_states(); ++s) {
-    sys_offset[s + 1] =
-        sys_offset[s] + static_cast<std::uint32_t>(system.out(s).size());
-  }
   for (const State p : system.initial()) {
     for (const State q : negated.initial()) product.set_initial(intern(p, q));
   }
   for (State id = 0; id < pairs.size(); ++id) {
     const auto [p, q] = pairs[id];
-    for (std::uint32_t i = 0; i < system.out(p).size(); ++i) {
-      const Transition ts = system.out(p)[i];
+    for (std::uint32_t e = sys.first_edge(p); e < sys.first_edge(p + 1); ++e) {
+      const Transition ts = sys.edges()[e];
       for (const Transition& tn : negated.out(q)) {
         if (tn.symbol != ts.symbol) continue;
         const State to = intern(ts.target, tn.target);
         product.add_transition(id, ts.symbol, to);
-        edges_of[id].push_back({Transition{ts.symbol, to}, sys_offset[p] + i});
+        edges_of[id].push_back({Transition{ts.symbol, to}, e});
       }
     }
   }
@@ -252,22 +249,13 @@ bool explicit_pairs_find_fair_violation(const Buchi& system,
 
   StreettAutomaton streett(product);
   const std::size_t m = streett.num_edges();
-  for (State s = 0; s < system.num_states(); ++s) {
-    for (std::uint32_t e = sys_offset[s]; e < sys_offset[s + 1]; ++e) {
-      StreettPair pair{streett.edge_set(), streett.edge_set()};
-      for (EdgeId pe = 0; pe < m; ++pe) {
-        const bool from_s = pairs[streett.edge_source(pe)].first == s;
-        const bool is_e = flat_sys_edge[pe] == e;
-        if (kind == FairnessKind::kStrongTransition) {
-          if (from_s) pair.antecedent.set(pe);
-          if (is_e) pair.goal.set(pe);
-        } else {
-          pair.antecedent.set(pe);
-          if (!from_s || is_e) pair.goal.set(pe);
-        }
-      }
-      streett.add_pair(std::move(pair));
+  for (const StreettPair& lift : fairness.pairs()) {
+    StreettPair pair{streett.edge_set(), streett.edge_set()};
+    for (EdgeId pe = 0; pe < m; ++pe) {
+      if (lift.antecedent.test(flat_sys_edge[pe])) pair.antecedent.set(pe);
+      if (lift.goal.test(flat_sys_edge[pe])) pair.goal.set(pe);
     }
+    streett.add_pair(std::move(pair));
   }
   StreettPair buchi{streett.edge_set(), streett.edge_set()};
   for (EdgeId pe = 0; pe < m; ++pe) {
@@ -276,6 +264,17 @@ bool explicit_pairs_find_fair_violation(const Buchi& system,
   }
   streett.add_pair(std::move(buchi));
   return find_fair_lasso(streett).has_value();
+}
+
+/// The stored-pair reference for process fairness: one pair per prefix,
+/// over the system's edges (add_process_fairness_pairs).
+bool stored_process_pairs_find_fair_violation(
+    const Buchi& system, const Buchi& negated,
+    const std::vector<std::string>& prefixes) {
+  StreettAutomaton fairness(system.structure());
+  add_process_fairness_pairs(fairness,
+                             group_edges_by_prefix(fairness, prefixes));
+  return stored_pairs_find_fair_violation(system, negated, fairness);
 }
 
 TEST(FairCheck, RefinerMatchesExplicitPairs) {
@@ -294,8 +293,8 @@ TEST(FairCheck, RefinerMatchesExplicitPairs) {
          {FairnessKind::kStrongTransition, FairnessKind::kWeakTransition}) {
       const FairCheckResult res =
           check_fair_satisfaction_negated(system, negated, kind);
-      const bool reference =
-          explicit_pairs_find_fair_violation(system, negated, kind);
+      const bool reference = stored_pairs_find_fair_violation(
+          system, negated, make_fairness_streett(system.structure(), kind));
       ASSERT_EQ(!res.all_fair_runs_satisfy, reference)
           << f.to_string() << (kind == FairnessKind::kWeakTransition
                                    ? " (weak)"
@@ -334,9 +333,9 @@ TEST(FairCheck, SingletonProcessesEqualStrongTransitionFairness) {
   // Each edge of a random transition system gets its own fixed-width action
   // name, so no name is a prefix of another and one prefix per action makes
   // every process a single transition. Process fairness with singleton
-  // groups is strong transition fairness (fairness.hpp), so the stored
-  // pairs over an Nfa-built automaton and the refiner over the moved pair
-  // product must agree.
+  // groups is strong transition fairness (fairness.hpp), so the refiner's
+  // process-fair and strong verdicts must both equal the search over the
+  // stored strong transition pairs.
   Rng rng(6007);
   std::size_t violated = 0;
   for (int i = 0; i < 200; ++i) {
@@ -360,20 +359,71 @@ TEST(FairCheck, SingletonProcessesEqualStrongTransitionFairness) {
     const Buchi system = limit_of_prefix_closed(ts);
     const Labeling lambda = Labeling::canonical(sigma);
     const Formula f = random_formula(rng, names, 3);
+    const Buchi negated = translate_ltl_negated(f, lambda);
 
+    const bool reference = stored_pairs_find_fair_violation(
+        system, negated,
+        make_fairness_streett(system.structure(),
+                              FairnessKind::kStrongTransition));
     const FairCheckResult strong = check_fair_satisfaction(
         system, f, lambda, FairnessKind::kStrongTransition);
     const FairCheckResult process =
         check_process_fair_satisfaction(system, f, lambda, names);
-    ASSERT_EQ(strong.all_fair_runs_satisfy, process.all_fair_runs_satisfy)
+    ASSERT_EQ(!process.all_fair_runs_satisfy, reference)
         << "instance " << i << ": " << f.to_string();
-    if (!process.all_fair_runs_satisfy) {
+    ASSERT_EQ(!strong.all_fair_runs_satisfy, reference)
+        << "instance " << i << ": " << f.to_string();
+    if (reference) {
       ++violated;
       ASSERT_TRUE(process.counterexample.has_value());
       EXPECT_TRUE(accepts_lasso(system, *process.counterexample));
+      EXPECT_TRUE(accepts_lasso(negated, *process.counterexample));
     }
   }
   EXPECT_GT(violated, 20u);
+}
+
+TEST(FairCheck, OverlappingProcessesMatchStoredPairs) {
+  // Prefixes nest ("p0" is a prefix of "p0a"), so an edge can sit in two
+  // processes at once, and some actions match no prefix. The refiner's
+  // process-fair verdict must equal the search over one stored pair per
+  // process, and each counterexample must be a system run violating f.
+  const AlphabetRef sigma = Alphabet::make({"p0a", "p0b", "p1a", "q"});
+  const std::vector<std::string> pool = {"p", "p0", "p0a", "p0b", "p1",
+                                         "p1a", "q"};
+  std::vector<std::string> atoms;
+  for (Symbol c = 0; c < sigma->size(); ++c) atoms.push_back(sigma->name(c));
+  Rng rng(4201);
+  std::size_t violated = 0;
+  std::size_t held = 0;
+  for (int i = 0; i < 300; ++i) {
+    const Nfa ts = random_transition_system(rng, 2 + rng.next_below(4), sigma);
+    const Buchi system = limit_of_prefix_closed(ts);
+    const Labeling lambda = Labeling::canonical(sigma);
+    const Formula f = random_formula(rng, atoms, 3);
+    std::vector<std::string> prefixes = {"p0", "p0a"};
+    for (const std::string& p : pool) {
+      if (rng.chance(1, 3)) prefixes.push_back(p);
+    }
+
+    const FairCheckResult process =
+        check_process_fair_satisfaction(system, f, lambda, prefixes);
+    const Buchi negated = translate_ltl_negated(f, lambda);
+    const bool reference =
+        stored_process_pairs_find_fair_violation(system, negated, prefixes);
+    ASSERT_EQ(!process.all_fair_runs_satisfy, reference)
+        << "instance " << i << ": " << f.to_string();
+    if (reference) {
+      ++violated;
+      ASSERT_TRUE(process.counterexample.has_value());
+      EXPECT_TRUE(accepts_lasso(system, *process.counterexample));
+      EXPECT_TRUE(accepts_lasso(negated, *process.counterexample));
+    } else {
+      ++held;
+    }
+  }
+  EXPECT_GT(violated, 20u);
+  EXPECT_GT(held, 20u);
 }
 
 }  // namespace
