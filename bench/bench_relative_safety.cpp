@@ -44,9 +44,9 @@ BENCHMARK(BM_RelativeSafety_ResourceServer)
 
 // Experiment E23: on-the-fly vs materialized emptiness for the Lemma 4.4
 // check L_ω ∩ lim(pre(L_ω ∩ P)) ∩ ¬P = ∅ on the scalable server family.
-// lazy = 0 materializes the triple product and runs the SCC-based lasso
-// search (the pre-PR code path, reconstructed inline); lazy = 1 runs the
-// nested DFS over OnTheFlyProduct, paying only for visited states.
+// lazy = 0 materializes the triple product and decides it with the SCC
+// pass (omega_empty); lazy = 1 runs the nested DFS over OnTheFlyProduct,
+// paying only for visited states.
 void BM_OnTheFlySafety(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const bool lazy = state.range(1) != 0;
@@ -68,7 +68,7 @@ void BM_OnTheFlySafety(benchmark::State& state) {
     } else {
       const Buchi bad =
           intersect_buchi(intersect_buchi(system, closure), negated);
-      empty = !find_accepting_lasso(bad).has_value();
+      empty = omega_empty(bad);
     }
     benchmark::DoNotOptimize(empty);
   }

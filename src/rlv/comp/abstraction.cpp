@@ -3,43 +3,26 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
-#include "rlv/util/hash.hpp"
+#include "rlv/util/intern.hpp"
 
 namespace rlv {
 
 namespace {
 
-using Config = std::vector<State>;
-
-/// Interns product configurations to dense ids so closure sets are sets of
-/// small integers.
-class ConfigTable {
- public:
-  std::uint32_t intern(const Config& config) {
-    auto [it, inserted] =
-        ids_.emplace(config, static_cast<std::uint32_t>(configs_.size()));
-    if (inserted) configs_.push_back(config);
-    return it->second;
-  }
-
-  const Config& get(std::uint32_t id) const { return configs_[id]; }
-  std::size_t size() const { return configs_.size(); }
-
- private:
-  std::map<Config, std::uint32_t> ids_;
-  std::vector<Config> configs_;
-};
-
-/// Per-configuration successor enumeration on a single concrete symbol.
+/// Successors of configuration `id` on concrete symbol `a`, interned into
+/// `configs` (dense ids, so closure sets are sets of small integers) and
+/// appended to `out` in odometer order.
 void successors_on(const std::vector<Component>& components,
-                   const Config& config, Symbol a,
-                   std::vector<Config>& out) {
+                   TupleInterner<State>& configs, std::uint32_t id, Symbol a,
+                   std::vector<std::uint32_t>& out) {
   const std::size_t k = components.size();
   static thread_local std::vector<std::vector<State>> succs;
-  succs.assign(k, {});
+  static thread_local std::vector<State> next;
+  succs.resize(k);
+  next.resize(k);
+  const State* config = configs.at(id);
   for (std::size_t i = 0; i < k; ++i) {
     if (!components[i].participates.test(a)) {
       succs[i] = {config[i]};
@@ -48,11 +31,11 @@ void successors_on(const std::vector<Component>& components,
     succs[i] = components[i].automaton.successors(config[i], a);
     if (succs[i].empty()) return;  // not enabled
   }
+  // `config` is not read past this point: interning may move it.
   std::vector<std::size_t> index(k, 0);
   while (true) {
-    Config next(k);
     for (std::size_t i = 0; i < k; ++i) next[i] = succs[i][index[i]];
-    out.push_back(std::move(next));
+    out.push_back(configs.intern(next.data()).first);
     std::size_t i = 0;
     for (; i < k; ++i) {
       if (++index[i] < succs[i].size()) break;
@@ -78,7 +61,7 @@ OnTheFlyResult on_the_fly_abstraction(const std::vector<Component>& components,
     if (const auto mapped = h.apply(a)) preimages[*mapped].push_back(a);
   }
 
-  ConfigTable table;
+  TupleInterner<State> table(components.size());
 
   // Closure of a set of configuration ids under hidden moves.
   auto close = [&](std::vector<std::uint32_t> seed) {
@@ -97,15 +80,14 @@ OnTheFlyResult on_the_fly_abstraction(const std::vector<Component>& components,
         work.push_back(id);
       }
     }
-    std::vector<Config> next;
+    std::vector<std::uint32_t> next;
     while (!work.empty()) {
       const std::uint32_t id = work.back();
       work.pop_back();
       for (const Symbol a : hidden) {
         next.clear();
-        successors_on(components, table.get(id), a, next);
-        for (const Config& config : next) {
-          const std::uint32_t nid = table.intern(config);
+        successors_on(components, table, id, a, next);
+        for (const std::uint32_t nid : next) {
           if (mark(nid)) {
             result.push_back(nid);
             work.push_back(nid);
@@ -122,7 +104,7 @@ OnTheFlyResult on_the_fly_abstraction(const std::vector<Component>& components,
   std::map<std::vector<std::uint32_t>, State> ids;
   std::vector<std::vector<std::uint32_t>> sets;
 
-  Config initial(components.size());
+  std::vector<State> initial(components.size());
   for (std::size_t i = 0; i < components.size(); ++i) {
     assert(components[i].automaton.initial().size() == 1);
     initial[i] = components[i].automaton.initial().front();
@@ -137,10 +119,10 @@ OnTheFlyResult on_the_fly_abstraction(const std::vector<Component>& components,
     return it->second;
   };
 
-  const State start = intern_set(close({table.intern(initial)}));
+  const State start =
+      intern_set(close({table.intern(initial.data()).first}));
   out.abstract.set_initial(start);
 
-  std::vector<Config> step;
   for (State s = 0; s < sets.size(); ++s) {
     if (out.abstract.num_states() > options.max_abstract_states) {
       out.truncated = true;
@@ -151,11 +133,7 @@ OnTheFlyResult on_the_fly_abstraction(const std::vector<Component>& components,
       std::vector<std::uint32_t> seed;
       for (const std::uint32_t id : current) {
         for (const Symbol a : preimages[b]) {
-          step.clear();
-          successors_on(components, table.get(id), a, step);
-          for (const Config& config : step) {
-            seed.push_back(table.intern(config));
-          }
+          successors_on(components, table, id, a, seed);
         }
       }
       if (seed.empty()) continue;

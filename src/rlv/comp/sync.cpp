@@ -1,8 +1,9 @@
 #include "rlv/comp/sync.hpp"
 
 #include <cassert>
-#include <map>
 #include <vector>
+
+#include "rlv/util/intern.hpp"
 
 namespace rlv {
 
@@ -25,33 +26,35 @@ Nfa sync_product(const std::vector<Component>& components) {
            "sync_product expects deterministic initial configurations");
   }
 
-  using Config = std::vector<State>;
+  // Configuration ids are the product's state ids (first-seen order).
   Nfa product(sigma);
-  std::map<Config, State> ids;
-  std::vector<Config> worklist;
+  TupleInterner<State> configs(k);
+  std::vector<State> worklist;
+  std::vector<State> config(k);
 
-  auto intern = [&](const Config& config) -> State {
-    auto [it, inserted] = ids.emplace(config, kNoState);
-    if (inserted) {
-      it->second = product.add_state(true);
-      worklist.push_back(config);
+  auto intern = [&](const std::vector<State>& c) -> State {
+    const auto [id, fresh] = configs.intern(c.data());
+    if (fresh) {
+      product.add_state(true);
+      worklist.push_back(id);
     }
-    return it->second;
+    return id;
   };
 
-  Config initial(k);
   for (std::size_t i = 0; i < k; ++i) {
-    initial[i] = components[i].automaton.initial().front();
+    config[i] = components[i].automaton.initial().front();
   }
-  product.set_initial(intern(initial));
+  product.set_initial(intern(config));
 
   // Successor exploration: for each symbol, the participating components
   // each contribute their successor sets; the non-participating stay put.
   std::vector<std::vector<State>> succs(k);
+  std::vector<State> next(k);
   while (!worklist.empty()) {
-    const Config config = worklist.back();
+    const State from = worklist.back();
     worklist.pop_back();
-    const State from = ids.at(config);
+    // Copy: interning successors grows the configuration storage.
+    config.assign(configs.at(from), configs.at(from) + k);
 
     for (Symbol a = 0; a < sigma->size(); ++a) {
       bool enabled = true;
@@ -68,7 +71,6 @@ Nfa sync_product(const std::vector<Component>& components) {
       // Cross product of per-component successors (odometer).
       std::vector<std::size_t> index(k, 0);
       while (true) {
-        Config next(k);
         for (std::size_t i = 0; i < k; ++i) next[i] = succs[i][index[i]];
         product.add_transition(from, a, intern(next));
         std::size_t i = 0;

@@ -1,8 +1,8 @@
 #include "rlv/gen/guarded.hpp"
 
 #include <cassert>
-#include <map>
-#include <queue>
+
+#include "rlv/util/intern.hpp"
 
 namespace rlv {
 
@@ -31,31 +31,31 @@ GuardedSystem::BuildResult GuardedSystem::build(std::size_t max_states) const {
     rule_symbol.push_back(sigma->intern(rule.label));
   }
 
+  // Valuation ids are the system's state ids (first-seen order), and the
+  // breadth-first worklist is the id order itself.
   BuildResult result{Nfa(sigma), {}, true};
-  std::map<Valuation, State> ids;
-  std::queue<Valuation> worklist;
+  TupleInterner<std::uint8_t> ids(domains_.size());
 
   auto intern = [&](const Valuation& v) -> State {
-    auto it = ids.find(v);
-    if (it != ids.end()) return it->second;
     if (result.valuations.size() >= max_states) {
-      result.complete = false;
-      return kNoState;
+      // Cap reached: known valuations still resolve, fresh ones truncate.
+      const State found = ids.find(v.data());
+      if (found == kNoState) result.complete = false;
+      return found;
     }
-    const State s = result.system.add_state(true);
-    ids.emplace(v, s);
-    result.valuations.push_back(v);
-    worklist.push(v);
-    return s;
+    const auto [id, fresh] = ids.intern(v.data());
+    if (fresh) {
+      result.system.add_state(true);
+      result.valuations.push_back(v);
+    }
+    return id;
   };
 
   const State start = intern(initial_);
   if (start != kNoState) result.system.set_initial(start);
 
-  while (!worklist.empty()) {
-    const Valuation v = std::move(worklist.front());
-    worklist.pop();
-    const State from = ids.at(v);
+  for (State from = 0; from < result.valuations.size(); ++from) {
+    const Valuation v = result.valuations[from];  // copy: valuations grows
     for (std::size_t r = 0; r < rules_.size(); ++r) {
       if (!rules_[r].guard(v)) continue;
       Valuation next = v;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "rlv/util/arena.hpp"
-#include "rlv/util/hash.hpp"
 #include "rlv/util/intern.hpp"
 
 namespace rlv {
@@ -41,12 +40,6 @@ Word backtrace(const PathNode* tip) {
   return w;
 }
 
-/// Packs a (left NFA state, interned right-set id) configuration into the
-/// 64-bit visited-set key.
-std::uint64_t config_key(State left, std::uint32_t right_id) {
-  return (static_cast<std::uint64_t>(left) << 32) | right_id;
-}
-
 /// Explored configuration of the sequential kernels: a left-hand NFA state
 /// paired with the interned id of the right-hand subset. 16 bytes, no owned
 /// heap payload — the previous representation carried a DynBitset (own
@@ -65,15 +58,15 @@ struct SeqConfig {
 class SeqContext {
  public:
   SeqContext(const Nfa& b, Budget* budget)
-      : b_(b), budget_(budget), interner_(b.num_states()) {
+      : b_(b), budget_(budget), interner_((b.num_states() + 63) / 64) {
     const DynBitset acc = b.accepting_set();
     acc_words_.assign(acc.words_data(), acc.words_data() + acc.num_words());
-    cur_.assign(interner_.words_per(), 0);
-    nxt_.assign(interner_.words_per(), 0);
+    cur_.assign(interner_.width(), 0);
+    nxt_.assign(interner_.width(), 0);
   }
 
   Arena& arena() { return arena_; }
-  BitsetInterner& interner() { return interner_; }
+  TupleInterner<std::uint64_t>& interner() { return interner_; }
 
   /// Interns the right-hand initial subset and returns its id.
   std::uint32_t intern_initial() {
@@ -88,8 +81,8 @@ class SeqContext {
   /// word pointers are invalidated by the next intern, so every popped
   /// configuration is staged here before its successors are computed.
   void load(std::uint32_t id) {
-    const std::uint64_t* w = interner_.words(id);
-    std::copy(w, w + interner_.words_per(), cur_.begin());
+    const std::uint64_t* w = interner_.at(id);
+    std::copy(w, w + interner_.width(), cur_.begin());
   }
 
   [[nodiscard]] bool cur_accepts() const {
@@ -119,7 +112,7 @@ class SeqContext {
   const Nfa& b_;
   Budget* budget_;
   Arena arena_;
-  BitsetInterner interner_;
+  TupleInterner<std::uint64_t> interner_;
   std::vector<std::uint64_t> acc_words_;
   std::vector<std::uint64_t> cur_;
   std::vector<std::uint64_t> nxt_;
@@ -127,13 +120,14 @@ class SeqContext {
 
 InclusionResult subset_inclusion(const Nfa& a, const Nfa& b, Budget* budget) {
   SeqContext ctx(b, budget);
-  U64KeySet seen;
-  std::uint64_t seen_total = 0;
+  // Visited configurations as (left state, right-set id) pairs.
+  TupleInterner<std::uint32_t> seen(2);
 
   auto record = [&](State left, std::uint32_t right_id) {
-    if (!seen.insert(config_key(left, right_id))) return false;
+    const std::uint32_t config[2] = {left, right_id};
+    if (!seen.intern(config).second) return false;
     ctx.charge(seen.bytes());
-    budget_note_frontier(budget, ++seen_total);
+    budget_note_frontier(budget, seen.size());
     return true;
   };
 
@@ -172,8 +166,8 @@ InclusionResult subset_inclusion(const Nfa& a, const Nfa& b, Budget* budget) {
 InclusionResult antichain_inclusion(const Nfa& a, const Nfa& b,
                                     Budget* budget) {
   SeqContext ctx(b, budget);
-  BitsetInterner& interner = ctx.interner();
-  const std::size_t words_per = interner.words_per();
+  TupleInterner<std::uint64_t>& interner = ctx.interner();
+  const std::size_t words_per = interner.width();
 
   // Antichain of ⊆-minimal right-hand sets, per left-hand state. Subsumption
   // probes compare the candidate's scratch words against interned blocks;
@@ -215,14 +209,14 @@ InclusionResult antichain_inclusion(const Nfa& a, const Nfa& b,
     std::vector<Element>& chain = antichain[left];
     const std::uint64_t* w = ctx.next_words();
     auto subset_of_w = [&](const Element& e) {
-      const std::uint64_t* ew = interner.words(e.right);
+      const std::uint64_t* ew = interner.at(e.right);
       for (std::size_t i = 0; i < words_per; ++i) {
         if ((ew[i] & ~w[i]) != 0) return false;
       }
       return true;
     };
     auto superset_of_w = [&](const Element& e) {
-      const std::uint64_t* ew = interner.words(e.right);
+      const std::uint64_t* ew = interner.at(e.right);
       for (std::size_t i = 0; i < words_per; ++i) {
         if ((w[i] & ~ew[i]) != 0) return false;
       }

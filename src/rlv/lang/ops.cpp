@@ -8,7 +8,6 @@
 #include <span>
 #include <stdexcept>
 
-#include "rlv/util/hash.hpp"
 #include "rlv/util/intern.hpp"
 
 namespace rlv {
@@ -33,9 +32,9 @@ Dfa determinize(const Nfa& nfa, Budget* budget) {
   // are the dense intern ids (first-seen order, so the numbering matches the
   // classical worklist construction). The two scratch buffers are the only
   // per-step allocations.
-  BitsetInterner interner(n);
+  TupleInterner<std::uint64_t> interner(init.num_words());
   const DynBitset acc_set = nfa.accepting_set();
-  const std::size_t words_per = interner.words_per();
+  const std::size_t words_per = interner.width();
   std::vector<std::uint64_t> cur(words_per, 0);
   std::vector<std::uint64_t> nxt(words_per, 0);
 
@@ -63,7 +62,7 @@ Dfa determinize(const Nfa& nfa, Budget* budget) {
   for (State d = 0; d < interner.size(); ++d) {
     // The interner grows while we iterate (and its word pointers move), so
     // the current subset is staged into `cur` first.
-    std::copy(interner.words(d), interner.words(d) + words_per, cur.begin());
+    std::copy(interner.at(d), interner.at(d) + words_per, cur.begin());
     for (Symbol a = 0; a < sigma; ++a) {
       nfa.step_words(cur.data(), a, nxt.data());
       bool empty = true;
@@ -233,23 +232,10 @@ PairProduct pair_product(const Nfa& a, const Nfa& b, Budget* budget) {
   b.finalize();
 
   PairProduct product;
-  const auto hash_of = [](State p, State q) {
-    return hash_combine(hash_combine(0, p), q);
-  };
-  IdTable table;
   const auto intern = [&](State p, State q) -> State {
-    const std::size_t h = hash_of(p, q);
-    const State found = table.find(h, [&](State id) {
-      return product.left(id) == p && product.right(id) == q;
-    });
-    if (found != IdTable::kNoId) return found;
-    budget_charge(budget);
-    const auto id = static_cast<State>(product.size());
-    product.pairs.push_back(p);
-    product.pairs.push_back(q);
-    table.insert(h, id, [&](State x) {
-      return hash_of(product.left(x), product.right(x));
-    });
+    const State pair[2] = {p, q};
+    const auto [id, fresh] = product.pairs.intern(pair);
+    if (fresh) budget_charge(budget);
     return id;
   };
 

@@ -12,6 +12,7 @@
 #include "rlv/lang/dfa.hpp"
 #include "rlv/lang/nfa.hpp"
 #include "rlv/util/budget.hpp"
+#include "rlv/util/intern.hpp"
 
 namespace rlv {
 
@@ -40,8 +41,8 @@ namespace rlv {
 /// whose edge ids are then these edge indices. Each pair charges one state
 /// to `budget` under the caller's stage.
 struct PairProduct {
-  /// Pair s is (left(s), right(s)) = (pairs[2s], pairs[2s+1]).
-  std::vector<State> pairs;
+  /// Pair s is (left(s), right(s)), interned as a width-2 tuple.
+  TupleInterner<State> pairs{2};
   /// Distinct ids of the initial pairs.
   std::vector<State> initial;
   /// The out-edges of pair s are edges[edge_off[s] .. edge_off[s+1]).
@@ -51,11 +52,9 @@ struct PairProduct {
   /// it projects to.
   std::vector<std::uint32_t> left_edge;
 
-  [[nodiscard]] std::size_t size() const { return pairs.size() / 2; }
-  [[nodiscard]] State left(State s) const { return pairs[2 * std::size_t{s}]; }
-  [[nodiscard]] State right(State s) const {
-    return pairs[2 * std::size_t{s} + 1];
-  }
+  [[nodiscard]] std::size_t size() const { return pairs.size(); }
+  [[nodiscard]] State left(State s) const { return pairs.at(s)[0]; }
+  [[nodiscard]] State right(State s) const { return pairs.at(s)[1]; }
 
   /// The product as an automaton over `sigma`, every state accepting or
   /// none; state ids and out() order are those of the pairs and edges.

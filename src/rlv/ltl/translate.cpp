@@ -43,8 +43,8 @@ class TableauBuilder {
   TableauBuilder(Formula phi, Budget* budget) : budget_(budget) {
     const std::uint32_t root = number(phi);
     words_ = (subs_.size() + 63) / 64;
-    lists_ = BitsetInterner(64 * words_);
-    nodes_ = BitsetInterner(128 * words_);
+    lists_ = TupleInterner<std::uint64_t>(words_);
+    nodes_ = TupleInterner<std::uint64_t>(2 * words_);
     link_literals();
 
     std::vector<std::uint64_t> seed(words_, 0);
@@ -135,7 +135,7 @@ class TableauBuilder {
   /// as the list's successors.
   void cover(std::uint32_t list) {
     stack_.assign(3 * words_, 0);
-    const std::uint64_t* seed = lists_.words(list);
+    const std::uint64_t* seed = lists_.at(list);
     std::copy(seed, seed + words_, stack_.begin());
 
     while (!stack_.empty()) {
@@ -228,7 +228,7 @@ class TableauBuilder {
     const std::size_t n = out_.num_nodes();
     out_.literal_offsets.assign(1, 0);
     for (std::uint32_t node = 0; node < n; ++node) {
-      const std::uint64_t* old = nodes_.words(node);
+      const std::uint64_t* old = nodes_.at(node);
       for (std::uint32_t id = 0; id < subs_.size(); ++id) {
         if (subs_[id].literal != kNone && test(old, id)) {
           out_.literal_ids.push_back(subs_[id].literal);
@@ -241,7 +241,7 @@ class TableauBuilder {
       if (subs_[id].op != LtlOp::kUntil) continue;
       DynBitset set(n);
       for (std::uint32_t node = 0; node < n; ++node) {
-        const std::uint64_t* old = nodes_.words(node);
+        const std::uint64_t* old = nodes_.at(node);
         if (!test(old, id) || test(old, subs_[id].right)) set.set(node);
       }
       out_.accepting.push_back(std::move(set));
@@ -253,8 +253,8 @@ class TableauBuilder {
   std::vector<Formula> formulas_;
   std::unordered_map<const void*, std::uint32_t> ids_;
   std::size_t words_ = 1;
-  BitsetInterner lists_{64};  // next-sets; id = successor list
-  BitsetInterner nodes_{128};  // old|next pairs; id = node
+  TupleInterner<std::uint64_t> lists_{1};  // next-sets; id = successor list
+  TupleInterner<std::uint64_t> nodes_{2};  // old|next pairs; id = node
   std::vector<std::uint32_t> listed_in_;  // last list a node was added to
   std::vector<std::uint64_t> stack_;
   Tableau out_;

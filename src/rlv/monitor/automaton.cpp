@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "rlv/cert/certificate.hpp"
 #include "rlv/lang/ops.hpp"
 #include "rlv/ltl/translate.hpp"
 #include "rlv/omega/live.hpp"
+#include "rlv/util/intern.hpp"
 
 namespace rlv::monitor {
 
@@ -70,44 +70,42 @@ void MonitorAutomaton::build(const Buchi& system, const Buchi& property,
   // so ids are nondecreasing in depth and the parent pointers form a
   // shortest-path tree. Once the system component dies the pair collapses
   // to the single absorbing (dead, dead) left-sink.
-  struct Pair {
-    std::uint32_t sys;
-    std::uint32_t sat;
-  };
-  std::vector<Pair> pairs;
-  std::unordered_map<std::uint64_t, std::uint32_t> interned;
-  const auto key_of = [&](Pair p) {
-    return static_cast<std::uint64_t>(p.sys) * (n_sat + 1) + p.sat;
-  };
-  const auto intern = [&](Pair p, std::uint32_t from, Symbol a) {
-    if (p.sys == kDeadSys) p.sat = kDeadSat;  // one left-sink, not many
-    const auto [it, fresh] = interned.emplace(
-        key_of(p), static_cast<std::uint32_t>(pairs.size()));
+  TupleInterner<std::uint32_t> pairs(2);
+  const auto intern = [&](std::uint32_t sys, std::uint32_t sat,
+                          std::uint32_t from, Symbol a) {
+    if (sys == kDeadSys) sat = kDeadSat;  // one left-sink, not many
+    const std::uint32_t pair[2] = {sys, sat};
+    const auto [id, fresh] = pairs.intern(pair);
     if (fresh) {
       budget_charge(budget);
-      pairs.push_back(p);
       parent_.push_back(from);
       via_.push_back(a);
     }
-    return it->second;
+    return id;
   };
+  const auto sys_at = [&](std::uint32_t id) { return pairs.at(id)[0]; };
+  const auto sat_at = [&](std::uint32_t id) { return pairs.at(id)[1]; };
 
-  initial_ = intern({sys_of(sys_pre.initial()), sat_of(sat.initial())},
+  initial_ = intern(sys_of(sys_pre.initial()), sat_of(sat.initial()),
                     /*from=*/0, /*a=*/0);
   parent_[initial_] = initial_;  // root marker for the witness backtrace
 
   for (std::uint32_t id = 0; id < pairs.size(); ++id) {
     table_.resize(table_.size() + stride_);
-    const Pair p = pairs[id];  // pairs may reallocate inside intern()
+    // Copy: intern() may move the pair storage.
+    const std::uint32_t sys = sys_at(id);
+    const std::uint32_t sat_state = sat_at(id);
     for (Symbol a = 0; a < stride_; ++a) {
-      Pair next{kDeadSys, kDeadSat};
-      if (p.sys != kDeadSys) {
-        next.sys = sys_of(sys_pre.next(static_cast<State>(p.sys), a));
-        if (next.sys != kDeadSys && p.sat != kDeadSat) {
-          next.sat = sat_of(sat.next(static_cast<State>(p.sat), a));
+      std::uint32_t next_sys = kDeadSys;
+      std::uint32_t next_sat = kDeadSat;
+      if (sys != kDeadSys) {
+        next_sys = sys_of(sys_pre.next(static_cast<State>(sys), a));
+        if (next_sys != kDeadSys && sat_state != kDeadSat) {
+          next_sat = sat_of(sat.next(static_cast<State>(sat_state), a));
         }
       }
-      table_[static_cast<std::size_t>(id) * stride_ + a] = intern(next, id, a);
+      table_[static_cast<std::size_t>(id) * stride_ + a] =
+          intern(next_sys, next_sat, id, a);
     }
   }
 
@@ -127,7 +125,7 @@ void MonitorAutomaton::build(const Buchi& system, const Buchi& property,
   std::vector<std::uint8_t> coreach(n, 0);
   std::vector<std::uint32_t> worklist;
   for (std::uint32_t id = 0; id < n; ++id) {
-    if (pairs[id].sat != kDeadSat) {
+    if (sat_at(id) != kDeadSat) {
       coreach[id] = 1;
       worklist.push_back(id);
     }
@@ -147,7 +145,7 @@ void MonitorAutomaton::build(const Buchi& system, const Buchi& property,
   first_doomed_ = static_cast<std::uint32_t>(n);
   for (std::uint32_t id = 0; id < n; ++id) {
     Verdict v;
-    if (pairs[id].sys == kDeadSys) {
+    if (sys_at(id) == kDeadSys) {
       v = Verdict::kLeftSystem;
     } else if (!coreach[id]) {
       v = Verdict::kDoomed;
@@ -157,8 +155,8 @@ void MonitorAutomaton::build(const Buchi& system, const Buchi& property,
     // With trimmed prefix DFAs every winnable state is itself sat-alive,
     // so the co-reachability doom set must coincide with "sat component
     // dead" — a construction invariant, not an input assumption.
-    if (pairs[id].sys != kDeadSys &&
-        (v == Verdict::kDoomed) != (pairs[id].sat == kDeadSat)) {
+    if (sys_at(id) != kDeadSys &&
+        (v == Verdict::kDoomed) != (sat_at(id) == kDeadSat)) {
       throw std::logic_error(
           "MonitorAutomaton: co-reachability doom set disagrees with the "
           "pre-language classification");

@@ -1,16 +1,17 @@
 #include "rlv/omega/complement.hpp"
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
+
+#include "rlv/util/intern.hpp"
 
 namespace rlv {
 
 namespace {
 
 // A complement state: ranking (-1 = undefined / state absent) plus the
-// obligation set, encoded into one vector for map keys (O bits appended).
+// obligation set, encoded into one width-2n tuple (O bits appended).
 using Key = std::vector<std::int32_t>;
 
 struct Builder {
@@ -18,8 +19,9 @@ struct Builder {
   std::size_t n;
   std::int32_t max_rank;
   Buchi result;
-  std::map<Key, State> ids;
-  std::vector<Key> pending;
+  TupleInterner<std::int32_t> keys;
+  std::vector<State> state_of;         // key id -> result state
+  std::vector<std::uint32_t> pending;  // key ids not yet expanded
   State sink = kNoState;
   Budget* budget;
 
@@ -28,21 +30,22 @@ struct Builder {
         n(input.num_states()),
         max_rank(static_cast<std::int32_t>(2 * input.num_states())),
         result(input.alphabet()),
+        keys(2 * input.num_states()),
         budget(b) {}
 
   State intern(const Key& key) {
-    auto [it, inserted] = ids.emplace(key, kNoState);
-    if (inserted) {
+    const auto [id, fresh] = keys.intern(key.data());
+    if (fresh) {
       budget_charge(budget);
       // Accepting iff the obligation set (second half of the key) is empty.
       bool obligations = false;
       for (std::size_t q = 0; q < n; ++q) {
         obligations = obligations || (key[n + q] != 0);
       }
-      it->second = result.add_state(!obligations);
-      pending.push_back(key);
+      state_of.push_back(result.add_state(!obligations));
+      pending.push_back(id);
     }
-    return it->second;
+    return state_of[id];
   }
 
   State accepting_sink() {
@@ -55,11 +58,9 @@ struct Builder {
     return sink;
   }
 
-  /// Enumerates all successor rankings of `key` under `symbol` and adds the
-  /// corresponding transitions.
-  void expand(const Key& key, Symbol symbol) {
-    const State from = ids.at(key);
-
+  /// Enumerates all successor rankings of `key` (the key of result state
+  /// `from`) under `symbol` and adds the corresponding transitions.
+  void expand(const Key& key, State from, Symbol symbol) {
     // Successor domain and per-state rank bounds.
     std::vector<std::int32_t> bound(n, -1);
     bool any = false;
@@ -157,11 +158,14 @@ Buchi complement_buchi(const Buchi& a, Budget* budget) {
   }
   b.result.set_initial(b.intern(init));
 
+  Key key;
   while (!b.pending.empty()) {
-    const Key key = std::move(b.pending.back());
+    const std::uint32_t id = b.pending.back();
     b.pending.pop_back();
+    // Copy: interning successors grows the key storage.
+    key.assign(b.keys.at(id), b.keys.at(id) + 2 * a.num_states());
     for (Symbol c = 0; c < a.alphabet()->size(); ++c) {
-      b.expand(key, c);
+      b.expand(key, b.state_of[id], c);
     }
   }
   return std::move(b.result);

@@ -1,10 +1,7 @@
 #include "rlv/omega/emptiness.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <vector>
-
-#include "rlv/util/scc.hpp"
 
 namespace rlv {
 
@@ -117,101 +114,6 @@ std::optional<Lasso> find_accepting_lasso_product(
     }
   }
   return std::nullopt;
-}
-
-std::optional<Lasso> find_accepting_lasso(const Buchi& a, Budget* budget) {
-  StageScope scope(budget, Stage::kEmptiness);
-  const std::size_t n = a.num_states();
-  const Nfa& nfa = a.structure();
-  const std::span<const Transition> edges = nfa.edges();
-  const SccResult scc = tarjan_scc(
-      static_cast<std::uint32_t>(n), [&](State s) { return nfa.first_edge(s); },
-      [&](std::uint32_t e) { return edges[e].target; });
-
-  // An anchor is an accepting state inside a non-trivial SCC: a cycle
-  // through it exists, so it is live.
-  auto is_anchor = [&](State s) {
-    return a.is_accepting(s) && scc.nontrivial[scc.component[s]];
-  };
-
-  // BFS from initial states to the nearest anchor, recording parent edges.
-  std::vector<std::pair<State, Symbol>> parent(n, {kNoState, 0});
-  std::vector<bool> seen(n, false);
-  std::queue<State> queue;
-  for (const State s : a.initial()) {
-    if (!seen[s]) {
-      seen[s] = true;
-      queue.push(s);
-    }
-  }
-  State anchor = kNoState;
-  while (!queue.empty()) {
-    budget_tick(budget);
-    const State s = queue.front();
-    queue.pop();
-    if (is_anchor(s)) {
-      anchor = s;
-      break;
-    }
-    for (const auto& t : a.out(s)) {
-      if (!seen[t.target]) {
-        seen[t.target] = true;
-        parent[t.target] = {s, t.symbol};
-        queue.push(t.target);
-      }
-    }
-  }
-  if (anchor == kNoState) return std::nullopt;
-
-  Word prefix;
-  for (State s = anchor; parent[s].first != kNoState; s = parent[s].first) {
-    prefix.push_back(parent[s].second);
-  }
-  std::reverse(prefix.begin(), prefix.end());
-
-  // BFS within the anchor's SCC for a non-empty cycle anchor -> anchor.
-  const std::uint32_t comp = scc.component[anchor];
-  std::vector<std::pair<State, Symbol>> cyc_parent(n, {kNoState, 0});
-  std::vector<bool> cyc_seen(n, false);
-  std::queue<State> cq;
-  // Seed with anchor's in-SCC successors so the cycle is non-empty.
-  State closer = kNoState;
-  for (const auto& t : a.out(anchor)) {
-    if (scc.component[t.target] != comp) continue;
-    if (t.target == anchor) {
-      // Self-loop: period is a single symbol.
-      return Lasso{std::move(prefix), {t.symbol}};
-    }
-    if (!cyc_seen[t.target]) {
-      cyc_seen[t.target] = true;
-      cyc_parent[t.target] = {anchor, t.symbol};
-      cq.push(t.target);
-    }
-  }
-  while (!cq.empty() && closer == kNoState) {
-    const State s = cq.front();
-    cq.pop();
-    for (const auto& t : a.out(s)) {
-      if (scc.component[t.target] != comp) continue;
-      if (t.target == anchor) {
-        closer = s;
-        Word period;
-        period.push_back(t.symbol);
-        for (State v = s; cyc_parent[v].first != kNoState;
-             v = cyc_parent[v].first) {
-          period.push_back(cyc_parent[v].second);
-        }
-        std::reverse(period.begin(), period.end());
-        return Lasso{std::move(prefix), std::move(period)};
-      }
-      if (!cyc_seen[t.target]) {
-        cyc_seen[t.target] = true;
-        cyc_parent[t.target] = {s, t.symbol};
-        cq.push(t.target);
-      }
-    }
-  }
-  return std::nullopt;  // unreachable for a live anchor
 }
 
 }  // namespace rlv

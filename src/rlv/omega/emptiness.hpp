@@ -1,11 +1,11 @@
 #pragma once
 
-// Accepting-lasso extraction, one search per form of the automaton: the
-// shortest-prefix SCC search over a materialized Büchi automaton, and the
-// nested depth-first search of Courcoubetis–Vardi–Wolper–Yannakakis over an
-// on-the-fly product. The verdict alone on a materialized automaton is
-// omega_empty (rlv/omega/live.hpp). The two searches are cross-checked in
-// tests and compared in bench_emptiness (experiment E12).
+// Accepting-lasso extraction: one search, the nested depth-first search of
+// Courcoubetis–Vardi–Wolper–Yannakakis over an on-the-fly product of one or
+// more Büchi automata. The verdict alone on a materialized automaton is
+// omega_empty (rlv/omega/live.hpp), the SCC reference the nested DFS is
+// cross-checked against in tests and compared with in bench_emptiness
+// (experiment E12).
 
 #include <optional>
 #include <utility>
@@ -27,18 +27,13 @@ struct Lasso {
   friend bool operator==(const Lasso&, const Lasso&) = default;
 };
 
-/// An accepted lasso u·v^ω when the language is non-empty.
-[[nodiscard]] std::optional<Lasso> find_accepting_lasso(
-    const Buchi& a, Budget* budget = nullptr);
-
 /// On-the-fly emptiness of L_ω(op₁) ∩ … ∩ L_ω(opₙ): nested DFS (CVWY) over
 /// an OnTheFlyProduct, so only the product states the search visits are ever
 /// constructed — the materialized intersect_buchi chain always builds the
 /// full reachable product first. Returns an accepted lasso of the
 /// intersection when non-empty. The lasso is a genuine member of the
-/// intersection but, being DFS-extracted, is generally NOT the shortest one
-/// find_accepting_lasso would return on the materialized product —
-/// cross-validate by revalidation, not comparison. Product states are
+/// intersection but, being DFS-extracted, is generally NOT the shortest
+/// one — cross-validate by revalidation, not comparison. Product states are
 /// charged to `budget` under Stage::kEmptiness. The intersection is empty
 /// exactly when this returns nullopt; with one operand the product is that
 /// operand itself.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "rlv/lang/ops.hpp"
-#include "rlv/util/hash.hpp"
 
 namespace rlv {
 
@@ -35,7 +34,9 @@ Buchi intersect_buchi(const Buchi& a, const Buchi& b, Budget* budget) {
 
 OnTheFlyProduct::OnTheFlyProduct(std::vector<const Buchi*> operands,
                                  Budget* budget)
-    : operands_(std::move(operands)), budget_(budget) {
+    : operands_(std::move(operands)),
+      budget_(budget),
+      states_(operands_.size() + 1) {
   if (operands_.empty()) {
     throw std::invalid_argument("OnTheFlyProduct: no operands");
   }
@@ -46,133 +47,111 @@ OnTheFlyProduct::OnTheFlyProduct(std::vector<const Buchi*> operands,
   }
 
   const std::size_t k = operands_.size();
+  tuple_.resize(k + 1);
+  targets_.resize(k + 1);
+  blocks_.resize(k);
+  idx_.resize(k);
   // Cartesian product of the operands' initial states; the initial level
   // accounts for acceptance sets the initial tuple itself satisfies,
   // mirroring degeneralize().
-  std::vector<State> tuple(k);
-  std::vector<std::size_t> idx(k, 0);
   for (;;) {
     bool valid = true;
     for (std::size_t i = 0; i < k; ++i) {
       const auto& inits = operands_[i]->initial();
-      if (idx[i] >= inits.size()) {
+      if (idx_[i] >= inits.size()) {
         valid = false;
         break;
       }
-      tuple[i] = inits[idx[i]];
+      targets_[i] = inits[idx_[i]];
     }
     if (!valid) break;  // some operand has no initial state: empty product
-    std::size_t level = 0;
-    while (level < k && operands_[level]->is_accepting(tuple[level])) ++level;
-    const State id = intern(tuple.data(), level);
+    State level = 0;
+    while (level < k && operands_[level]->is_accepting(targets_[level])) {
+      ++level;
+    }
+    targets_[k] = level;
+    const State id = intern();
     if (std::find(initial_.begin(), initial_.end(), id) == initial_.end()) {
       initial_.push_back(id);
     }
     // Odometer over the initial-state lists.
     std::size_t i = 0;
-    while (i < k && ++idx[i] == operands_[i]->initial().size()) {
-      idx[i] = 0;
+    while (i < k && ++idx_[i] == operands_[i]->initial().size()) {
+      idx_[i] = 0;
       ++i;
     }
     if (i == k) break;
   }
 }
 
-State OnTheFlyProduct::intern(const State* parts, std::size_t level) {
-  const std::size_t k = operands_.size();
-  std::size_t h = level;
-  for (std::size_t i = 0; i < k; ++i) h = hash_combine(h, parts[i]);
-
-  auto eq = [&](State id) {
-    if (levels_[id] != level) return false;
-    const State* stored = tuple_data_.data() + static_cast<std::size_t>(id) * k;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (stored[i] != parts[i]) return false;
-    }
-    return true;
-  };
-  const State found = table_.find(h, eq);
-  if (found != IdTable::kNoId) return found;
-
-  budget_charge(budget_);
-  const State id = static_cast<State>(levels_.size());
-  tuple_data_.insert(tuple_data_.end(), parts, parts + k);
-  levels_.push_back(static_cast<std::uint32_t>(level));
-  out_ptr_.push_back(nullptr);
-  out_len_.push_back(0);
-  expanded_.push_back(false);
-  table_.insert(h, id, [&](State x) {
-    const State* stored = tuple_data_.data() + static_cast<std::size_t>(x) * k;
-    std::size_t hx = levels_[x];
-    for (std::size_t i = 0; i < k; ++i) hx = hash_combine(hx, stored[i]);
-    return hx;
-  });
-  budget_note_memory(budget_,
-                     arena_.bytes_reserved() + table_.bytes() +
-                         tuple_data_.capacity() * sizeof(State));
+State OnTheFlyProduct::intern() {
+  const auto [id, fresh] = states_.intern(targets_.data());
+  if (fresh) {
+    range_.emplace_back(kUnexpanded, kUnexpanded);
+    budget_charge(budget_);
+    budget_note_memory(budget_,
+                       states_.bytes() + succ_.capacity() * sizeof(Transition) +
+                           range_.capacity() * sizeof(range_.front()));
+  }
   return id;
 }
 
 void OnTheFlyProduct::expand(State s) {
   const std::size_t k = operands_.size();
-  // Copy: intern() appends to tuple_data_ while we read the tuple.
-  std::vector<State> tuple(
-      tuple_data_.begin() + static_cast<std::size_t>(s) * k,
-      tuple_data_.begin() + static_cast<std::size_t>(s) * k + k);
-  const std::size_t base = (levels_[s] == k) ? 0 : levels_[s];
+  // Copy: intern() appends to the tuple storage while we read the tuple.
+  std::copy(states_.at(s), states_.at(s) + k + 1, tuple_.begin());
+  const std::size_t base = (tuple_[k] == k) ? 0 : tuple_[k];
+  const auto begin = static_cast<std::uint32_t>(succ_.size());
 
   // Operand edges arrive grouped by symbol (CSR), so the join is an odometer
   // over the per-operand (state, symbol) successor blocks — no per-edge
   // symbol filtering and no intermediate tuple vectors.
-  std::vector<Transition> edges;
-  std::vector<std::span<const Transition>> blocks(k);
-  std::vector<std::size_t> idx(k);
-  std::vector<State> targets(k);
-  const std::span<const Transition> e0 = operands_[0]->out(tuple[0]);
+  const std::span<const Transition> e0 = operands_[0]->out(tuple_[0]);
   for (std::size_t i0 = 0; i0 < e0.size();) {
     const Symbol sym = e0[i0].symbol;
     std::size_t end0 = i0;
     while (end0 < e0.size() && e0[end0].symbol == sym) ++end0;
-    blocks[0] = e0.subspan(i0, end0 - i0);
+    blocks_[0] = e0.subspan(i0, end0 - i0);
     i0 = end0;
 
     bool joinable = true;
     for (std::size_t i = 1; i < k; ++i) {
-      blocks[i] = operands_[i]->block(tuple[i], sym);
-      if (blocks[i].empty()) {
+      blocks_[i] = operands_[i]->block(tuple_[i], sym);
+      if (blocks_[i].empty()) {
         joinable = false;
         break;
       }
     }
     if (!joinable) continue;
 
-    std::fill(idx.begin(), idx.end(), 0);
+    std::fill(idx_.begin(), idx_.end(), 0);
     for (;;) {
-      for (std::size_t i = 0; i < k; ++i) targets[i] = blocks[i][idx[i]].target;
-      std::size_t next_level = base;
+      for (std::size_t i = 0; i < k; ++i) {
+        targets_[i] = blocks_[i][idx_[i]].target;
+      }
+      State next_level = static_cast<State>(base);
       while (next_level < k &&
-             operands_[next_level]->is_accepting(targets[next_level])) {
+             operands_[next_level]->is_accepting(targets_[next_level])) {
         ++next_level;
       }
-      edges.push_back(Transition{sym, intern(targets.data(), next_level)});
+      targets_[k] = next_level;
+      const State target = intern();
+      succ_.push_back(Transition{sym, target});
       std::size_t i = 0;
-      while (i < k && ++idx[i] == blocks[i].size()) {
-        idx[i] = 0;
+      while (i < k && ++idx_[i] == blocks_[i].size()) {
+        idx_[i] = 0;
         ++i;
       }
       if (i == k) break;
     }
   }
-
-  out_len_[s] = static_cast<std::uint32_t>(edges.size());
-  out_ptr_[s] =
-      edges.empty() ? nullptr : arena_.copy_array(edges.data(), edges.size());
-  expanded_[s] = true;
+  range_[s] = {begin, static_cast<std::uint32_t>(succ_.size())};
 }
 
 std::span<const Transition> OnTheFlyProduct::out(State s) {
-  if (!expanded_[s]) expand(s);
-  return {out_ptr_[s], out_len_[s]};
+  if (range_[s].first == kUnexpanded) expand(s);
+  return {succ_.data() + range_[s].first,
+          succ_.data() + range_[s].second};
 }
 
 Buchi union_buchi(const Buchi& a, const Buchi& b) {

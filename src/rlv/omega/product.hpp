@@ -19,10 +19,10 @@
 // otherwise (the guard survives NDEBUG builds).
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "rlv/omega/buchi.hpp"
-#include "rlv/util/arena.hpp"
 #include "rlv/util/budget.hpp"
 #include "rlv/util/intern.hpp"
 
@@ -49,11 +49,11 @@ namespace rlv {
 /// stage* (the emptiness search runs it under Stage::kEmptiness — the lazy
 /// path has no separate product stage by construction).
 ///
-/// Memory layout: tuples live k-States-apiece in one flat array keyed by a
-/// flat open-addressing id table (util/intern.hpp); cached successor lists
-/// are immutable blocks in a bump arena, so out() hands back a span whose
-/// storage never moves across later expansions, and the whole product frees
-/// wholesale on destruction.
+/// Memory layout: a state is the width-(k+1) tuple (operand states, level)
+/// in one TupleInterner (util/intern.hpp); successors are appended to one
+/// flat Transition array as states are expanded, each state recording the
+/// [begin, end) range of its own. The scratch vectors of an expansion are
+/// members, reused from one expansion to the next.
 class OnTheFlyProduct {
  public:
   /// `operands` must be non-empty, outlive the product, and share one
@@ -64,33 +64,38 @@ class OnTheFlyProduct {
   [[nodiscard]] const std::vector<State>& initial() const { return initial_; }
 
   [[nodiscard]] bool is_accepting(State s) const {
-    return levels_[s] == operands_.size();
+    return states_.at(s)[operands_.size()] == operands_.size();
   }
 
-  /// Successors of `s`, expanded on first call and cached. The span stays
-  /// valid across later expansions (arena blocks never move).
+  /// Successors of `s`, expanded on first call and cached. The span is
+  /// valid until the next out() call, which may expand another state and
+  /// move the successor array: copy a Transition out before calling again.
   [[nodiscard]] std::span<const Transition> out(State s);
 
   /// Number of product states interned so far (monotone; exploration cost).
-  [[nodiscard]] std::size_t num_interned() const { return levels_.size(); }
+  [[nodiscard]] std::size_t num_interned() const { return states_.size(); }
 
  private:
-  State intern(const State* parts, std::size_t level);
+  /// Interns the tuple staged in targets_; returns its id.
+  State intern();
   void expand(State s);
 
   std::vector<const Buchi*> operands_;
   Budget* budget_;
 
-  // id ↔ (tuple, level): tuple i occupies tuple_data_[i*k .. i*k+k);
-  // out_ptr_/out_len_/expanded_ grow in lockstep with levels_.
-  std::vector<State> tuple_data_;
-  std::vector<std::uint32_t> levels_;
-  std::vector<const Transition*> out_ptr_;
-  std::vector<std::uint32_t> out_len_;
-  std::vector<bool> expanded_;
+  TupleInterner<State> states_;  // (operand states..., level)
   std::vector<State> initial_;
-  IdTable table_;
-  Arena arena_;  // cached successor blocks
+  // Successors of state s: succ_[range_[s].first .. range_[s].second);
+  // kUnexpanded until expanded.
+  static constexpr std::uint32_t kUnexpanded = 0xffffffffU;
+  std::vector<Transition> succ_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> range_;
+
+  // Expansion scratch, reused.
+  std::vector<State> tuple_;
+  std::vector<State> targets_;
+  std::vector<std::span<const Transition>> blocks_;
+  std::vector<std::size_t> idx_;
 };
 
 }  // namespace rlv

@@ -63,7 +63,8 @@ std::uint32_t parse_count(std::string_view s, std::uint32_t min_value,
 
 }  // namespace
 
-NetFile parse_net(std::string_view text) {
+NetFile parse_net(std::string_view text, Budget* budget) {
+  StageScope scope(budget, Stage::kParse);
   NetFile file;
   std::unordered_map<std::string, PlaceId> places;
   std::unordered_set<std::string> labels;
@@ -84,6 +85,7 @@ NetFile parse_net(std::string_view text) {
         pos, eol == std::string_view::npos ? text.size() - pos : eol - pos);
     pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
     if (++line_no > kMaxLines) fail("too many lines", 0);
+    budget_tick(budget);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
 
     const std::vector<std::string_view> f = fields_of(line);
@@ -107,6 +109,7 @@ NetFile parse_net(std::string_view text) {
       if (file.net.num_places() >= kMaxPlaces) fail("too many places", line_no);
       const std::uint32_t tokens =
           f.size() == 3 ? parse_count(f[2], 0, "token count", line_no) : 0;
+      budget_charge(budget);
       const PlaceId p = file.net.add_place(f[1], tokens);
       places.emplace(std::string(f[1]), p);
     } else if (directive == "trans") {
@@ -115,6 +118,7 @@ NetFile parse_net(std::string_view text) {
       if (file.net.num_transitions() >= kMaxTransitions) {
         fail("too many transitions", line_no);
       }
+      budget_charge(budget);
       current = file.net.add_transition(f[1]);
       labels.insert(std::string(f[1]));
       has_transition = true;

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "rlv/petri/net.hpp"
+#include "rlv/util/budget.hpp"
 
 namespace rlv::petri {
 
@@ -58,7 +59,11 @@ struct NetFile {
 };
 
 /// Parses the textual format above. Throws NetParseError; never partial.
-[[nodiscard]] NetFile parse_net(std::string_view text);
+/// With a Budget, each place and transition is charged as one state under
+/// Stage::kParse before it is added, and every line ticks the deadline, so
+/// a hostile net trips ResourceExhausted before it is built.
+[[nodiscard]] NetFile parse_net(std::string_view text,
+                                Budget* budget = nullptr);
 
 /// Canonical serialization; parse_net(serialize_net(f)) reproduces `f`.
 [[nodiscard]] std::string serialize_net(const NetFile& file);

@@ -9,14 +9,6 @@ namespace rlv {
 
 namespace {
 
-std::size_t hash_counts(const std::uint32_t* counts, std::size_t n) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ n;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= counts[i] + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
-  return static_cast<std::size_t>(h);
-}
-
 /// Marking store with two phases. Phase one interns 1-safe markings as
 /// packed bitsets; the first marking that needs ≥ 2 tokens on a place
 /// converts every stored bitset to a token-count row (dense ids are handed
@@ -27,15 +19,15 @@ class MarkingStore {
   explicit MarkingStore(std::size_t num_places)
       : places_(num_places),
         words_per_((num_places + 63) / 64),
-        bitsets_(num_places) {}
+        bitsets_(words_per_),
+        rows_(num_places) {}
 
   [[nodiscard]] bool one_safe() const { return safe_; }
   [[nodiscard]] std::size_t size() const {
-    return safe_ ? bitsets_.size() : count_of_rows_;
+    return safe_ ? bitsets_.size() : rows_.size();
   }
   [[nodiscard]] std::size_t bytes() const {
-    return safe_ ? bitsets_.bytes()
-                 : rows_.capacity() * sizeof(std::uint32_t) + table_.bytes();
+    return safe_ ? bitsets_.bytes() : rows_.bytes();
   }
 
   /// Finds `m`, or kNoId when it was never interned.
@@ -45,7 +37,7 @@ class MarkingStore {
       if (!pack(m)) return IdTable::kNoId;
       return bitsets_.find(scratch_.data());
     }
-    return find_row(m);
+    return rows_.find(m.data());
   }
 
   /// Interns `m`; returns (id, fresh).
@@ -54,42 +46,32 @@ class MarkingStore {
       if (pack(m)) return bitsets_.intern(scratch_.data());
       convert();
     }
-    const std::uint32_t found = find_row(m);
-    if (found != IdTable::kNoId) return {found, false};
-    const auto id = static_cast<std::uint32_t>(count_of_rows_);
-    rows_.insert(rows_.end(), m.begin(), m.end());
-    ++count_of_rows_;
-    table_.insert(hash_counts(m.data(), places_), id, [&](std::uint32_t x) {
-      return hash_counts(rows_.data() + std::size_t{x} * places_, places_);
-    });
-    return {id, true};
+    return rows_.intern(m.data());
   }
 
   /// Copies the marking of `id` into `out` (resized to places()).
   void decode(std::uint32_t id, Marking& out) const {
     out.assign(places_, 0);
     if (safe_) {
-      const std::uint64_t* w = bitsets_.words(id);
+      const std::uint64_t* w = bitsets_.at(id);
       for (std::size_t p = 0; p < places_; ++p) {
         out[p] = (w[p / 64] >> (p % 64)) & 1u;
       }
     } else {
-      const std::uint32_t* row = rows_.data() + std::size_t{id} * places_;
+      const std::uint32_t* row = rows_.at(id);
       for (std::size_t p = 0; p < places_; ++p) out[p] = row[p];
     }
   }
 
-  /// Moves the backing storage into the finished graph.
-  void release(ReachabilityGraph& graph) {
+  /// Copies the backing storage into the finished graph.
+  void release(ReachabilityGraph& graph) const {
     graph.one_safe = safe_;
     if (safe_) {
-      graph.marking_bits.reserve(size() * words_per_);
-      for (std::size_t id = 0; id < size(); ++id) {
-        const std::uint64_t* w = bitsets_.words(static_cast<std::uint32_t>(id));
-        graph.marking_bits.insert(graph.marking_bits.end(), w, w + words_per_);
-      }
+      const std::uint64_t* w = bitsets_.at(0);
+      graph.marking_bits.assign(w, w + size() * words_per_);
     } else {
-      graph.marking_counts = std::move(rows_);
+      const std::uint32_t* row = rows_.at(0);
+      graph.marking_counts.assign(row, row + size() * places_);
     }
   }
 
@@ -104,46 +86,25 @@ class MarkingStore {
     return true;
   }
 
-  [[nodiscard]] std::uint32_t find_row(const Marking& m) {
-    return table_.find(hash_counts(m.data(), places_), [&](std::uint32_t id) {
-      const std::uint32_t* row = rows_.data() + std::size_t{id} * places_;
-      for (std::size_t p = 0; p < places_; ++p) {
-        if (row[p] != m[p]) return false;
-      }
-      return true;
-    });
-  }
-
-  /// Expands every interned bitset into a count row, rebuilding the id
-  /// table under the count hash. Ids are preserved.
+  /// Expands every interned bitset into a count row, interned in id order,
+  /// so ids are preserved.
   void convert() {
-    count_of_rows_ = bitsets_.size();
-    rows_.assign(count_of_rows_ * places_, 0);
-    for (std::size_t id = 0; id < count_of_rows_; ++id) {
-      const std::uint64_t* w = bitsets_.words(static_cast<std::uint32_t>(id));
-      std::uint32_t* row = rows_.data() + id * places_;
-      for (std::size_t p = 0; p < places_; ++p) {
-        row[p] = (w[p / 64] >> (p % 64)) & 1u;
-      }
-      table_.insert(hash_counts(row, places_), static_cast<std::uint32_t>(id),
-                    [&](std::uint32_t x) {
-                      return hash_counts(rows_.data() + std::size_t{x} * places_,
-                                         places_);
-                    });
+    Marking row;
+    for (std::size_t id = 0; id < bitsets_.size(); ++id) {
+      decode(static_cast<std::uint32_t>(id), row);
+      rows_.intern(row.data());
     }
     safe_ = false;
-    bitsets_ = BitsetInterner(0);  // release the bitset storage
+    bitsets_ = TupleInterner<std::uint64_t>(0);  // release the bitset storage
   }
 
   std::size_t places_;
   std::size_t words_per_;
   bool safe_ = true;
-  BitsetInterner bitsets_;
+  TupleInterner<std::uint64_t> bitsets_;
   std::vector<std::uint64_t> scratch_;
-  // General phase: count rows with stride places_, deduped through table_.
-  std::vector<std::uint32_t> rows_;
-  std::size_t count_of_rows_ = 0;
-  IdTable table_;
+  // General phase: token-count rows of width places_.
+  TupleInterner<std::uint32_t> rows_;
 };
 
 }  // namespace

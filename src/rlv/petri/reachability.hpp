@@ -8,10 +8,10 @@
 //
 // Markings are interned, not mapped: while the net stays 1-safe the unfolder
 // packs each marking into a fixed-width bitset and dedups through a
-// BitsetInterner (util/intern.hpp), so a state costs ⌈|P|/64⌉ words plus a
-// 4-byte table slot instead of an owned std::vector node in a std::map. The
-// first marking that puts ≥ 2 tokens on a place converts the interned store
-// in place to general token-count rows (same dense ids, no restart) and
+// TupleInterner of words (util/intern.hpp), so a state costs ⌈|P|/64⌉ words
+// plus a 4-byte table slot instead of an owned std::vector node in a
+// std::map. The first marking that puts ≥ 2 tokens on a place re-interns
+// the store as token-count rows (same dense ids, no restart) and
 // exploration continues unbounded-weight-correct.
 //
 // Construction is budget-governed: pass a Budget to charge every fresh

@@ -1,14 +1,14 @@
 #pragma once
 
-// Per-query bump arena for the hot decision-procedure kernels. The subset /
-// antichain inclusion searches and the on-the-fly Büchi product allocate a
-// large number of small, identically-shaped objects (witness path nodes,
-// interned bitset payloads, successor-edge blocks) whose lifetimes all end
-// together at verdict or budget-exhaustion time. Routing them through the
-// global allocator costs one malloc/free round-trip per object plus pointer
-// scatter; the arena hands out pointers by bumping a cursor through
-// geometrically-growing chunks and frees everything wholesale when the
-// owning kernel object is destroyed.
+// Per-query bump arena for the inclusion searches' witness path nodes. A
+// subset or antichain search allocates one small, identically-shaped
+// `(symbol, parent)` node per explored configuration, and their lifetimes
+// all end together at verdict or budget-exhaustion time. Routing them
+// through the global allocator costs one malloc/free round-trip per node
+// plus pointer scatter; the arena hands out pointers by bumping a cursor
+// through geometrically-growing chunks and frees everything wholesale when
+// the owning search dies (a 200k-node witness chain is never destructed
+// recursively). Interned tuples live in TupleInterner (util/intern.hpp).
 //
 // Restrictions, by design:
 //   * only trivially-destructible payloads (create<T> enforces this) — the
@@ -59,22 +59,6 @@ class Arena {
                   "Arena never runs destructors");
     void* p = allocate(sizeof(T), alignof(T));
     return ::new (p) T{std::forward<Args>(args)...};
-  }
-
-  /// Uninitialized array of `n` trivially-destructible Ts.
-  template <typename T>
-  T* allocate_array(std::size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "Arena never runs destructors");
-    return static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
-  }
-
-  /// Copies `n` Ts into the arena and returns the stable block pointer.
-  template <typename T>
-  T* copy_array(const T* src, std::size_t n) {
-    T* dst = allocate_array<T>(n);
-    for (std::size_t i = 0; i < n; ++i) ::new (dst + i) T(src[i]);
-    return dst;
   }
 
   /// Drops every allocation but keeps the largest chunk for reuse, so a

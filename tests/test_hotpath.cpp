@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <map>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -77,9 +79,9 @@ TEST(Arena, ResetReclaimsAndReuses) {
 // ---------------------------------------------------------------------------
 // Interning.
 
-TEST(BitsetInterner, DedupesAndKeepsDenseIds) {
-  BitsetInterner interner(130);  // 3 words
-  std::vector<std::uint64_t> w(interner.words_per(), 0);
+TEST(TupleInterner, DedupesAndKeepsDenseIds) {
+  TupleInterner<std::uint64_t> interner(3);  // a 130-bit set: 3 words
+  std::vector<std::uint64_t> w(interner.width(), 0);
   w[0] = 5;
   const auto [id0, fresh0] = interner.intern(w.data());
   EXPECT_TRUE(fresh0);
@@ -93,13 +95,13 @@ TEST(BitsetInterner, DedupesAndKeepsDenseIds) {
   EXPECT_FALSE(fresh2);
   EXPECT_EQ(id2, id0);
   EXPECT_EQ(interner.size(), 2u);
-  EXPECT_EQ(interner.words(id0)[0], 5u);
-  EXPECT_EQ(interner.words(id1)[2], 9u);
+  EXPECT_EQ(interner.at(id0)[0], 5u);
+  EXPECT_EQ(interner.at(id1)[2], 9u);
 }
 
-TEST(BitsetInterner, SurvivesTableGrowth) {
+TEST(TupleInterner, SurvivesTableGrowth) {
   // Push well past the initial 64 slots to exercise the rehash path.
-  BitsetInterner interner(64);
+  TupleInterner<std::uint64_t> interner(1);
   std::vector<std::uint32_t> ids;
   std::uint64_t w = 0;
   for (std::uint32_t i = 0; i < 500; ++i) {
@@ -114,28 +116,82 @@ TEST(BitsetInterner, SurvivesTableGrowth) {
   EXPECT_EQ(interner.size(), 500u);
 }
 
-TEST(BitsetInterner, SubsetTest) {
-  BitsetInterner interner(8);
-  std::uint64_t w = 0b0101;
-  const auto a = interner.intern(&w).first;
-  w = 0b0111;
-  const auto b = interner.intern(&w).first;
-  EXPECT_TRUE(interner.is_subset(a, b));
-  EXPECT_FALSE(interner.is_subset(b, a));
-  EXPECT_TRUE(interner.is_subset(a, a));
+TEST(TupleInterner, InsertContainsGrow) {
+  // The 64-bit key set of a visited-set dedup: a width-1 table.
+  TupleInterner<std::uint64_t> set(1);
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    const std::uint64_t key = k * 1315423911ULL;
+    EXPECT_TRUE(set.intern(&key).second);
+  }
+  for (std::uint64_t k = 0; k < 1000; ++k) {
+    const std::uint64_t key = k * 1315423911ULL;
+    EXPECT_FALSE(set.intern(&key).second);
+    EXPECT_NE(set.find(&key), TupleInterner<std::uint64_t>::kNoId);
+  }
+  const std::uint64_t absent = 0xabcdefULL;
+  EXPECT_EQ(set.find(&absent), TupleInterner<std::uint64_t>::kNoId);
+  EXPECT_EQ(set.size(), 1000u);
 }
 
-TEST(U64KeySet, InsertContainsGrow) {
-  U64KeySet set;
-  for (std::uint64_t k = 0; k < 1000; ++k) {
-    EXPECT_TRUE(set.insert(k * 1315423911ULL));
+/// Interns random tuples of one width into a TupleInterner and a std::map
+/// reference in lockstep: ids are dense and first-seen, every probe of an
+/// unseen tuple misses, and ids survive the table's growth.
+template <typename T>
+void check_against_map(std::size_t width, std::uint64_t seed) {
+  Rng rng(seed);
+  TupleInterner<T> interner(width);
+  std::map<std::vector<T>, std::uint32_t> reference;
+  std::vector<std::vector<T>> by_id;
+  std::vector<T> t(width);
+  // About a thousand distinct tuples: they repeat often, and the table
+  // grows several times past its initial 64 slots.
+  const std::uint64_t range = width == 1 ? 1000 : width == 2 ? 32 : 10;
+  const auto draw = [&] {
+    for (T& x : t) {
+      const std::uint64_t v = rng.next_below(range);
+      if constexpr (sizeof(T) == 8) {
+        x = static_cast<T>(v * 0x9e3779b97f4a7c15ULL);  // all 64 bits
+      } else if constexpr (std::is_signed_v<T>) {
+        x = static_cast<T>(v) - static_cast<T>(range / 2);  // negatives too
+      } else {
+        x = static_cast<T>(v);
+      }
+    }
+  };
+  for (int step = 0; step < 3000; ++step) {
+    draw();
+    const auto it = reference.find(t);
+    if (it == reference.end()) {
+      ASSERT_EQ(interner.find(t.data()), TupleInterner<T>::kNoId);
+      const auto [id, fresh] = interner.intern(t.data());
+      ASSERT_TRUE(fresh);
+      ASSERT_EQ(id, by_id.size());  // dense, first-seen
+      reference.emplace(t, id);
+      by_id.push_back(t);
+    } else {
+      ASSERT_EQ(interner.find(t.data()), it->second);
+      const auto [id, fresh] = interner.intern(t.data());
+      ASSERT_FALSE(fresh);
+      ASSERT_EQ(id, it->second);
+    }
   }
-  for (std::uint64_t k = 0; k < 1000; ++k) {
-    EXPECT_FALSE(set.insert(k * 1315423911ULL));
-    EXPECT_TRUE(set.contains(k * 1315423911ULL));
+  ASSERT_EQ(interner.size(), reference.size());
+  // After all growth: every id still holds its tuple and maps back to it.
+  for (std::uint32_t id = 0; id < by_id.size(); ++id) {
+    const T* stored = interner.at(id);
+    ASSERT_TRUE(std::equal(by_id[id].begin(), by_id[id].end(), stored));
+    ASSERT_EQ(interner.find(by_id[id].data()), id);
   }
-  EXPECT_FALSE(set.contains(0xabcdefULL));
-  EXPECT_EQ(set.size(), 1000u);
+}
+
+TEST(TupleInterner, MatchesMapReferenceAcrossWidths) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    check_against_map<std::uint32_t>(1, seed);
+    check_against_map<std::uint32_t>(2, seed);
+    check_against_map<std::int32_t>(3, seed);
+    // Three 64-bit words: a 130-bit set.
+    check_against_map<std::uint64_t>(3, seed);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -400,6 +456,20 @@ TEST(BudgetMemory, InclusionReportsKernelBytes) {
   (void)check_inclusion(a, b, InclusionAlgorithm::kAntichain, &budget);
   const StageMetrics& m = budget.profile()[Stage::kInclusion];
   EXPECT_GT(m.peak_memory_bytes, 0u);
+}
+
+TEST(BudgetMemory, LazyProductReportsKernelBytes) {
+  // The interned tuples, the flat successor array and the ranges all count.
+  Rng rng(6);
+  auto sigma = random_alphabet(2);
+  const Buchi a = random_buchi(rng, 40, sigma);
+  const Buchi b = random_buchi(rng, 40, sigma);
+  Budget budget;
+  (void)find_accepting_lasso_product({&a, &b}, &budget);
+  const StageMetrics& m = budget.profile()[Stage::kEmptiness];
+  ASSERT_GT(m.states_built, 0u);
+  // At least one tuple of three 4-byte elements per interned state.
+  EXPECT_GE(m.peak_memory_bytes, m.states_built * 3 * sizeof(State));
 }
 
 // ---------------------------------------------------------------------------

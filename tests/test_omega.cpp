@@ -279,7 +279,7 @@ TEST(Live, PrefixNfaIsPreOfOmegaLanguage) {
 
 TEST(Emptiness, LassoWitnessIsAccepted) {
   const Buchi both = intersect_buchi(inf_a(), inf_b());
-  const auto lasso = find_accepting_lasso(both);
+  const auto lasso = find_accepting_lasso_product({&both});
   ASSERT_TRUE(lasso.has_value());
   EXPECT_FALSE(lasso->period.empty());
   EXPECT_TRUE(accepts_lasso(both, *lasso));
@@ -492,7 +492,8 @@ TEST_P(RandomBuchiProperty, EmptinessAlgorithmsAgree) {
   if (ndfs) {
     EXPECT_TRUE(accepts_lasso(buchi, *ndfs));
   }
-  const auto lasso = find_accepting_lasso(buchi);
+  // The same language as a two-operand product (level counter 0..2).
+  const auto lasso = find_accepting_lasso_product({&buchi, &buchi});
   EXPECT_EQ(lasso.has_value(), !scc);
   if (lasso) {
     EXPECT_TRUE(accepts_lasso(buchi, *lasso));

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "rlv/gen/families.hpp"
 #include "rlv/lang/inclusion.hpp"
 #include "rlv/lang/ops.hpp"
@@ -201,6 +203,29 @@ TEST(NetFormat, ParsesWeightsCommentsAndDefaults) {
   const ReachabilityGraph graph = build_reachability_graph(file.net);
   EXPECT_EQ(graph.system.num_states(), 2u);
   EXPECT_EQ(graph.deadlocks.size(), 1u);
+}
+
+TEST(NetFormat, BudgetChargesPlacesAndTransitionsUnderParse) {
+  const std::string text = petri::serialize_net(petri::philosophers_net(3));
+  const petri::NetFile unbudgeted = petri::parse_net(text);
+  Budget budget;
+  const petri::NetFile file = petri::parse_net(text, &budget);
+  EXPECT_EQ(file.net.num_places(), unbudgeted.net.num_places());
+  EXPECT_EQ(budget.profile()[Stage::kParse].states_built,
+            file.net.num_places() + file.net.num_transitions());
+
+  // More places than the cap: the parse trips before building the net.
+  std::string many;
+  for (int p = 0; p < 20; ++p) many += "place p" + std::to_string(p) + "\n";
+  Budget capped;
+  capped.set_max_states(10);
+  try {
+    (void)petri::parse_net(many, &capped);
+    FAIL() << "expected ResourceExhausted";
+  } catch (const ResourceExhausted& e) {
+    EXPECT_EQ(e.stage(), Stage::kParse);
+    EXPECT_EQ(e.kind(), ResourceExhausted::Kind::kStates);
+  }
 }
 
 TEST(NetFormat, StrictRejectionsCarryLineNumbers) {

@@ -108,7 +108,8 @@ int usage() {
                "            its reachability graph and checks that system;\n"
                "            --net-hom derives the abstraction from its hide\n"
                "            annotation, the budget flags bound the unfolding\n"
-               "            (trip -> 'resource_exhausted', exit 3)\n");
+               "            (the timeout also covers the parse;\n"
+               "            trip -> 'resource_exhausted', exit 3)\n");
   return 2;
 }
 
@@ -229,19 +230,22 @@ int main(int argc, char** argv) {
     petri::NetFile netfile;
     const Nfa system = [&]() -> Nfa {
       if (petri_path.empty()) return parse_system(read_file(system_path));
-      netfile = petri::parse_net(read_file(petri_path));
-      Budget unfold_budget;
+      // One budget governs the parse and the unfolding: the deadline runs
+      // from before the parse, and the state cap bounds the unfolded states
+      // on top of the places and transitions the parse charged.
+      Budget budget;
       const bool governed = petri_max_states > 0 || petri_timeout_ms > 0;
-      if (petri_max_states > 0) {
-        unfold_budget.set_max_states(
-            static_cast<std::uint64_t>(petri_max_states));
-      }
       if (petri_timeout_ms > 0) {
-        unfold_budget.set_deadline_in(
-            std::chrono::milliseconds(petri_timeout_ms));
+        budget.set_deadline_in(std::chrono::milliseconds(petri_timeout_ms));
+      }
+      netfile = petri::parse_net(read_file(petri_path),
+                                 governed ? &budget : nullptr);
+      if (petri_max_states > 0) {
+        budget.set_max_states(budget.states_used() +
+                              static_cast<std::uint64_t>(petri_max_states));
       }
       ReachabilityGraph graph = build_reachability_graph(
-          netfile.net, {}, governed ? &unfold_budget : nullptr);
+          netfile.net, {}, governed ? &budget : nullptr);
       std::printf("petri unfold: net '%s', %zu places -> %zu states, "
                   "%zu deadlocks%s%s\n",
                   netfile.name.c_str(), graph.num_places,
